@@ -62,6 +62,12 @@ let create ?(seed = 0x434c49L) ?password ?(kdc_timeout = 1.0) ?(kdc_retries = 0)
   | _ -> ());
   if breaker_cooldown < 0.0 then
     invalid_arg "Client.create: negative breaker_cooldown";
+  (* The deadline envelope is a [Tagged] wrapper, and V4's encoding drops
+     tags: the KDC would read the envelope as a malformed request. *)
+  (match (kdc_deadline, profile.Profile.encoding) with
+  | Some _, Wire.Encoding.V4_adhoc ->
+      invalid_arg "Client.create: kdc_deadline needs a tagged encoding, not V4's"
+  | _ -> ());
   { net; host; profile; kdcs; me; rng = Util.Rng.create seed; password;
     kdc_timeout; kdc_retries; ccache; kdc_rotation; rotation = 0;
     svc_creds = Hashtbl.create 8; ccache_hits = 0; ccache_misses = 0;

@@ -79,7 +79,12 @@ val create :
     [kdc_deadline] bounds each logical KDC exchange (seconds): the
     deadline is stamped into the request ({!Messages.with_deadline}) so
     an admission-controlled KDC can shed the queued copy once the caller
-    has given up, and no failover/busy-wait step starts past it. *)
+    has given up, and no failover/busy-wait step starts past it.
+
+    @raise Invalid_argument if [kdc_deadline] is given under a profile
+    whose encoding carries no tags (V4's ad hoc encoding): the envelope
+    would reach the KDC as a malformed request and every exchange would
+    fail. *)
 
 val principal : t -> Principal.t
 val host : t -> Sim.Host.t

@@ -38,7 +38,10 @@ let create ?cap ?(on_evict = fun () -> ()) ~horizon () =
   | Some c when c <= 0 -> invalid_arg "Replay_cache.create: cap must be positive"
   | _ -> ());
   { horizon; cap; on_evict;
-    entries = Hashtbl.create 64;
+    (* The smallest table, grown on demand: every session owns a cache, a
+       session sees few messages, and one that counts sequence numbers
+       never inserts into its cache at all. *)
+    entries = Hashtbl.create 1;
     expq = Sim.Heap.create ~cmp:(fun a b -> Float.compare a.expiry b.expiry);
     hits = 0; inserts = 0; evicted = 0 }
 

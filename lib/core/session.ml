@@ -23,11 +23,15 @@ let initial_iv ~sched direction =
   Bytes.set block 0 direction;
   Crypto.Des.encrypt_block sched block
 
+(* Only [Cbc_iv_chain] reads the IVs, so only it pays their two blocks. *)
 let make ~profile ~rng ~role ~key ~own_addr ~peer_addr ~send_seq ~recv_seq =
   let sched = Crypto.Des.schedule_cached key in
-  let c2s = initial_iv ~sched 'C' and s2c = initial_iv ~sched 'S' in
   let send_iv, recv_iv =
-    match role with Client_side -> (c2s, s2c) | Server_side -> (s2c, c2s)
+    match profile.Profile.priv_mode with
+    | Profile.Pcbc_v4 | Profile.Cbc_v5_draft -> (Bytes.empty, Bytes.empty)
+    | Profile.Cbc_iv_chain -> (
+        let c2s = initial_iv ~sched 'C' and s2c = initial_iv ~sched 'S' in
+        match role with Client_side -> (c2s, s2c) | Server_side -> (s2c, c2s))
   in
   { profile; key; sched; role; own_addr; peer_addr; send_seq; recv_seq;
     send_iv; recv_iv; cache = Replay_cache.create ~horizon:600.0 (); rng }

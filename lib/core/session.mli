@@ -21,7 +21,8 @@ type t = {
   peer_addr : Sim.Addr.t;
   mutable send_seq : int;
   mutable recv_seq : int;
-  mutable send_iv : bytes;  (** evolving IV, [Cbc_iv_chain] only *)
+  mutable send_iv : bytes;
+      (** evolving IV, [Cbc_iv_chain] only; empty under the other modes *)
   mutable recv_iv : bytes;
   cache : Replay_cache.t;  (** per-session cache of priv timestamps *)
   rng : Util.Rng.t;

@@ -1,12 +1,28 @@
 (* Tables are copied from FIPS 46-3; bit positions are 1-based from the most
    significant bit, as in the standard.
 
-   The hot path is table-driven: the per-round S-box and P permutations are
-   fused into eight 64-entry SP tables of 32-bit words, the E expansion is a
-   shift/mask window over a 34-bit rotation of R, and IP/FP are the classic
-   five-step Hoey/Kwan bit-swap networks. The original permute-per-round
-   implementation is kept in [Reference] as the oracle the fast path is
-   property-tested against. *)
+   The block kernel is shaped by its latency chain: each round's output
+   feeds the next round's S-box indices, so what sets the speed is the work
+   between one round and the next, not the number of table lookups.
+
+   - Both Feistel halves stay in a 34-bit, already-expanded form
+     ([expand]) for all sixteen rounds. E only copies bits, so it commutes
+     with the xor that joins the halves, and the SP table stores its
+     entries in the same form: no round re-expands anything.
+   - A round subkey is two words, one holding the even S-boxes' 6-bit
+     chunks and one the odd boxes', each chunk at the offset of its box's
+     E window. A round is then two xors, eight lookups into one 512-entry
+     table and an or-tree three levels deep, inlined into straight-line
+     encrypt and decrypt bodies.
+   - Decryption has its own body that reads the subkeys backwards, and a
+     two-block form ([decrypt_pair]) for the modes whose decryption has no
+     chain, so two blocks' rounds overlap in the pipeline.
+   - The schedule applies PC1 and PC2 as tables indexed one byte at a
+     time.
+
+   IP and FP are the classic five-step Hoey/Kwan bit-swap networks on
+   32-bit halves. [Reference] keeps the bit-by-bit cipher and schedule as
+   the oracle the tests compare against. *)
 
 let initial_permutation =
   [| 58; 50; 42; 34; 26; 18; 10; 2;
@@ -114,8 +130,8 @@ let sboxes =
 
 (* [permute table width x]: [x] holds a [width]-bit value right-aligned; the
    result has [Array.length table] bits, where output bit i (1-based from the
-   MSB) is input bit [table.(i-1)]. Used by the key schedule and [Reference];
-   the block hot path never calls it. *)
+   MSB) is input bit [table.(i-1)]. Builds the kernel's tables and runs
+   [Reference]; the block and schedule hot paths never call it. *)
 let permute table width x =
   let out_width = Array.length table in
   let out = ref 0L in
@@ -125,90 +141,120 @@ let permute table width x =
   done;
   !out
 
-type key = { subkeys : int array; subkeys_rev : int array; raw : bytes }
-
-let block_size = 8
-
-let rotl28 x n =
-  let mask = 0xFFFFFFF in
-  ((x lsl n) lor (x lsr (28 - n))) land mask
+let rotl28 x n = ((x lsl n) lor (x lsr (28 - n))) land 0xFFFFFFF
 
 let schedules = ref 0
 let schedules_performed () = !schedules
 let blocks = ref 0
 let blocks_performed () = !blocks
 
+let block_size = 8
+
+(* --- the expanded form -------------------------------------------------
+
+   The E expansion reads eight overlapping 6-bit windows of the cyclic
+   sequence bit32, bit1..bit32, bit1. [expand r] materializes that sequence
+   as a 34-bit word; the window of S-box [g] is then
+   [(expand r lsr (28 - 4g)) land 63]. *)
+let[@inline] expand r = ((r land 1) lsl 33) lor (r lsl 1) lor (r lsr 31)
+let[@inline] compress w = (w lsr 1) land 0xFFFFFFFF
+
+(* [sp.((g lsl 6) lor v)] is the expanded form of P(S_g(v)), with S_g's
+   4-bit output placed at its nibble of the 32-bit half: the 6-bit input
+   [v] picks the row from its outer bits and the column from its middle
+   four, as in the standard. One table rather than eight, so a round keeps
+   one base address in a register. *)
+let sp =
+  Array.init 512 (fun i ->
+      let box = i lsr 6 and v = i land 63 in
+      let row = ((v lsr 4) land 2) lor (v land 1) in
+      let col = (v lsr 1) land 0xF in
+      let placed = sboxes.(box).((row * 16) + col) lsl (4 * (7 - box)) in
+      expand (Int64.to_int (permute p_permutation 32 (Int64.of_int placed))))
+
+(* --- key schedule ------------------------------------------------------
+
+   Round [i]'s subkey is [sk.(2i)], the chunks of the even S-boxes (0, 2,
+   4, 6), and [sk.(2i+1)], those of the odd ones, each 6-bit chunk at the
+   offset of its box's window in the expanded half. Within one parity the
+   windows do not overlap, so one xor keys four boxes. *)
+type key = { sk : int array; raw : bytes }
+
+(* A 48-bit FIPS subkey (box [g]'s chunk in bits [47-6g .. 42-6g]) packed
+   as the even word shifted down by four in bits 0..29 and the odd word in
+   bits 30..59; in both, the chunks sit at offsets 24, 16, 8 and 0. *)
+let pack_subkey k =
+  let at g = ((k lsr (42 - (6 * g))) land 63) lsl (24 - (8 * (g / 2))) in
+  at 0 lor at 2 lor at 4 lor at 6 lor ((at 1 lor at 3 lor at 5 lor at 7) lsl 30)
+
+(* PC1 and PC2 only copy bits, so each is the or of per-byte parts.
+   [by_byte ~bytes f] tabulates [f] on every [bytes]-byte input with one
+   non-zero byte: entry [(b lsl 8) lor v] is [f] of byte [b] (from the
+   most significant) holding [v]. PC1 never reads a key's parity bits. *)
+let by_byte ~bytes f =
+  Array.init (bytes * 256) (fun i ->
+      f (Int64.shift_left (Int64.of_int (i land 255)) (8 * (bytes - 1 - (i lsr 8)))))
+
+let pc1_bytes = by_byte ~bytes:8 (fun x -> Int64.to_int (permute pc1 64 x))
+let pc2_bytes = by_byte ~bytes:7 (fun cd -> pack_subkey (Int64.to_int (permute pc2 56 cd)))
+
 let schedule k =
   if Bytes.length k <> 8 then invalid_arg "Des.schedule: key must be 8 bytes";
   incr schedules;
-  let k64 = Bytes.get_int64_be k 0 in
-  let cd = Int64.to_int (permute pc1 64 k64) in
-  let c = ref ((cd lsr 28) land 0xFFFFFFF) in
-  let d = ref (cd land 0xFFFFFFF) in
-  let subkeys =
-    Array.map
-      (fun rot ->
-        c := rotl28 !c rot;
-        d := rotl28 !d rot;
-        let merged = Int64.of_int ((!c lsl 28) lor !d) in
-        Int64.to_int (permute pc2 56 merged))
-      rotations
-  in
-  let subkeys_rev = Array.init 16 (fun i -> subkeys.(15 - i)) in
-  { subkeys; subkeys_rev; raw = Bytes.copy k }
+  let cd = ref 0 in
+  for b = 0 to 7 do
+    cd := !cd lor Array.unsafe_get pc1_bytes ((b lsl 8) lor Char.code (Bytes.unsafe_get k b))
+  done;
+  let c = ref (!cd lsr 28) and d = ref (!cd land 0xFFFFFFF) in
+  let sk = Array.make 32 0 in
+  for i = 0 to 15 do
+    c := rotl28 !c rotations.(i);
+    d := rotl28 !d rotations.(i);
+    let cd = (!c lsl 28) lor !d in
+    let p = ref 0 in
+    for b = 0 to 6 do
+      p := !p lor Array.unsafe_get pc2_bytes ((b lsl 8) lor ((cd lsr (48 - (8 * b))) land 255))
+    done;
+    sk.(2 * i) <- (!p land 0x3FFFFFFF) lsl 4;
+    sk.((2 * i) + 1) <- !p lsr 30
+  done;
+  { sk; raw = Bytes.copy k }
 
 let key_bytes k = Bytes.copy k.raw
 
-(* --- fused SP tables ---------------------------------------------------
+let subkeys k =
+  Array.init 16 (fun i ->
+      let chunk g = (k.sk.((2 * i) + (g land 1)) lsr (28 - (4 * g))) land 63 in
+      let s = ref 0 in
+      for g = 0 to 7 do
+        s := (!s lsl 6) lor chunk g
+      done;
+      !s)
 
-   [sp.(box).(v)] is P(S_box(v)) placed in its 32-bit position: the 6-bit
-   S-box input [v] (row from the outer bits, column from the middle four, as
-   in the standard) is looked up, the 4-bit output is placed at nibble
-   [box] of the 32-bit word, and the P permutation is applied — so the round
-   function is eight table lookups and a 7-way or, with no bit-by-bit
-   permuting left. *)
-let sp =
-  Array.init 8 (fun box ->
-      Array.init 64 (fun v ->
-          let row = ((v lsr 4) land 2) lor (v land 1) in
-          let col = (v lsr 1) land 0xF in
-          let s = sboxes.(box).((row * 16) + col) in
-          let placed = s lsl (4 * (7 - box)) in
-          let out = ref 0 in
-          for j = 0 to 31 do
-            out := (!out lsl 1) lor ((placed lsr (32 - p_permutation.(j))) land 1)
-          done;
-          !out))
+(* --- the block kernel --------------------------------------------------- *)
 
-let sp0 = sp.(0) and sp1 = sp.(1) and sp2 = sp.(2) and sp3 = sp.(3)
-let sp4 = sp.(4) and sp5 = sp.(5) and sp6 = sp.(6) and sp7 = sp.(7)
-
-(* The E expansion reads eight overlapping 6-bit windows of the cyclic
-   sequence bit32, bit1..bit32, bit1. Materialize that sequence once as a
-   34-bit word [w]; window [g] is then [(w lsr (28 - 4g)) land 63]. Indices
-   into the SP tables are masked with [land 63], so the unsafe gets stay in
-   bounds by construction. *)
-let feistel r sk =
-  let w = ((r land 1) lsl 33) lor (r lsl 1) lor (r lsr 31) in
-  Array.unsafe_get sp0 (((w lsr 28) lxor (sk lsr 42)) land 63)
-  lor Array.unsafe_get sp1 (((w lsr 24) lxor (sk lsr 36)) land 63)
-  lor Array.unsafe_get sp2 (((w lsr 20) lxor (sk lsr 30)) land 63)
-  lor Array.unsafe_get sp3 (((w lsr 16) lxor (sk lsr 24)) land 63)
-  lor Array.unsafe_get sp4 (((w lsr 12) lxor (sk lsr 18)) land 63)
-  lor Array.unsafe_get sp5 (((w lsr 8) lxor (sk lsr 12)) land 63)
-  lor Array.unsafe_get sp6 (((w lsr 4) lxor (sk lsr 6)) land 63)
-  lor Array.unsafe_get sp7 ((w lxor sk) land 63)
+(* Round [i] on expanded halves: the next right half, [l] xor f([r], K_i).
+   [r] and the subkey words are 34 bits wide, so the top window needs no
+   mask and every index stays inside its box's 64 entries: the unsafe gets
+   are in bounds by construction. *)
+let[@inline] round sp sk i l r =
+  let e = r lxor Array.unsafe_get sk (2 * i) in
+  let o = r lxor Array.unsafe_get sk ((2 * i) + 1) in
+  l
+  lxor ((Array.unsafe_get sp (e lsr 28)
+         lor Array.unsafe_get sp (64 + ((o lsr 24) land 63))
+        lor (Array.unsafe_get sp (128 + ((e lsr 20) land 63))
+             lor Array.unsafe_get sp (192 + ((o lsr 16) land 63))))
+       lor ((Array.unsafe_get sp (256 + ((e lsr 12) land 63))
+             lor Array.unsafe_get sp (320 + ((o lsr 8) land 63)))
+           lor (Array.unsafe_get sp (384 + ((e lsr 4) land 63))
+                lor Array.unsafe_get sp (448 + (o land 63)))))
 
 type halves = { mutable hi : int; mutable lo : int }
 
-(* One full DES block on 32-bit halves: the five-swap IP network, sixteen
-   unrolled Feistel rounds (only the R chain is materialized; L_i = R_{i-1}),
-   the R16/L16 pre-output swap, and the inverse swap network for FP. All
-   values are immediate ints; nothing is allocated. *)
-let crypt_halves sk st =
-  incr blocks;
+(* IP, in place. *)
+let[@inline] ip st =
   let l = st.hi and r = st.lo in
-  (* IP *)
   let t = ((l lsr 4) lxor r) land 0x0f0f0f0f in
   let r = r lxor t and l = l lxor (t lsl 4) in
   let t = ((l lsr 16) lxor r) land 0x0000ffff in
@@ -218,27 +264,12 @@ let crypt_halves sk st =
   let t = ((r lsr 8) lxor l) land 0x00ff00ff in
   let l = l lxor t and r = r lxor (t lsl 8) in
   let t = ((l lsr 1) lxor r) land 0x55555555 in
-  let r = r lxor t and l = l lxor (t lsl 1) in
-  (* 16 rounds *)
-  let r1 = l lxor feistel r (Array.unsafe_get sk 0) in
-  let r2 = r lxor feistel r1 (Array.unsafe_get sk 1) in
-  let r3 = r1 lxor feistel r2 (Array.unsafe_get sk 2) in
-  let r4 = r2 lxor feistel r3 (Array.unsafe_get sk 3) in
-  let r5 = r3 lxor feistel r4 (Array.unsafe_get sk 4) in
-  let r6 = r4 lxor feistel r5 (Array.unsafe_get sk 5) in
-  let r7 = r5 lxor feistel r6 (Array.unsafe_get sk 6) in
-  let r8 = r6 lxor feistel r7 (Array.unsafe_get sk 7) in
-  let r9 = r7 lxor feistel r8 (Array.unsafe_get sk 8) in
-  let r10 = r8 lxor feistel r9 (Array.unsafe_get sk 9) in
-  let r11 = r9 lxor feistel r10 (Array.unsafe_get sk 10) in
-  let r12 = r10 lxor feistel r11 (Array.unsafe_get sk 11) in
-  let r13 = r11 lxor feistel r12 (Array.unsafe_get sk 12) in
-  let r14 = r12 lxor feistel r13 (Array.unsafe_get sk 13) in
-  let r15 = r13 lxor feistel r14 (Array.unsafe_get sk 14) in
-  let r16 = r14 lxor feistel r15 (Array.unsafe_get sk 15) in
-  (* pre-output block is R16 L16 *)
-  let l = r16 and r = r15 in
-  (* FP = IP^-1: the same swaps, reversed *)
+  st.hi <- l lxor (t lsl 1);
+  st.lo <- r lxor t
+
+(* FP = IP^-1 (the same swaps, reversed) of the pre-output block [l r],
+   stored into [st]. *)
+let[@inline] fp st l r =
   let t = ((l lsr 1) lxor r) land 0x55555555 in
   let r = r lxor t and l = l lxor (t lsl 1) in
   let t = ((r lsr 8) lxor l) land 0x00ff00ff in
@@ -248,31 +279,103 @@ let crypt_halves sk st =
   let t = ((l lsr 16) lxor r) land 0x0000ffff in
   let r = r lxor t and l = l lxor (t lsl 16) in
   let t = ((l lsr 4) lxor r) land 0x0f0f0f0f in
-  let r = r lxor t and l = l lxor (t lsl 4) in
-  st.hi <- l;
-  st.lo <- r
+  st.hi <- l lxor (t lsl 4);
+  st.lo <- r lxor t
 
-let encrypt_halves key st = crypt_halves key.subkeys st
-let decrypt_halves key st = crypt_halves key.subkeys_rev st
+(* Sixteen rounds materialize only the R chain (L_i = R_{i-1}); the
+   pre-output block is R16 L16. Nothing is allocated. *)
+let encrypt_halves key st =
+  incr blocks;
+  ip st;
+  let sp = sp and sk = key.sk in
+  let l = expand st.hi and r = expand st.lo in
+  let r1 = round sp sk 0 l r in
+  let r2 = round sp sk 1 r r1 in
+  let r3 = round sp sk 2 r1 r2 in
+  let r4 = round sp sk 3 r2 r3 in
+  let r5 = round sp sk 4 r3 r4 in
+  let r6 = round sp sk 5 r4 r5 in
+  let r7 = round sp sk 6 r5 r6 in
+  let r8 = round sp sk 7 r6 r7 in
+  let r9 = round sp sk 8 r7 r8 in
+  let r10 = round sp sk 9 r8 r9 in
+  let r11 = round sp sk 10 r9 r10 in
+  let r12 = round sp sk 11 r10 r11 in
+  let r13 = round sp sk 12 r11 r12 in
+  let r14 = round sp sk 13 r12 r13 in
+  let r15 = round sp sk 14 r13 r14 in
+  let r16 = round sp sk 15 r14 r15 in
+  fp st (compress r16) (compress r15)
 
-let crypt_i64 sk x =
+let decrypt_halves key st =
+  incr blocks;
+  ip st;
+  let sp = sp and sk = key.sk in
+  let l = expand st.hi and r = expand st.lo in
+  let r1 = round sp sk 15 l r in
+  let r2 = round sp sk 14 r r1 in
+  let r3 = round sp sk 13 r1 r2 in
+  let r4 = round sp sk 12 r2 r3 in
+  let r5 = round sp sk 11 r3 r4 in
+  let r6 = round sp sk 10 r4 r5 in
+  let r7 = round sp sk 9 r5 r6 in
+  let r8 = round sp sk 8 r6 r7 in
+  let r9 = round sp sk 7 r7 r8 in
+  let r10 = round sp sk 6 r8 r9 in
+  let r11 = round sp sk 5 r9 r10 in
+  let r12 = round sp sk 4 r10 r11 in
+  let r13 = round sp sk 3 r11 r12 in
+  let r14 = round sp sk 2 r12 r13 in
+  let r15 = round sp sk 1 r13 r14 in
+  let r16 = round sp sk 0 r14 r15 in
+  fp st (compress r16) (compress r15)
+
+(* Two independent blocks, round by round, so each round of one fills the
+   other's wait on its table loads. *)
+let decrypt_pair key a b =
+  blocks := !blocks + 2;
+  ip a;
+  ip b;
+  let sp = sp and sk = key.sk in
+  let al = expand a.hi and ar = expand a.lo in
+  let bl = expand b.hi and br = expand b.lo in
+  let a1 = round sp sk 15 al ar and b1 = round sp sk 15 bl br in
+  let a2 = round sp sk 14 ar a1 and b2 = round sp sk 14 br b1 in
+  let a3 = round sp sk 13 a1 a2 and b3 = round sp sk 13 b1 b2 in
+  let a4 = round sp sk 12 a2 a3 and b4 = round sp sk 12 b2 b3 in
+  let a5 = round sp sk 11 a3 a4 and b5 = round sp sk 11 b3 b4 in
+  let a6 = round sp sk 10 a4 a5 and b6 = round sp sk 10 b4 b5 in
+  let a7 = round sp sk 9 a5 a6 and b7 = round sp sk 9 b5 b6 in
+  let a8 = round sp sk 8 a6 a7 and b8 = round sp sk 8 b6 b7 in
+  let a9 = round sp sk 7 a7 a8 and b9 = round sp sk 7 b7 b8 in
+  let a10 = round sp sk 6 a8 a9 and b10 = round sp sk 6 b8 b9 in
+  let a11 = round sp sk 5 a9 a10 and b11 = round sp sk 5 b9 b10 in
+  let a12 = round sp sk 4 a10 a11 and b12 = round sp sk 4 b10 b11 in
+  let a13 = round sp sk 3 a11 a12 and b13 = round sp sk 3 b11 b12 in
+  let a14 = round sp sk 2 a12 a13 and b14 = round sp sk 2 b12 b13 in
+  let a15 = round sp sk 1 a13 a14 and b15 = round sp sk 1 b13 b14 in
+  let a16 = round sp sk 0 a14 a15 and b16 = round sp sk 0 b14 b15 in
+  fp a (compress a16) (compress a15);
+  fp b (compress b16) (compress b15)
+
+let crypt_i64 crypt key x =
   let st =
     { hi = Int64.to_int (Int64.shift_right_logical x 32);
       lo = Int64.to_int (Int64.logand x 0xFFFFFFFFL) }
   in
-  crypt_halves sk st;
+  crypt key st;
   Int64.logor (Int64.shift_left (Int64.of_int st.hi) 32) (Int64.of_int st.lo)
 
-let encrypt_block_i64 key x = crypt_i64 key.subkeys x
-let decrypt_block_i64 key x = crypt_i64 key.subkeys_rev x
+let encrypt_block_i64 key x = crypt_i64 encrypt_halves key x
+let decrypt_block_i64 key x = crypt_i64 decrypt_halves key x
 
-let crypt_block sk block =
+let crypt_block crypt key block =
   if Bytes.length block <> 8 then invalid_arg "Des: block must be 8 bytes";
   let st =
     { hi = (Bytes.get_uint16_be block 0 lsl 16) lor Bytes.get_uint16_be block 2;
       lo = (Bytes.get_uint16_be block 4 lsl 16) lor Bytes.get_uint16_be block 6 }
   in
-  crypt_halves sk st;
+  crypt key st;
   let out = Bytes.create 8 in
   Bytes.set_uint16_be out 0 (st.hi lsr 16);
   Bytes.set_uint16_be out 2 (st.hi land 0xffff);
@@ -280,13 +383,26 @@ let crypt_block sk block =
   Bytes.set_uint16_be out 6 (st.lo land 0xffff);
   out
 
-let encrypt_block key block = crypt_block key.subkeys block
-let decrypt_block key block = crypt_block key.subkeys_rev block
+let encrypt_block key block = crypt_block encrypt_halves key block
+let decrypt_block key block = crypt_block decrypt_halves key block
 
 module Reference = struct
-  (* The original bit-by-bit implementation: a generic [permute] per
-     component per round. Kept verbatim as the semantic anchor for the
-     table-driven path above. *)
+  (* The bit-by-bit cipher and schedule: a generic [permute] per component
+     per round, straight from the FIPS tables. It reads only a key's raw
+     bytes, never the kernel's tables or packed subkeys, so agreement with
+     it is evidence about the kernel. *)
+
+  let schedule k =
+    if Bytes.length k <> 8 then invalid_arg "Des.Reference.schedule: key must be 8 bytes";
+    let cd = Int64.to_int (permute pc1 64 (Bytes.get_int64_be k 0)) in
+    let c = ref ((cd lsr 28) land 0xFFFFFFF) in
+    let d = ref (cd land 0xFFFFFFF) in
+    Array.map
+      (fun rot ->
+        c := rotl28 !c rot;
+        d := rotl28 !d rot;
+        Int64.to_int (permute pc2 56 (Int64.of_int ((!c lsl 28) lor !d))))
+      rotations
 
   let f_function r subkey =
     let e = Int64.logxor (permute expansion 32 r) subkey in
@@ -304,12 +420,13 @@ module Reference = struct
 
   let crypt_block subkey_order key block =
     if Bytes.length block <> 8 then invalid_arg "Des: block must be 8 bytes";
+    let subkeys = schedule key.raw in
     let b = Bytes.get_int64_be block 0 in
     let ip = permute initial_permutation 64 b in
     let l = ref (Int64.shift_right_logical ip 32) in
     let r = ref (Int64.logand ip 0xFFFFFFFFL) in
     for i = 0 to 15 do
-      let sk = Int64.of_int key.subkeys.(subkey_order i) in
+      let sk = Int64.of_int subkeys.(subkey_order i) in
       let next_r = Int64.logand (Int64.logxor !l (f_function !r sk)) 0xFFFFFFFFL in
       l := !r;
       r := next_r

@@ -1,16 +1,19 @@
 (** The Data Encryption Standard (FIPS 46), the cipher Kerberos V4 and the
     V5 drafts are built on.
 
-    Blocks and keys are 8 bytes. The hot path is table-driven — the S-box
-    and P permutations are fused into eight precomputed SP tables, the E
-    expansion is a shift/mask window, and IP/FP are five-step bit-swap
-    networks — and is validated in the test suite against the classic NBS
-    known-answer vectors and against the bit-by-bit {!Reference}
-    implementation. *)
+    Blocks and keys are 8 bytes. The kernel is built around the chain of
+    dependent steps from one round to the next: both Feistel halves stay in
+    an already-expanded 34-bit form for all sixteen rounds, each round
+    subkey is two words (even and odd S-boxes), and a round is two xors,
+    eight lookups into one fused S-box/P table and an or-tree, inlined into
+    unrolled encrypt and decrypt bodies. Independent blocks can be
+    deciphered two at a time ({!decrypt_pair}). The key schedule applies
+    PC1 and PC2 one key byte at a time from tables. The test suite checks
+    all of it against the NBS known-answer vectors and against the
+    bit-by-bit {!Reference}. *)
 
 type key
-(** A scheduled key (the 16 48-bit subkeys, in both encrypt and decrypt
-    order). *)
+(** A scheduled key: the 16 round subkeys, two words each. *)
 
 val block_size : int
 (** 8. *)
@@ -22,6 +25,11 @@ val schedule : bytes -> key
 
 val key_bytes : key -> bytes
 (** The original 8-byte key material (with its parity bits untouched). *)
+
+val subkeys : key -> int array
+(** The 16 round subkeys as 48-bit FIPS values (S-box 1's chunk in the top
+    six bits), in encryption order. Lets the tests compare the schedule
+    with {!Reference.schedule}. *)
 
 val schedule_cached : bytes -> key
 (** [schedule_cached k] is [schedule (fix_parity k)], memoized on the raw
@@ -45,8 +53,9 @@ val schedules_performed : unit -> int
 
 val blocks_performed : unit -> int
 (** Process-wide count of single-block DES operations (every mode bottoms
-    out here). The load harness uses it to apportion wall time between
-    irreducible cipher work and everything else. *)
+    out here; {!decrypt_pair} counts two). The load harness uses it to
+    apportion wall time between irreducible cipher work and everything
+    else. *)
 
 val encrypt_block : key -> bytes -> bytes
 (** [encrypt_block k b] enciphers one 8-byte block. *)
@@ -70,13 +79,25 @@ val encrypt_halves : key -> halves -> unit
 
 val decrypt_halves : key -> halves -> unit
 
+val decrypt_pair : key -> halves -> halves -> unit
+(** [decrypt_pair k a b] deciphers two independent blocks in place, their
+    rounds interleaved so that each hides the other's latency. Same result
+    as [decrypt_halves k a; decrypt_halves k b]. *)
+
 module Reference : sig
+  val schedule : bytes -> int array
+  (** The 16 round subkeys of an 8-byte key, computed bit by bit, in the
+      layout of {!subkeys}. *)
+
   val encrypt_block : key -> bytes -> bytes
   val decrypt_block : key -> bytes -> bytes
 end
-(** The original permute-per-round implementation, kept as the oracle that
-    pins the table-driven path to the old semantics in the property tests.
-    Roughly 30x slower; never used outside the test suite. *)
+(** The bit-by-bit cipher and key schedule: one generic permutation per
+    FIPS table per round, from a key's raw bytes alone. It shares no
+    tables and no subkeys with the kernel above, which makes it the oracle
+    the property tests compare the kernel against. Roughly 30x slower per
+    block, as it reschedules the key on every call; never used outside the
+    test suite. *)
 
 val fix_parity : bytes -> bytes
 (** [fix_parity k] returns a copy with each byte's low bit set to give odd

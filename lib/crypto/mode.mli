@@ -13,10 +13,11 @@
     / [unpad] for arbitrary-length payloads.
 
     Each mode comes in two forms: an allocating one returning fresh bytes,
-    and an [*_into] primitive that streams [src] to [dst] with a single
-    reusable scratch block and no per-block allocation. [dst] may be [src]
-    (in-place transformation); the sealing layers exploit this to encrypt
-    freshly padded buffers without another copy. *)
+    and an [*_into] primitive that streams [src] to [dst] with no
+    per-block allocation; decryption deciphers two blocks at a time
+    ({!Des.decrypt_pair}). [dst] may be [src] (in-place transformation);
+    the sealing layers exploit this to encrypt freshly padded buffers
+    without another copy. *)
 
 val padded_length : int -> int
 (** [padded_length n] is the length [pad] would produce for an [n]-byte

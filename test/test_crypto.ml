@@ -243,6 +243,106 @@ let ref_pcbc_encrypt k ~iv pt =
   done;
   out
 
+let ref_ecb_decrypt k ct =
+  let out = Bytes.create (Bytes.length ct) in
+  for i = 0 to (Bytes.length ct / 8) - 1 do
+    let p = Crypto.Des.Reference.decrypt_block k (Bytes.sub ct (i * 8) 8) in
+    Bytes.blit p 0 out (i * 8) 8
+  done;
+  out
+
+let ref_cbc_decrypt k ~iv ct =
+  let out = Bytes.create (Bytes.length ct) in
+  let chain = ref iv in
+  for i = 0 to (Bytes.length ct / 8) - 1 do
+    let c = Bytes.sub ct (i * 8) 8 in
+    let p = xor8 (Crypto.Des.Reference.decrypt_block k c) !chain in
+    Bytes.blit p 0 out (i * 8) 8;
+    chain := c
+  done;
+  out
+
+let ref_pcbc_decrypt k ~iv ct =
+  let out = Bytes.create (Bytes.length ct) in
+  let chain = ref iv in
+  for i = 0 to (Bytes.length ct / 8) - 1 do
+    let c = Bytes.sub ct (i * 8) 8 in
+    let p = xor8 (Crypto.Des.Reference.decrypt_block k c) !chain in
+    Bytes.blit p 0 out (i * 8) 8;
+    chain := xor8 p c
+  done;
+  out
+
+(* Every [_into] primitive of a key and IV, paired with its block-by-block
+   reference composition. *)
+let modes_with_reference k ~iv =
+  [ ("ecb encrypt", Crypto.Mode.ecb_encrypt_into k, ref_ecb_encrypt k);
+    ("ecb decrypt", Crypto.Mode.ecb_decrypt_into k, ref_ecb_decrypt k);
+    ("cbc encrypt", Crypto.Mode.cbc_encrypt_into k ~iv, ref_cbc_encrypt k ~iv);
+    ("cbc decrypt", Crypto.Mode.cbc_decrypt_into k ~iv, ref_cbc_decrypt k ~iv);
+    ("pcbc encrypt", Crypto.Mode.pcbc_encrypt_into k ~iv, ref_pcbc_encrypt k ~iv);
+    ("pcbc decrypt", Crypto.Mode.pcbc_decrypt_into k ~iv, ref_pcbc_decrypt k ~iv) ]
+
+(* Random keys, IVs and 0-7 blocks, out of place and in place (dst == src).
+   Decryption runs two blocks at a time, so odd counts also reach the
+   single block left over after the pairs. *)
+let modes_match_reference_prop =
+  QCheck.Test.make ~name:"modes match reference composition, 0-7 blocks" ~count:300
+    QCheck.(
+      triple (bytes_of_size (Gen.return 8)) (bytes_of_size (Gen.return 8))
+        (bytes_of_size Gen.(map (fun n -> 8 * n) (int_range 0 7))))
+    (fun (key, iv, input) ->
+      let k = Crypto.Des.schedule key in
+      List.for_all
+        (fun (_, into, reference) ->
+          let expect = reference input in
+          let out = Bytes.create (Bytes.length input) in
+          into ~src:input ~dst:out;
+          let buf = Bytes.copy input in
+          into ~src:buf ~dst:buf;
+          Bytes.equal expect out && Bytes.equal expect buf)
+        (modes_with_reference k ~iv))
+
+let blocks_counted_once_each () =
+  (* One count per block on the single-block path and the two-block
+     decryption path alike. *)
+  for n = 0 to 7 do
+    let buf = Bytes.make (8 * n) 'b' in
+    List.iter
+      (fun (name, into, _) ->
+        let before = Crypto.Des.blocks_performed () in
+        into ~src:buf ~dst:buf;
+        Alcotest.(check int)
+          (Printf.sprintf "%s, %d blocks" name n)
+          n
+          (Crypto.Des.blocks_performed () - before))
+      (modes_with_reference sched ~iv)
+  done
+
+let weak_and_semi_weak =
+  List.map hex
+    [ "0101010101010101"; "fefefefefefefefe"; "e0e0e0e0f1f1f1f1";
+      "1f1f1f1f0e0e0e0e"; "011f011f010e010e"; "1f011f010e010e01";
+      "01e001e001f101f1"; "e001e001f101f101"; "01fe01fe01fe01fe";
+      "fe01fe01fe01fe01"; "1fe01fe00ef10ef1"; "e01fe01ff10ef10e";
+      "1ffe1ffe0efe0efe"; "fe1ffe1ffe0efe0e"; "e0fee0fef1fef1fe";
+      "fee0fee0fef1fef1" ]
+
+let schedule_matches_reference k =
+  Crypto.Des.subkeys (Crypto.Des.schedule k) = Crypto.Des.Reference.schedule k
+
+let schedule_equiv_prop =
+  QCheck.Test.make ~name:"table schedule matches bit-by-bit schedule" ~count:300
+    QCheck.(bytes_of_size (Gen.return 8))
+    schedule_matches_reference
+
+let schedule_weak_keys () =
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (to_hex k ^ " is weak") true (Crypto.Des.is_weak k);
+      Alcotest.(check bool) (to_hex k ^ " schedule") true (schedule_matches_reference k))
+    weak_and_semi_weak
+
 let check_buf name expect got =
   Alcotest.(check bool) name true (Bytes.equal expect got)
 
@@ -302,7 +402,11 @@ let suite_equiv =
     Alcotest.test_case "i64 entry points" `Quick i64_entry_points;
     Alcotest.test_case "modes equiv + roundtrip, lengths 8..1024" `Quick
       modes_equiv_all_lengths;
-    Alcotest.test_case "_into rejects bad lengths" `Quick into_rejects_bad_lengths ]
+    Alcotest.test_case "_into rejects bad lengths" `Quick into_rejects_bad_lengths;
+    QCheck_alcotest.to_alcotest modes_match_reference_prop;
+    Alcotest.test_case "one block count per block" `Quick blocks_counted_once_each;
+    QCheck_alcotest.to_alcotest schedule_equiv_prop;
+    Alcotest.test_case "weak and semi-weak key schedules" `Quick schedule_weak_keys ]
 
 (* ------------------------------------------------------------------ *)
 (* CRC-32                                                              *)

@@ -472,6 +472,46 @@ let honored_hint_then_refill () =
     (Kdc.busy_rejections b.kdc);
   check_no_silent_drops b
 
+(* [~kdc_deadline] under every profile. The envelope is a tagged wrapper
+   and V4's encoding drops tags, so a V4 client would fail every exchange
+   ("tgs_req: wrong arity"): [create] refuses the combination instead.
+   Under the tagged encodings a login and a TGS exchange complete with the
+   deadline stamped. *)
+let deadline_under_every_profile () =
+  List.iter
+    (fun (profile : Profile.t) ->
+      let b =
+        mk ~profile
+          ~admission:
+            { Kdc.queue_limit = 64; base_service_time = 0.001; brownout_at = 0;
+              suspect_rate = max_int; classes = true }
+          ()
+      in
+      let create () =
+        Client.create ~seed:601L ~kdc_deadline:5.0 b.net (ws b 1) ~profile
+          ~kdcs:[ (realm, Sim.Host.primary_ip b.kdc_host) ]
+          (Principal.user ~realm "u1")
+      in
+      match profile.Profile.encoding with
+      | Wire.Encoding.V4_adhoc -> (
+          match create () with
+          | _ -> Alcotest.failf "%s: create accepted a deadline" profile.name
+          | exception Invalid_argument _ -> ())
+      | Wire.Encoding.Der_typed -> (
+          let c = create () in
+          let got = ref None in
+          Client.login c ~password:(pw 1) (function
+            | Error e -> got := Some (Error ("login: " ^ e))
+            | Ok _ ->
+                Client.get_ticket c ~service:fs (fun r ->
+                    got := Some (Result.map ignore r)));
+          Sim.Engine.run b.eng;
+          match !got with
+          | Some (Ok ()) -> ()
+          | Some (Error e) -> Alcotest.failf "%s: %s" profile.name e
+          | None -> Alcotest.failf "%s: exchange stalled" profile.name))
+    Profile.all
+
 let () =
   Alcotest.run "overload"
     [ ( "admission",
@@ -491,4 +531,6 @@ let () =
           Alcotest.test_case "budget exhaustion stops failover" `Quick
             budget_exhaustion_stops_failover;
           Alcotest.test_case "honored retry-after then refill" `Quick
-            honored_hint_then_refill ] ) ]
+            honored_hint_then_refill;
+          Alcotest.test_case "deadline under every profile" `Quick
+            deadline_under_every_profile ] ) ]

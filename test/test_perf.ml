@@ -97,6 +97,44 @@ let session_schedules_once () =
         (Crypto.Des.schedules_performed () - before))
 
 (* ------------------------------------------------------------------ *)
+(* Crypto per request: exact DES block and key-schedule counts          *)
+(* ------------------------------------------------------------------ *)
+
+(* A toy Loadgen run under each profile, counted from the world/run
+   boundary to the end. The memo is cleared first so the schedule count
+   does not depend on what earlier tests cached. These are deterministic
+   proxies for the benchmark's crypto cost, so a change that adds or
+   removes cipher work per request has to update the counts below. Under
+   V4 and v5-draft3 a request's two sessions compute no IV blocks, which
+   their modes never read; the hardened IV chain needs its four. *)
+let crypto_per_request () =
+  List.iter
+    (fun ((profile : Kerberos.Profile.t), blocks, schedules) ->
+      let cfg =
+        { Workloads.Loadgen.default with
+          Workloads.Loadgen.users = 200; shards = 2; kdcs = 2; services = 4;
+          active_clients = 10; requests_per_client = 4; seed = 4269L; profile;
+          lightweight = true; lazy_users = true }
+      in
+      Crypto.Des.set_schedule_cache false;
+      Crypto.Des.set_schedule_cache true;
+      let b0 = ref 0 and s0 = ref 0 in
+      let report, _ =
+        Workloads.Loadgen.run_timed cfg ~on_world:(fun _ _ ->
+            b0 := Crypto.Des.blocks_performed ();
+            s0 := Crypto.Des.schedules_performed ())
+      in
+      let completed = report.Workloads.Loadgen.completed in
+      Alcotest.(check int) (profile.name ^ ": all requests completed") 40 completed;
+      Alcotest.(check int) (profile.name ^ ": DES blocks") blocks
+        (Crypto.Des.blocks_performed () - !b0);
+      Alcotest.(check int) (profile.name ^ ": key schedules") schedules
+        (Crypto.Des.schedules_performed () - !s0))
+    [ (Kerberos.Profile.v4, 4766, 70);
+      (Kerberos.Profile.v5_draft3, 3896, 70);
+      (Kerberos.Profile.hardened, 6516, 120) ]
+
+(* ------------------------------------------------------------------ *)
 (* Heap: ordering and the bulk-insert fast path                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -227,7 +265,8 @@ let () =
         [ Alcotest.test_case "seal transparent" `Quick cache_transparent_seal;
           Alcotest.test_case "load transparent" `Quick cache_transparent_load;
           Alcotest.test_case "session schedules once" `Quick
-            session_schedules_once ] );
+            session_schedules_once;
+          Alcotest.test_case "crypto per request" `Quick crypto_per_request ] );
       ( "heap",
         [ QCheck_alcotest.to_alcotest heap_pops_sorted;
           QCheck_alcotest.to_alcotest push_many_equiv ] );
