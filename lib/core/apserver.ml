@@ -47,8 +47,8 @@ type t = {
       (** persisted replay-cache snapshot, written at crash *)
   mutable running : bool;
   mutable endpoint : Sim.Transport.server option;
-  peers : (Sim.Addr.t * int, peer_state) Hashtbl.t;
-  peer_order : (Sim.Addr.t * int) Queue.t;  (** insertion order, for eviction *)
+  peers : peer_state Sim.Endpoint.Table.t;
+  peer_order : Sim.Endpoint.t Queue.t;  (** insertion order, for eviction *)
   handler : Session.t -> client:Principal.t -> bytes -> bytes option;
   mutable established : int;
   mutable rejected : (int * string) list;
@@ -70,18 +70,18 @@ let replay_hits t = Telemetry.Metrics.value t.c_replay_hits
 let replay_cache_size t =
   match t.cache with None -> 0 | Some c -> Replay_cache.size c
 
-let peer_state_size t = Hashtbl.length t.peers
+let peer_state_size t = Sim.Endpoint.Table.length t.peers
 
 (* Insert peer state, evicting the oldest entries beyond the bound. An
    evicted pending challenge simply forces the honest client to start
    over; an evicted session forces re-authentication. *)
 let put_peer t key state =
-  if not (Hashtbl.mem t.peers key) then Queue.push key t.peer_order;
-  Hashtbl.replace t.peers key state;
-  while Hashtbl.length t.peers > t.config.max_peers do
+  if not (Sim.Endpoint.Table.mem t.peers key) then Queue.push key t.peer_order;
+  Sim.Endpoint.Table.replace t.peers key state;
+  while Sim.Endpoint.Table.length t.peers > t.config.max_peers do
     match Queue.take_opt t.peer_order with
-    | None -> Hashtbl.reset t.peers
-    | Some oldest -> Hashtbl.remove t.peers oldest
+    | None -> Sim.Endpoint.Table.reset t.peers
+    | Some oldest -> Sim.Endpoint.Table.remove t.peers oldest
   done
 
 let reply _t ~cx kind payload = cx.cx_reply (Frames.wrap kind payload)
@@ -302,9 +302,9 @@ let handle_frame t ~cx raw =
       let traced name handler =
         let span =
           Telemetry.Collector.span_begin t.tel ~component:"apserver" name
-            ~attrs:
+            ~attrs:(fun () ->
               [ ("service", Principal.to_string t.principal);
-                ("src", Sim.Addr.to_string cx.cx_src) ]
+                ("src", Sim.Addr.to_string cx.cx_src) ])
         in
         t.pending_outcome <- None;
         Telemetry.Collector.with_context t.tel span handler;
@@ -320,7 +320,7 @@ let handle_frame t ~cx raw =
               ("outcome", outcome) ];
         t.pending_outcome <- None
       in
-      match (kind, Hashtbl.find_opt t.peers peer) with
+      match (kind, Sim.Endpoint.Table.find_opt t.peers peer) with
       | k, _ when k = Frames.ap_req ->
           traced "ap.req" (fun () ->
               match
@@ -391,7 +391,7 @@ let crash t =
       | Some c when t.config.persist_replay_cache -> Some (Replay_cache.to_bytes c)
       | _ -> None);
     t.cache <- None;
-    Hashtbl.reset t.peers;
+    Sim.Endpoint.Table.reset t.peers;
     Queue.clear t.peer_order;
     Sim.Net.note t.net
       (Printf.sprintf "%s: %s crashed" t.host.Sim.Host.name
@@ -426,7 +426,7 @@ let install ?(seed = 0x5345525645L) ?(config = default_config) net host ~profile
   let t =
     { net; host; profile; principal; key; port; config; rng = Util.Rng.create seed;
       cache = fresh_cache ~profile ~config; disk = None; running = true;
-      peers = Hashtbl.create 16; peer_order = Queue.create (); handler;
+      peers = Sim.Endpoint.Table.create 16; peer_order = Queue.create (); handler;
       established = 0; rejected = []; tel;
       c_established = fresh (svc ^ ".sessions_established");
       c_rejected = fresh (svc ^ ".ap_rejects");

@@ -354,7 +354,7 @@ let exchange_span t name =
   let tel = Sim.Net.telemetry t.net in
   let span =
     Telemetry.Collector.span_begin tel ~component:"client" name
-      ~attrs:[ ("client", Principal.to_string t.me) ]
+      ~attrs:(fun () -> [ ("client", Principal.to_string t.me) ])
   in
   let wrap_k k r =
     Telemetry.Collector.span_finish tel
@@ -814,6 +814,7 @@ type channel = {
   mutable chan_pending : ([ `Priv | `Safe ] * bytes) option;
       (** the in-flight request's plaintext, kept for the TCP-upgrade
           resend *)
+  mutable chan_closed : bool;
   chan_client : t;
 }
 
@@ -823,7 +824,8 @@ let rec make_channel t session ~link ~creds ~mutual ~dst ~dport =
   let chan =
     { chan_session = session; chan_link = link; chan_dst = dst;
       chan_dport = dport; chan_creds = creds; chan_mutual = mutual;
-      chan_waiting = ignore; chan_pending = None; chan_client = t }
+      chan_waiting = ignore; chan_pending = None; chan_closed = false;
+      chan_client = t }
   in
   attach_channel chan;
   chan
@@ -888,6 +890,7 @@ and upgrade_channel chan =
         chan.chan_waiting <- ignore;
         chan.chan_pending <- None;
         waiter (Error ("TCP upgrade failed: " ^ e))
+    | Ok fresh when chan.chan_closed -> fresh.chan_link.lk_teardown ()
     | Ok fresh ->
         chan.chan_session <- fresh.chan_session;
         chan.chan_link <- fresh.chan_link;
@@ -1152,18 +1155,38 @@ let wait_on_channel chan ?deadline net ~k =
       chan.chan_waiting <- waiter;
       Sim.Engine.schedule_after (Sim.Net.engine net) d timer
 
+let closed_error = Error "channel closed"
+
 let call_priv t chan ?deadline data ~k =
-  wait_on_channel chan ?deadline t.net ~k;
-  chan.chan_pending <- Some (`Priv, data);
-  let sealed = Krb_priv.seal chan.chan_session ~now:(now t) data in
-  chan.chan_link.lk_send (Frames.wrap Frames.priv sealed)
+  if chan.chan_closed then k closed_error
+  else begin
+    wait_on_channel chan ?deadline t.net ~k;
+    chan.chan_pending <- Some (`Priv, data);
+    let sealed = Krb_priv.seal chan.chan_session ~now:(now t) data in
+    chan.chan_link.lk_send (Frames.wrap Frames.priv sealed)
+  end
 
 let send_priv_oneway t chan data =
+  if chan.chan_closed then invalid_arg "Client.send_priv_oneway: channel closed";
   let sealed = Krb_priv.seal chan.chan_session ~now:(now t) data in
   chan.chan_link.lk_send (Frames.wrap Frames.priv sealed)
 
 let call_safe t chan ?deadline data ~k =
-  wait_on_channel chan ?deadline t.net ~k;
-  chan.chan_pending <- Some (`Safe, data);
-  let msg = Krb_safe.seal chan.chan_session ~now:(now t) data in
-  chan.chan_link.lk_send (Frames.wrap Frames.safe msg)
+  if chan.chan_closed then k closed_error
+  else begin
+    wait_on_channel chan ?deadline t.net ~k;
+    chan.chan_pending <- Some (`Safe, data);
+    let msg = Krb_safe.seal chan.chan_session ~now:(now t) data in
+    chan.chan_link.lk_send (Frames.wrap Frames.safe msg)
+  end
+
+(* Tear the link down first, so nothing the waiter does can reach it. *)
+let close chan =
+  if not chan.chan_closed then begin
+    chan.chan_closed <- true;
+    chan.chan_link.lk_teardown ();
+    let waiter = chan.chan_waiting in
+    chan.chan_waiting <- ignore;
+    chan.chan_pending <- None;
+    waiter closed_error
+  end

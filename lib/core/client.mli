@@ -199,14 +199,24 @@ val call_priv :
   t -> channel -> ?deadline:float -> bytes -> k:((bytes, string) result -> unit) -> unit
 (** Seal a request, send it on the channel, open the sealed response.
     [deadline] bounds the wait as in {!ap_exchange} (the channel itself
-    survives for later calls). *)
+    survives for later calls). On a {!close}d channel the continuation
+    gets [Error "channel closed"] at once. *)
 
 val send_priv_oneway : t -> channel -> bytes -> unit
+(** @raise Invalid_argument on a {!close}d channel. *)
 
 val call_safe :
   t -> channel -> ?deadline:float -> bytes -> k:((bytes, string) result -> unit) -> unit
 (** As [call_priv] but integrity-only (KRB_SAFE): the request travels in
     the clear with a sealed checksum. *)
+
+val close : channel -> unit
+(** Tear the channel's link down: the datagram port stops listening (a
+    late reply is dropped as [net.dropped.no-listener]); a stream link
+    sends its FIN. A call still waiting on the channel gets
+    [Error "channel closed"], exactly once. Closing again does nothing.
+    The server keeps its side of the session until its peer table
+    evicts it. *)
 
 val logout : t -> unit
 (** Wipe cached credentials (workstation logout) — the TGT, the

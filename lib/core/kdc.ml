@@ -707,7 +707,7 @@ let serve t net host port =
       let traced name ?(attrs = []) handler =
         let span =
           Telemetry.Collector.span_begin tel ~component:"kdc" name
-            ~attrs:(("realm", t.realm) :: ("src", src) :: attrs)
+            ~attrs:(fun () -> ("realm", t.realm) :: ("src", src) :: attrs)
         in
         t.read_delay <- 0.0;
         let outcome =

@@ -17,8 +17,8 @@ let tgs ~realm = make "krbtgt" realm realm
 let cross_realm_tgs ~local ~remote = { name = "krbtgt"; instance = remote; realm = local }
 
 let to_string t =
-  if t.instance = "" then Printf.sprintf "%s@%s" t.name t.realm
-  else Printf.sprintf "%s.%s@%s" t.name t.instance t.realm
+  if t.instance = "" then String.concat "@" [ t.name; t.realm ]
+  else String.concat "" [ t.name; "."; t.instance; "@"; t.realm ]
 
 let of_string s =
   match String.index_opt s '@' with

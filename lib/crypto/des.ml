@@ -485,7 +485,22 @@ let rec random_key rng =
    the equivalence tests and bench ablations can prove it. *)
 
 let cache_enabled = ref true
-let cache : (string, key) Hashtbl.t = Hashtbl.create 1024
+
+(* Keyed by the raw 8 key bytes: a lookup hashes them as one int and
+   compares with [Bytes.equal], so a hit copies nothing and never goes
+   through polymorphic hashing. Only an insertion copies the key, which
+   keeps the entry safe from a caller reusing its buffer. *)
+module Key_table = Hashtbl.Make (struct
+  type t = bytes
+
+  let equal = Bytes.equal
+
+  let hash k =
+    let h = Int64.to_int (Bytes.get_int64_le k 0) * 0x2545F4914F6CDD1D in
+    (h lxor (h lsr 29)) land max_int
+end)
+
+let cache : key Key_table.t = Key_table.create 1024
 
 (* Beyond this the workload is churning through one-shot keys and memoizing
    stops paying; dropping the table keeps memory bounded at ~
@@ -494,18 +509,17 @@ let max_cache_entries = 65_536
 
 let set_schedule_cache on =
   cache_enabled := on;
-  if not on then Hashtbl.reset cache
+  if not on then Key_table.reset cache
 
 let schedule_cache_enabled () = !cache_enabled
 
 let schedule_cached k =
-  if not !cache_enabled then schedule (fix_parity k)
+  if (not !cache_enabled) || Bytes.length k <> 8 then schedule (fix_parity k)
   else
-    let id = Bytes.to_string k in
-    match Hashtbl.find_opt cache id with
+    match Key_table.find_opt cache k with
     | Some sk -> sk
     | None ->
-        if Hashtbl.length cache >= max_cache_entries then Hashtbl.reset cache;
+        if Key_table.length cache >= max_cache_entries then Key_table.reset cache;
         let sk = schedule (fix_parity k) in
-        Hashtbl.add cache id sk;
+        Key_table.add cache (Bytes.copy k) sk;
         sk

@@ -17,7 +17,7 @@ val attach_telemetry : t -> Telemetry.Collector.t -> unit
 val attached_telemetry : t -> Telemetry.Collector.t list
 
 val schedule : t -> at:float -> (unit -> unit) -> unit
-(** @raise Invalid_argument if [at] is in the past. *)
+(** @raise Invalid_argument if [at] is NaN or in the past. *)
 
 val schedule_after : t -> float -> (unit -> unit) -> unit
 
@@ -26,7 +26,12 @@ val schedule_batch : t -> (float * (unit -> unit)) list -> unit
     {!schedule} calls would (sequence numbers are taken in list order),
     but the heap is re-heapified once instead of sifting per event —
     O(n + m) for a batch of m. The loadgen ramp uses this.
-    @raise Invalid_argument if any time is in the past. *)
+    @raise Invalid_argument if any time is NaN or in the past; nothing
+    is queued then. *)
+
+val step : t -> bool
+(** Fire the next event: the earliest time, and among equal times the
+    first scheduled. [false] (and nothing happens) on an empty queue. *)
 
 val executed : t -> int
 (** Events executed so far — the numerator of the load plane's

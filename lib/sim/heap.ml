@@ -41,40 +41,6 @@ let push t x =
   t.len <- t.len + 1;
   sift_up t (t.len - 1)
 
-(* Bulk insert. Small batches sift each element up as [push] would; a batch
-   comparable to the live heap is cheaper to append wholesale and re-heapify
-   bottom-up (O(len + batch) instead of O(batch log len)) — the loadgen ramp
-   schedules tens of thousands of client starts in one call. Only the
-   internal layout differs between the two strategies; with a total order
-   (the engine's [(time, seq)]) the pop sequence is identical, which the
-   property tests pin. *)
-let push_many t xs =
-  match xs with
-  | [] -> ()
-  | x :: _ ->
-      let m = List.length xs in
-      let cap = Array.length t.data in
-      if t.len + m > cap then begin
-        let ncap = max 16 (max (t.len + m) (2 * cap)) in
-        let ndata = Array.make ncap x in
-        Array.blit t.data 0 ndata 0 t.len;
-        t.data <- ndata
-      end;
-      let start = t.len in
-      List.iter
-        (fun x ->
-          t.data.(t.len) <- x;
-          t.len <- t.len + 1)
-        xs;
-      if m < t.len / 8 then
-        for i = start to t.len - 1 do
-          sift_up t i
-        done
-      else
-        for i = ((t.len - 2) / 2) downto 0 do
-          sift_down t i
-        done
-
 let peek t = if t.len = 0 then None else Some t.data.(0)
 
 let pop t =

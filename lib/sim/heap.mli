@@ -1,38 +1,26 @@
-(** A classic array-backed binary min-heap — the event queue of the
-    discrete-event engine, and the expiry queue of the replay cache (which
-    is what bought the cache its O(log n) inserts; see the
-    [replay_cache_stress] test for the budget it must meet). *)
+(** A classic array-backed binary min-heap — the expiry queue of the
+    replay cache (which is what bought the cache its O(log n) inserts; see
+    the [replay_cache_stress] test for the budget it must meet). The
+    engine keeps its own specialised event queue ({!Engine}). *)
 
 type 'a t
 
 val create : cmp:('a -> 'a -> int) -> 'a t
-(** An empty heap ordered by [cmp] (negative means "closer to the top").
-    The engine orders events by [(time, sequence)] so simultaneous events
-    pop in schedule order — one of the two pillars of the simulator's
-    determinism claim. *)
+(** An empty heap ordered by [cmp] (negative means "closer to the top"). *)
 
 val push : 'a t -> 'a -> unit
-(** O(log n): append and sift up. The backing array doubles as needed, so
-    a realm-sized burst of scheduled events costs amortised O(1) space
-    per push. *)
-
-val push_many : 'a t -> 'a list -> unit
-(** Bulk insert: equivalent to [List.iter (push t)] element for element —
-    when [cmp] is a total order the observable pop sequence is identical —
-    but a large batch is appended and re-heapified bottom-up, O(n + m)
-    rather than O(m log n). The engine's bulk-schedule path (loadgen ramp
-    bursts) rides on this. *)
+(** O(log n): append and sift up. The backing array doubles as needed,
+    so pushes cost amortised O(1) space each. *)
 
 val pop : 'a t -> 'a option
 (** Remove and return the minimum, or [None] on an empty heap. O(log n):
     swap the last leaf to the root and sift down. *)
 
 val peek : 'a t -> 'a option
-(** The minimum without removing it — how the engine reads the next event
-    time — or [None] on an empty heap. O(1). *)
+(** The minimum without removing it, or [None] on an empty heap. O(1). *)
 
 val size : 'a t -> int
 (** Live elements (not the backing-array capacity). O(1). *)
 
 val is_empty : 'a t -> bool
-(** [size t = 0] — the engine's run loop drains until this holds. *)
+(** [size t = 0]. *)

@@ -18,7 +18,7 @@ type t = {
   rng : Util.Rng.t;
   tel : Telemetry.Collector.t;
   hosts : (Addr.t, Host.t) Hashtbl.t;
-  ports : (Addr.t * int, Packet.t -> unit) Hashtbl.t;
+  ports : (Packet.t -> unit) Endpoint.Table.t;
   mutable taps : (Packet.t -> unit) list;
   mutable interceptor : (Packet.t -> decision) option;
   mutable faults : Faults.t option;
@@ -53,7 +53,7 @@ let create ?(latency = 0.005) ?(seed = 1L) ?telemetry eng =
   Engine.attach_telemetry eng tel;
   let m = Telemetry.Collector.metrics tel in
   { eng; latency; rng = Util.Rng.create seed; tel; hosts = Hashtbl.create 16;
-    ports = Hashtbl.create 64; taps = []; interceptor = None; faults = None;
+    ports = Endpoint.Table.create 64; taps = []; interceptor = None; faults = None;
     next_uid = 0; next_port = 33000;
     default_mtu = None; link_mtus = Hashtbl.create 8; mtu_active = false;
     c_sent = Telemetry.Metrics.counter m "net.packets.sent";
@@ -104,12 +104,13 @@ let host_of_addr t addr = Hashtbl.find_opt t.hosts addr
 let local_time t host = Host.local_time host ~real:(now t)
 
 let listen t host ~port fn =
-  List.iter (fun ip -> Hashtbl.replace t.ports (ip, port) fn) host.Host.ips
+  List.iter (fun ip -> Endpoint.Table.replace t.ports (ip, port) fn) host.Host.ips
 
 let unlisten t host ~port =
-  List.iter (fun ip -> Hashtbl.remove t.ports (ip, port)) host.Host.ips
+  List.iter (fun ip -> Endpoint.Table.remove t.ports (ip, port)) host.Host.ips
 
-let listening t addr ~port = Hashtbl.mem t.ports (addr, port)
+let listening t addr ~port = Endpoint.Table.mem t.ports (addr, port)
+let listener_count t = Endpoint.Table.length t.ports
 
 let ephemeral_port t =
   t.next_port <- t.next_port + 1;
@@ -151,14 +152,11 @@ let packet_attrs pkt =
    context stack, under whatever exchange sent it) and finished at
    delivery or drop. The receiving handler runs inside the packet's span
    context, so server-side handling nests under the packet that caused
-   it. Under a lightweight collector the four sprintf attrs are skipped —
-   span_begin would drop them unused. *)
+   it. *)
 let begin_packet_span t pkt =
-  if Telemetry.Collector.lightweight t.tel then
-    Telemetry.Collector.span_begin t.tel ~component:"net" "net.packet"
-  else
-    Telemetry.Collector.span_begin t.tel ~component:"net" ~attrs:(packet_attrs pkt)
-      "net.packet"
+  Telemetry.Collector.span_begin t.tel ~component:"net"
+    ~attrs:(fun () -> packet_attrs pkt)
+    "net.packet"
 
 (* Every drop also bumps a per-reason counter ("no listener" →
    net.dropped.no-listener) so black holes show up in the metrics export,
@@ -210,7 +208,7 @@ let truncate_for_path t pkt =
 let deliver ?(extra = 0.0) t span pkt =
   let pkt = truncate_for_path t pkt in
   Engine.schedule_after t.eng (t.latency +. extra) (fun () ->
-      match Hashtbl.find_opt t.ports (pkt.Packet.dst, pkt.Packet.dport) with
+      match Endpoint.Table.find_opt t.ports (pkt.Packet.dst, pkt.Packet.dport) with
       | Some fn ->
           if not (Telemetry.Collector.lightweight t.tel) then
             record t (Delivered (now t, pkt));
@@ -240,7 +238,7 @@ let faulted_deliver t span pkt =
                 let sp =
                   Telemetry.Collector.span_begin t.tel ~component:"net"
                     ?parent:span.Telemetry.Span.parent
-                    ~attrs:(("fault", "duplicate") :: packet_attrs p)
+                    ~attrs:(fun () -> ("fault", "duplicate") :: packet_attrs p)
                     "net.packet"
                 in
                 deliver ~extra t sp p)
@@ -266,7 +264,7 @@ let transmit t pkt =
               let sp =
                 Telemetry.Collector.span_begin t.tel ~component:"net"
                   ?parent:span.Telemetry.Span.parent
-                  ~attrs:(("injected", "replace") :: packet_attrs p)
+                  ~attrs:(fun () -> ("injected", "replace") :: packet_attrs p)
                   "net.packet"
               in
               faulted_deliver t sp p)
@@ -287,7 +285,7 @@ let inject t pkt =
   List.iter (fun tap -> tap pkt) t.taps;
   let span =
     Telemetry.Collector.span_begin t.tel ~component:"net"
-      ~attrs:(("injected", "true") :: packet_attrs pkt)
+      ~attrs:(fun () -> ("injected", "true") :: packet_attrs pkt)
       "net.packet"
   in
   deliver t span pkt

@@ -46,6 +46,10 @@ val listening : t -> Addr.t -> port:int -> bool
 (** Whether any handler is registered at this address/port — lets tests
     assert that ephemeral listeners are torn down. *)
 
+val listener_count : t -> int
+(** Handlers registered across every address and port — lets tests
+    assert that a run leaves no listener behind. *)
+
 val ephemeral_port : t -> int
 (** Fresh high port, unique per network. *)
 

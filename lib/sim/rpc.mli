@@ -22,6 +22,7 @@ val call :
   ?backoff:float ->
   ?max_timeout:float ->
   ?jitter:float ->
+  ?deadline:float ->
   dst:Addr.t ->
   dport:int ->
   bytes ->
@@ -29,4 +30,10 @@ val call :
   on_timeout:(unit -> unit) ->
   unit
 (** Defaults: [timeout] 1.0, [retries] 0, [backoff] 2.0, [max_timeout]
-    8.0, [jitter] 0.1 (fraction; pass [0.0] for fixed waits). *)
+    8.0, [jitter] 0.1 (fraction; pass [0.0] for fixed waits).
+
+    [deadline] (seconds from now; default none) bounds the whole call:
+    each retransmit timer is cut to the time left, and no retransmit
+    starts at or past the deadline, so [on_timeout] fires by then at the
+    latest. The jitter is drawn before the cut, so a deadline leaves the
+    network's RNG stream unchanged. *)

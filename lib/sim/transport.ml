@@ -84,16 +84,16 @@ let call net host ?src ?(timeout = 1.0) ?(retries = 0) ?(backoff = 2.0)
     k ()
   in
   (* The caller's overall patience, counted from the moment the call
-     starts. The UDP leg is already bounded by timeout x retries; the
-     stream fallback must not overshoot what is left of the budget — a
-     fallback entered with 200 ms remaining gets a 200 ms connection
-     budget, not the full [tcp_timeout]. *)
-  let started = Engine.now (Net.engine net) in
-  let remaining () =
+     starts. Neither leg may overshoot what is left of it: a datagram
+     attempt's retransmit timers are cut to it, and a fallback entered
+     with 200 ms remaining gets a 200 ms connection budget, not the full
+     [tcp_timeout]. *)
+  let expires =
     match deadline with
     | None -> infinity
-    | Some d -> started +. d -. Engine.now (Net.engine net)
+    | Some d -> Engine.now (Net.engine net) +. d
   in
+  let remaining () = expires -. Engine.now (Net.engine net) in
   (* The stream leg: connect, send the request as one framed message,
      take the first framed reply. A connection that resets or never
      completes within [tcp_timeout] (clamped to the caller's remaining
@@ -132,12 +132,15 @@ let call net host ?src ?(timeout = 1.0) ?(retries = 0) ?(backoff = 2.0)
           end)
     end
   in
+  (* An attempt that expires at the deadline counts as the deadline
+     spent. *)
   let udp_leg () =
     bump net "transport.udp.calls";
     let garbled = ref 0 in
     let rec attempt () =
+      let deadline = Option.map (fun _ -> remaining ()) deadline in
       Rpc.call net host ?src ~timeout ~retries ~backoff ~max_timeout ~jitter
-        ~dst ~dport payload
+        ?deadline ~dst ~dport payload
         ~on_reply:(fun pkt ->
           match classify pkt.Packet.payload with
           | Accept ->
@@ -151,7 +154,9 @@ let call net host ?src ?(timeout = 1.0) ?(retries = 0) ?(backoff = 2.0)
               if !finished then ()
               else if !garbled >= 2 then tcp_leg ~why:"truncation" ()
               else attempt ())
-        ~on_timeout:(fun () -> finish (fun () -> settle "timeout" on_timeout))
+        ~on_timeout:(fun () ->
+          if remaining () <= 0.0 then bump net "transport.deadline_exhausted";
+          finish (fun () -> settle "timeout" on_timeout))
     in
     attempt ()
   in

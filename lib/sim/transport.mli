@@ -80,9 +80,10 @@ val call :
     expiry reports [on_timeout].
 
     [deadline] is the caller's total patience in seconds from the start
-    of the call. The stream fallback's timer is clamped to whatever the
-    datagram leg left of it (so the fallback can no longer overshoot a
-    deadline the datagram leg alone would have honored), and a fallback
-    entered with the deadline already spent reports [on_timeout]
-    immediately ([transport.deadline_exhausted]). Exactly one of
-    [on_reply]/[on_timeout] fires. *)
+    of the call. Each datagram attempt passes what is left of it to
+    {!Rpc.call}, so no retransmit timer runs past it. The stream
+    fallback's timer is clamped to whatever the datagram leg left of it,
+    and a fallback entered with the deadline already spent reports
+    [on_timeout] immediately. Both ways of running out are counted in
+    [transport.deadline_exhausted]. Exactly one of [on_reply]/[on_timeout]
+    fires. *)

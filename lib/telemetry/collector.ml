@@ -61,22 +61,25 @@ let event t ?time ?(severity = Trace.Info) ~component ~kind attrs =
 
 let current_span t = match t.context with [] -> None | s :: _ -> Some s
 
-let span_begin t ?time ?parent ?(attrs = []) ~component name =
+let no_attrs () = []
+
+let span_begin t ?time ?parent ?(attrs = no_attrs) ~component name =
   let time = match time with Some x -> x | None -> now t in
   let parent =
     match parent with
     | Some _ as p -> p
     | None -> Option.map (fun (s : Span.t) -> s.Span.id) (current_span t)
   in
+  (* Lightweight mode: spans still exist (their duration feeds the
+     histograms the load reports are computed from) but their attributes
+     are never built, and the open-span table and the per-span trace
+     events — the per-packet cost — are skipped. *)
+  let attrs = if t.lightweight then [] else attrs () in
   let span =
     { Span.id = t.next_span_id; name; component; parent; start_time = time;
       end_time = None; outcome = "open"; attrs }
   in
   t.next_span_id <- t.next_span_id + 1;
-  (* Lightweight mode: spans still exist (their duration feeds the
-     histograms the load reports are computed from) but the open-span
-     table and the per-span trace events — the per-packet cost — are
-     skipped. *)
   if not t.lightweight then begin
     Hashtbl.replace t.open_table span.Span.id span;
     Trace.event t.trace ~time ~severity:Trace.Debug ~component ~kind:"span.begin"

@@ -14,9 +14,10 @@ val ops : t -> Opsview.t
 
     For pure-throughput runs (the million-user load campaign): counters
     and span-duration histograms stay live — reports are computed from
-    them — but the trace ring, the open-span table, and the per-span
-    trace events are skipped, which is most of the per-packet telemetry
-    cost. Off by default; flip it per collector, never globally. *)
+    them — but the trace ring, the open-span table, the per-span trace
+    events and the span attributes are skipped, which is most of the
+    per-packet telemetry cost. Off by default; flip it per collector,
+    never globally. *)
 
 val set_lightweight : t -> bool -> unit
 val lightweight : t -> bool
@@ -51,10 +52,14 @@ val wants_events : t -> bool
     with [with_context]); [span_finish] closes it, records a [span.end]
     trace event and feeds the duration into the
     ["span.<name>.seconds"] histogram. Both are idempotent-safe:
-    finishing a closed span is a no-op. *)
+    finishing a closed span is a no-op.
+
+    [attrs] is a thunk, forced only when the collector records traces: a
+    lightweight collector formats no span attribute at all, and its
+    spans carry none. *)
 
 val span_begin :
-  t -> ?time:float -> ?parent:int -> ?attrs:(string * string) list ->
+  t -> ?time:float -> ?parent:int -> ?attrs:(unit -> (string * string) list) ->
   component:string -> string -> Span.t
 
 val span_finish : t -> ?time:float -> ?outcome:string -> Span.t -> unit

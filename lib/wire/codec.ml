@@ -8,13 +8,9 @@ module Writer = struct
   let create () = Buffer.create 64
   let u8 t v = Buffer.add_char t (Char.chr (v land 0xff))
 
-  let u16 t v =
-    u8 t (v lsr 8);
-    u8 t v
-
-  let u32 t v =
-    u16 t (v lsr 16);
-    u16 t v
+  (* Big-endian, truncated to the field width like [u8]. *)
+  let u16 t v = Buffer.add_uint16_be t (v land 0xffff)
+  let u32 t v = Buffer.add_int32_be t (Int32.of_int v)
 
   let i64 t v = Buffer.add_int64_be t v
   let raw t b = Buffer.add_bytes t b
@@ -79,12 +75,16 @@ module Reader = struct
     v
 
   let u16 t =
-    let hi = u8 t in
-    (hi lsl 8) lor u8 t
+    need t 2;
+    let v = Bytes.get_uint16_be t.data t.pos in
+    t.pos <- t.pos + 2;
+    v
 
   let u32 t =
-    let hi = u16 t in
-    (hi lsl 16) lor u16 t
+    need t 4;
+    let v = Int32.to_int (Bytes.get_int32_be t.data t.pos) land 0xffff_ffff in
+    t.pos <- t.pos + 4;
+    v
 
   let i64 t =
     need t 8;

@@ -233,9 +233,11 @@ let run_timed ?on_world cfg =
                   | Error _ -> incr errors
                   | Ok chan ->
                       Client.call_priv client chan (Bytes.of_string "PING")
-                        ~k:(function
-                        | Error _ -> incr errors
-                        | Ok _ -> incr completed)));
+                        ~k:(fun r ->
+                          Client.close chan;
+                          match r with
+                          | Error _ -> incr errors
+                          | Ok _ -> incr completed)));
           if j + 1 < cfg.requests_per_client then
             Sim.Engine.schedule engine
               ~at:(start +. 1.0 +. (float_of_int (j + 1) *. cfg.think_time))
@@ -693,9 +695,11 @@ let run_viral_one v ~label ~replicas ~spike =
                 | Error _ -> incr errors
                 | Ok chan ->
                     Client.call_priv client chan (Bytes.of_string "PING")
-                      ~k:(function
-                      | Error _ -> incr errors
-                      | Ok _ -> incr completed)));
+                      ~k:(fun r ->
+                        Client.close chan;
+                        match r with
+                        | Error _ -> incr errors
+                        | Ok _ -> incr completed)));
         if j + 1 < cfg.requests_per_client then
           Sim.Engine.schedule engine
             ~at:(start +. 1.0 +. (float_of_int (j + 1) *. cfg.think_time))
@@ -741,9 +745,11 @@ let run_viral_one v ~label ~replicas ~spike =
                   | Error _ -> incr errors
                   | Ok chan ->
                       Client.call_priv client chan (Bytes.of_string "VIRAL")
-                        ~k:(function
-                        | Error _ -> incr errors
-                        | Ok _ -> incr completed)));
+                        ~k:(fun r ->
+                          Client.close chan;
+                          match r with
+                          | Error _ -> incr errors
+                          | Ok _ -> incr completed)));
           if j + 1 < v.v_spike_requests then
             Sim.Engine.schedule engine
               ~at:(start +. 1.0 +. (float_of_int (j + 1) *. v.v_spike_think))

@@ -405,6 +405,77 @@ let kdc_timeout () =
   | Some (Ok _) -> Alcotest.fail "login succeeded with no KDC"
   | None -> Alcotest.fail "no answer"
 
+(* ------------------------------------------------------------------ *)
+(* Channel lifetime                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let counter bed name =
+  Telemetry.Metrics.value
+    (Telemetry.Metrics.counter
+       (Telemetry.Collector.metrics (Sim.Net.telemetry bed.net))
+       name)
+
+let with_channel ?transport bed f =
+  Client.login bed.client ~password:"correct.horse" (fun r ->
+      ignore (expect_ok "login" r);
+      Client.get_ticket bed.client ~service:bed.file_principal (fun r ->
+          let creds = expect_ok "get_ticket" r in
+          Client.ap_exchange bed.client creds ?transport
+            ~dst:(Sim.Host.primary_ip bed.server_host) ~dport:bed.file_port
+            (fun r -> f (expect_ok "ap_exchange" r))))
+
+(* Closing under a waiting call settles it once with an error (its
+   deadline timer fires later into nothing), the server's reply dies at
+   the closed port, a second close changes nothing, and a later call
+   fails at once. *)
+let close_settles_waiting_call () =
+  let bed = make_bed () in
+  let settled = ref [] and later = ref None in
+  let listeners = ref 0 and dropped = ref 0 in
+  with_channel bed (fun chan ->
+      listeners := Sim.Net.listener_count bed.net;
+      dropped := counter bed "net.dropped.no-listener";
+      Client.call_priv bed.client chan ~deadline:5.0 (Bytes.of_string "read")
+        ~k:(fun r -> settled := r :: !settled);
+      Client.close chan;
+      Client.close chan;
+      Client.call_priv bed.client chan (Bytes.of_string "again") ~k:(fun r ->
+          later := Some r));
+  run bed;
+  (match !settled with
+  | [ Error "channel closed" ] -> ()
+  | l -> Alcotest.failf "waiting call settled %d times" (List.length l));
+  (match !later with
+  | Some (Error "channel closed") -> ()
+  | _ -> Alcotest.fail "a call on a closed channel must fail at once");
+  Alcotest.(check int) "late reply dropped at the closed port" (!dropped + 1)
+    (counter bed "net.dropped.no-listener");
+  Alcotest.(check int) "one listener fewer" (!listeners - 1)
+    (Sim.Net.listener_count bed.net)
+
+(* A stream channel's close is one FIN, acknowledged, never resent. *)
+let close_tcp_sends_one_fin () =
+  let bed = make_bed () in
+  let stream_port = Sim.Transport.tcp_port bed.file_port in
+  let fins = ref 0 and reply = ref None in
+  Sim.Net.add_tap bed.net (fun pkt ->
+      let p = pkt.Sim.Packet.payload in
+      if
+        pkt.Sim.Packet.dport = stream_port
+        && Bytes.length p > 0
+        && Char.code (Bytes.get p 0) land 4 <> 0
+      then incr fins);
+  with_channel ~transport:`Tcp bed (fun chan ->
+      Client.call_priv bed.client chan (Bytes.of_string "read") ~k:(fun r ->
+          reply := Some r;
+          Client.close chan;
+          Client.close chan));
+  run bed;
+  (match !reply with
+  | Some (Ok _) -> ()
+  | _ -> Alcotest.fail "the call before the close must succeed");
+  Alcotest.(check int) "FINs from the client" 1 !fins
+
 let () =
   Alcotest.run "kerberos"
     [ ("v4", profile_cases "v4" Profile.v4);
@@ -415,6 +486,11 @@ let () =
       ("v4+handheld", profile_cases "v4+handheld" v4_handheld);
       ("v4+dh61", profile_cases "v4+dh61" v4_dh61);
       ("timeout", [ Alcotest.test_case "kdc unreachable" `Quick kdc_timeout ]);
+      ( "channel",
+        [ Alcotest.test_case "close settles a waiting call" `Quick
+            close_settles_waiting_call;
+          Alcotest.test_case "close sends one FIN over TCP" `Quick
+            close_tcp_sends_one_fin ] );
       ( "server-state",
         [ Alcotest.test_case "challenge flood bounded" `Quick challenge_state_bounded ] );
       ("replay", suite_replay);

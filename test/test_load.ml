@@ -237,6 +237,22 @@ let loadgen_report_shape () =
   Alcotest.(check int) "hits + misses = cacheable requests" (12 * 10)
     (r.Workloads.Loadgen.ccache_hits + r.Workloads.Loadgen.ccache_misses)
 
+(* Every channel a request opens is closed once its reply arrives, so the
+   run ends with exactly the listeners the world was built with: the
+   KDCs' and services' endpoints. *)
+let loadgen_leaves_no_listeners () =
+  let net = ref None and before = ref 0 in
+  let r, _ =
+    Workloads.Loadgen.run_timed small_cfg ~on_world:(fun w _ ->
+        net := Some w.Workloads.Attack_mix.w_net;
+        before := Sim.Net.listener_count w.Workloads.Attack_mix.w_net)
+  in
+  Alcotest.(check int) "every request completed" 120 r.Workloads.Loadgen.completed;
+  match !net with
+  | None -> Alcotest.fail "on_world never ran"
+  | Some net ->
+      Alcotest.(check int) "listeners after the run" !before (Sim.Net.listener_count net)
+
 let loadgen_rejects_nonsense () =
   let raises cfg =
     match Workloads.Loadgen.run cfg with
@@ -262,4 +278,5 @@ let () =
       ("loadgen",
        [ Alcotest.test_case "deterministic" `Quick loadgen_deterministic;
          Alcotest.test_case "report shape" `Quick loadgen_report_shape;
+         Alcotest.test_case "no listeners left behind" `Quick loadgen_leaves_no_listeners;
          Alcotest.test_case "config validation" `Quick loadgen_rejects_nonsense ]) ]

@@ -512,6 +512,37 @@ let deadline_under_every_profile () =
           | None -> Alcotest.failf "%s: exchange stalled" profile.name))
     Profile.all
 
+(* A deadline is honoured to the instant: two silent KDCs, a 1 s
+   per-attempt timeout and a 1.5 s deadline. The first attempt times out
+   near 1.03 s; the failover hop may only use the 0.47 s left, so the
+   login fails at 1.5 s — not a whole attempt later, as it did when each
+   hop ran its full timeout. *)
+let deadline_clamps_the_failover_hop () =
+  let eng = Sim.Engine.create () in
+  let net = Sim.Net.create eng in
+  let wsh = Sim.Host.create ~name:"ws" ~ips:[ quad 10 0 1 1 ] () in
+  Sim.Net.attach net wsh;
+  let kdcs =
+    List.init 2 (fun i ->
+        let h =
+          Sim.Host.create ~name:(Printf.sprintf "kdc%d" i) ~ips:[ quad 10 0 0 (i + 1) ] ()
+        in
+        Sim.Net.attach net h;
+        (realm, Sim.Host.primary_ip h))
+  in
+  let c =
+    Client.create ~seed:701L ~kdc_timeout:1.0 ~kdc_retries:0 ~kdc_deadline:1.5 net wsh
+      ~profile:Profile.v5_draft3 ~kdcs (Principal.user ~realm "u0")
+  in
+  let failed_at = ref None in
+  Client.login c ~password:"pw0" (function
+    | Ok _ -> Alcotest.fail "no KDC exists to answer"
+    | Error _ -> failed_at := Some (Sim.Engine.now eng));
+  Sim.Engine.run eng;
+  match !failed_at with
+  | Some at -> Alcotest.(check (float 1e-9)) "login fails at the deadline" 1.5 at
+  | None -> Alcotest.fail "login stalled"
+
 let () =
   Alcotest.run "overload"
     [ ( "admission",
@@ -533,4 +564,6 @@ let () =
           Alcotest.test_case "honored retry-after then refill" `Quick
             honored_hint_then_refill;
           Alcotest.test_case "deadline under every profile" `Quick
-            deadline_under_every_profile ] ) ]
+            deadline_under_every_profile;
+          Alcotest.test_case "deadline clamps the failover hop" `Quick
+            deadline_clamps_the_failover_hop ] ) ]

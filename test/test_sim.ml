@@ -177,8 +177,30 @@ let codec_rejects_overrun () =
   | exception Wire.Codec.Decode_error _ -> ()
   | _ -> Alcotest.fail "overrun accepted"
 
+(* Big-endian and cut to the field width, exactly as byte-at-a-time
+   writes would lay them out; the reader sees the unsigned value. *)
+let codec_word_layout () =
+  let w = Wire.Codec.Writer.create () in
+  Wire.Codec.Writer.u16 w 0x1234;
+  Wire.Codec.Writer.u16 w 0x5abcd;
+  Wire.Codec.Writer.u32 w 0xdeadbeef;
+  Wire.Codec.Writer.u32 w 0x1_0000_0102;
+  let b = Wire.Codec.Writer.contents w in
+  Alcotest.(check string) "bytes" "1234abcddeadbeef00000102"
+    (Util.Bytesutil.to_hex b);
+  let r = Wire.Codec.Reader.of_bytes b in
+  Alcotest.(check int) "u16" 0x1234 (Wire.Codec.Reader.u16 r);
+  Alcotest.(check int) "u16 cut" 0xabcd (Wire.Codec.Reader.u16 r);
+  Alcotest.(check int) "u32 unsigned" 0xdeadbeef (Wire.Codec.Reader.u32 r);
+  Alcotest.(check int) "u32 cut" 0x102 (Wire.Codec.Reader.u32 r);
+  let short = Wire.Codec.Reader.of_bytes (Bytes.of_string "\x01\x02\x03") in
+  match Wire.Codec.Reader.u32 short with
+  | exception Wire.Codec.Decode_error _ -> ()
+  | _ -> Alcotest.fail "u32 read past the end"
+
 let suite_codec =
   [ QCheck_alcotest.to_alcotest codec_roundtrip_prop;
+    Alcotest.test_case "u16/u32 word layout" `Quick codec_word_layout;
     Alcotest.test_case "length overrun rejected" `Quick codec_rejects_overrun ]
 
 (* ------------------------------------------------------------------ *)
@@ -238,8 +260,26 @@ let engine_random_order =
       let got = List.rev !fired in
       got = List.sort compare got && List.length got = List.length times)
 
+(* A NaN time compares false against everything: queued, it would fire
+   first and set the clock to NaN. *)
+let engine_rejects_nan () =
+  let eng = Engine.create () in
+  Alcotest.check_raises "schedule" (Invalid_argument "Engine.schedule: NaN time")
+    (fun () -> Engine.schedule eng ~at:Float.nan ignore);
+  Alcotest.check_raises "schedule_batch"
+    (Invalid_argument "Engine.schedule_batch: NaN time") (fun () ->
+      Engine.schedule_batch eng [ (1.0, ignore); (Float.nan, ignore) ]);
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending eng);
+  let log = ref [] in
+  Engine.schedule eng ~at:1.0 (fun () -> log := 1.0 :: !log);
+  Engine.schedule eng ~at:0.5 (fun () -> log := 0.5 :: !log);
+  Engine.run eng;
+  Alcotest.(check (list (float 0.0))) "order" [ 0.5; 1.0 ] (List.rev !log);
+  Alcotest.(check (float 0.0)) "clock" 1.0 (Engine.now eng)
+
 let suite_engine =
   [ QCheck_alcotest.to_alcotest heap_sorts;
+    Alcotest.test_case "NaN times rejected" `Quick engine_rejects_nan;
     Alcotest.test_case "event ordering" `Quick engine_ordering;
     Alcotest.test_case "cascading events" `Quick engine_cascade;
     Alcotest.test_case "run_until" `Quick engine_run_until;
