@@ -246,45 +246,128 @@ let mod_mul a b ~modulus = rem (mul a b) modulus
 (* Sliding-window exponentiation, 4-bit windows: precompute the eight odd
    powers b^1, b^3, ..., b^15 and consume the exponent MSB-first, squaring
    per bit and multiplying once per window — about 1.2 multiplies per
-   exponent bit instead of the 1.5 of square-and-multiply. *)
+   exponent bit instead of the 1.5 of square-and-multiply. [window_pow]
+   runs that schedule over any multiplication: [mul dst x y] stores x*y in
+   [dst], which may be [x] or [y]. *)
+let window_pow ~one ~mul ~copy b exp =
+  let n = num_bits exp in
+  let odd_pows = Array.init 8 (fun _ -> copy b) in
+  let b2 = copy b in
+  mul b2 b b;
+  for i = 1 to 7 do
+    mul odd_pows.(i) odd_pows.(i - 1) b2
+  done;
+  let result = copy one in
+  let i = ref (n - 1) in
+  while !i >= 0 do
+    if not (bit exp !i) then begin
+      mul result result result;
+      decr i
+    end
+    else begin
+      (* Window [l, i]: at most 4 bits, ending on a set bit so the
+         window value is odd. *)
+      let l = ref (max 0 (!i - 3)) in
+      while not (bit exp !l) do incr l done;
+      let v = ref 0 in
+      for j = !i downto !l do
+        v := (!v lsl 1) lor (if bit exp j then 1 else 0)
+      done;
+      for _ = !l to !i do
+        mul result result result
+      done;
+      mul result result odd_pows.(!v lsr 1);
+      i := !l - 1
+    end
+  done;
+  result
+
+(* --- Montgomery multiplication for odd moduli ----------------------------
+
+   With [n] the modulus's limb count and R = 2^(26n), a value x is held as
+   xR mod m in a fixed [n]-limb array (not normalized). [mont_mul] computes
+   xyR^-1 mod m by interleaving each limb of x's product with one limb's
+   worth of reduction: add x_i * y, pick the multiple u of m that clears
+   the low limb (u = t_0 * m' mod 2^26, m' = -m^-1 mod 2^26), add u * m and
+   drop that limb. No step divides. Each column sums a limb, two limb
+   products and a carry, under 2^54. *)
+type mont = { m : int array; m' : int; n : int; t : int array }
+
+let mont_of_modulus (m : t) =
+  let n = Array.length m in
+  (* m0^-1 mod 2^26 by Newton's iteration: each step doubles the number of
+     correct low bits, and for odd m0, m0 itself is right to 3 bits. *)
+  let m0 = m.(0) in
+  let inv = ref m0 in
+  for _ = 1 to 4 do
+    inv := (!inv * (2 - (m0 * !inv))) land limb_mask
+  done;
+  { m; m' = (limb_base - !inv) land limb_mask; n; t = Array.make (n + 2) 0 }
+
+(* [t] >= [m] on limbs [0..j], compared from the top. *)
+let rec limbs_geq t m j =
+  j < 0 || t.(j) > m.(j) || (t.(j) = m.(j) && limbs_geq t m (j - 1))
+
+let mont_mul ctx dst x y =
+  let n = ctx.n and m = ctx.m and t = ctx.t in
+  Array.fill t 0 (n + 2) 0;
+  for i = 0 to n - 1 do
+    let xi = Array.unsafe_get x i in
+    let s = Array.unsafe_get t 0 + (xi * Array.unsafe_get y 0) in
+    let u = ((s land limb_mask) * ctx.m') land limb_mask in
+    let carry = ref ((s + (u * Array.unsafe_get m 0)) lsr limb_bits) in
+    for j = 1 to n - 1 do
+      let s =
+        Array.unsafe_get t j + (xi * Array.unsafe_get y j) + (u * Array.unsafe_get m j) + !carry
+      in
+      Array.unsafe_set t (j - 1) (s land limb_mask);
+      carry := s lsr limb_bits
+    done;
+    let s = Array.unsafe_get t n + !carry in
+    Array.unsafe_set t (n - 1) (s land limb_mask);
+    Array.unsafe_set t n (s lsr limb_bits)
+  done;
+  (* t < 2m: one conditional subtraction brings it under m. *)
+  if t.(n) > 0 || limbs_geq t m (n - 1) then begin
+    let borrow = ref 0 in
+    for j = 0 to n - 1 do
+      let d = t.(j) - m.(j) - !borrow in
+      dst.(j) <- d land limb_mask;
+      borrow := if d < 0 then 1 else 0
+    done
+  end
+  else Array.blit t 0 dst 0 n
+
+(* [a] zero-extended to [n] limbs. *)
+let widen n (a : t) =
+  let w = Array.make n 0 in
+  Array.blit a 0 w 0 (Array.length a);
+  w
+
+let mont_pow ~base ~exp ~modulus =
+  let ctx = mont_of_modulus modulus in
+  let n = ctx.n in
+  (* Into Montgomery form once each, through [divmod]: xR mod m. *)
+  let to_mont a = widen n (rem (shift_left a (limb_bits * n)) modulus) in
+  let result =
+    window_pow ~one:(to_mont one) ~mul:(mont_mul ctx) ~copy:Array.copy
+      (to_mont (rem base modulus)) exp
+  in
+  (* And out: a Montgomery product with 1 multiplies by R^-1. *)
+  mont_mul ctx result result (widen n one);
+  normalize result
+
 let mod_pow ~base ~exp ~modulus =
   if equal modulus one then zero
-  else begin
-    let n = num_bits exp in
-    if n = 0 then one
-    else begin
-      let b = rem base modulus in
-      let b2 = mod_mul b b ~modulus in
-      let odd_pows = Array.make 8 b in
-      for i = 1 to 7 do
-        odd_pows.(i) <- mod_mul odd_pows.(i - 1) b2 ~modulus
-      done;
-      let result = ref one in
-      let i = ref (n - 1) in
-      while !i >= 0 do
-        if not (bit exp !i) then begin
-          result := mod_mul !result !result ~modulus;
-          decr i
-        end
-        else begin
-          (* Window [l, i]: at most 4 bits, ending on a set bit so the
-             window value is odd. *)
-          let l = ref (max 0 (!i - 3)) in
-          while not (bit exp !l) do incr l done;
-          let v = ref 0 in
-          for j = !i downto !l do
-            v := (!v lsl 1) lor (if bit exp j then 1 else 0)
-          done;
-          for _ = !l to !i do
-            result := mod_mul !result !result ~modulus
-          done;
-          result := mod_mul !result odd_pows.(!v lsr 1) ~modulus;
-          i := !l - 1
-        end
-      done;
-      !result
-    end
-  end
+  else if is_zero exp then one
+  else if bit modulus 0 then mont_pow ~base ~exp ~modulus
+  else
+    (* Even moduli (and 0, which raises [Division_by_zero] here) have no
+       Montgomery form: reduce each product by division. *)
+    window_pow ~one:(ref one) ~copy:(fun (a : t ref) -> ref !a)
+      ~mul:(fun dst x y -> dst := mod_mul !x !y ~modulus)
+      (ref (rem base modulus)) exp
+    |> ( ! )
 
 let rec gcd a b = if is_zero b then a else gcd b (rem a b)
 
@@ -324,24 +407,40 @@ let to_hex (a : t) =
     String.sub s !start (String.length s - !start)
   end
 
+(* Both conversions walk the value once, least significant end first,
+   moving bits between bytes and limbs through one accumulator. *)
 let of_bytes_be b =
-  let v = ref zero in
-  Bytes.iter (fun c -> v := add (shift_left !v 8) (of_int (Char.code c))) b;
-  !v
+  let len = Bytes.length b in
+  let out = Array.make (((8 * len) + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and acc_bits = ref 0 and limb = ref 0 in
+  for i = len - 1 downto 0 do
+    acc := !acc lor (Char.code (Bytes.get b i) lsl !acc_bits);
+    acc_bits := !acc_bits + 8;
+    if !acc_bits >= limb_bits then begin
+      out.(!limb) <- !acc land limb_mask;
+      incr limb;
+      acc := !acc lsr limb_bits;
+      acc_bits := !acc_bits - limb_bits
+    end
+  done;
+  if !acc_bits > 0 then out.(!limb) <- !acc;
+  normalize out
 
 let to_bytes_be ?size (a : t) =
   let needed = (num_bits a + 7) / 8 in
   let size = match size with None -> max needed 1 | Some s -> s in
   if needed > size then invalid_arg "Bignum.to_bytes_be: value too large";
   let out = Bytes.make size '\000' in
-  let v = ref a in
-  let i = ref (size - 1) in
-  while not (is_zero !v) do
-    (match to_int_opt (rem !v (of_int 256)) with
-    | Some b -> Bytes.set out !i (Char.chr b)
-    | None -> assert false);
-    v := shift_right !v 8;
-    decr i
+  let acc = ref 0 and acc_bits = ref 0 and limb = ref 0 in
+  for i = size - 1 downto size - needed do
+    if !acc_bits < 8 && !limb < Array.length a then begin
+      acc := !acc lor (a.(!limb) lsl !acc_bits);
+      incr limb;
+      acc_bits := !acc_bits + limb_bits
+    end;
+    Bytes.set out i (Char.unsafe_chr (!acc land 0xff));
+    acc := !acc lsr 8;
+    acc_bits := !acc_bits - 8
   done;
   out
 

@@ -48,7 +48,11 @@ val num_bits : t -> int
 (** Position of the highest set bit plus one; 0 for zero. *)
 
 val mod_pow : base:t -> exp:t -> modulus:t -> t
-(** Sliding-window (4-bit) modular exponentiation. *)
+(** Sliding-window (4-bit) modular exponentiation. For an odd modulus the
+    products are Montgomery multiplications over fixed-width limb arrays,
+    with no division after the base is brought into Montgomery form; an
+    even modulus reduces each product with {!divmod}.
+    @raise Division_by_zero if [modulus] is zero and [exp] is not. *)
 
 val mod_mul : t -> t -> modulus:t -> t
 

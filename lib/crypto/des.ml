@@ -441,33 +441,51 @@ module Reference = struct
   let decrypt_block key block = crypt_block (fun i -> 15 - i) key block
 end
 
+(* [parity_table.[c]] is byte [c] with its low bit set to give the byte
+   odd parity, the DES key convention. *)
+let parity_table =
+  String.init 256 (fun c ->
+      let ones = ref 0 in
+      for bit = 1 to 7 do
+        ones := !ones + ((c lsr bit) land 1)
+      done;
+      Char.chr ((c land 0xFE) lor (1 - (!ones land 1))))
+
 let fix_parity k =
-  let out = Bytes.copy k in
-  for i = 0 to Bytes.length out - 1 do
-    let c = Char.code (Bytes.get out i) in
-    let ones = ref 0 in
-    for bit = 1 to 7 do
-      if (c lsr bit) land 1 = 1 then incr ones
-    done;
-    (* Odd parity: low bit completes an odd popcount. *)
-    let low = if !ones mod 2 = 0 then 1 else 0 in
-    Bytes.set out i (Char.chr ((c land 0xFE) lor low))
+  let n = Bytes.length k in
+  let out = Bytes.create n in
+  for i = 0 to n - 1 do
+    Bytes.unsafe_set out i
+      (String.unsafe_get parity_table (Char.code (Bytes.unsafe_get k i)))
   done;
   out
 
-let weak_keys =
-  List.map Util.Bytesutil.of_hex
-    [ "0101010101010101"; "fefefefefefefefe"; "e0e0e0e0f1f1f1f1";
-      "1f1f1f1f0e0e0e0e";
-      (* semi-weak pairs *)
-      "011f011f010e010e"; "1f011f010e010e01"; "01e001e001f101f1";
-      "e001e001f101f101"; "01fe01fe01fe01fe"; "fe01fe01fe01fe01";
-      "1fe01fe00ef10ef1"; "e01fe01ff10ef10e"; "1ffe1ffe0efe0efe";
-      "fe1ffe1ffe0efe0e"; "e0fee0fef1fef1fe"; "fee0fee0fef1fef1" ]
+(* The 56 non-parity bits of an 8-byte key as one int: each 32-bit half
+   with its parity bits cleared, the first shifted up by 31 (its bit 0 is
+   a parity bit, so nothing overlaps and the top bit lands on bit 62).
+   Parity fixing only rewrites the bits this drops, so two keys are equal
+   after [fix_parity] exactly when their words are equal. *)
+let[@inline] half_word k at =
+  ((Bytes.get_uint16_be k at lsl 16) lor Bytes.get_uint16_be k (at + 2)) land 0xFEFEFEFE
 
-let is_weak k =
-  let k = fix_parity k in
-  List.exists (fun w -> Bytes.equal w k) weak_keys
+let key_word k = (half_word k 0 lsl 31) lor half_word k 4
+
+let weak_words =
+  Array.of_list
+    (List.map
+       (fun h -> key_word (Util.Bytesutil.of_hex h))
+       [ "0101010101010101"; "fefefefefefefefe"; "e0e0e0e0f1f1f1f1";
+         "1f1f1f1f0e0e0e0e";
+         (* semi-weak pairs *)
+         "011f011f010e010e"; "1f011f010e010e01"; "01e001e001f101f1";
+         "e001e001f101f101"; "01fe01fe01fe01fe"; "fe01fe01fe01fe01";
+         "1fe01fe00ef10ef1"; "e01fe01ff10ef10e"; "1ffe1ffe0efe0efe";
+         "fe1ffe1ffe0efe0e"; "e0fee0fef1fef1fe"; "fee0fee0fef1fef1" ])
+
+let rec weak_from w i =
+  i < Array.length weak_words && (Array.unsafe_get weak_words i = w || weak_from w (i + 1))
+
+let is_weak k = Bytes.length k = 8 && weak_from (key_word k) 0
 
 let rec random_key rng =
   let k = fix_parity (Util.Rng.bytes rng 8) in

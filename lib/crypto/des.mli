@@ -101,11 +101,13 @@ end
 
 val fix_parity : bytes -> bytes
 (** [fix_parity k] returns a copy with each byte's low bit set to give odd
-    parity, the DES key convention. *)
+    parity, the DES key convention: one 256-entry table lookup per byte. *)
 
 val is_weak : bytes -> bool
 (** True for the four weak and twelve semi-weak DES keys (after parity
-    fixing). The simulated KDC rejects these when generating session keys. *)
+    fixing). The simulated KDC rejects these when generating session keys.
+    Compares the key's 56 non-parity bits, read as one int, against 16
+    constants; allocates nothing. *)
 
 val random_key : Util.Rng.t -> bytes
 (** A fresh parity-fixed, non-weak key. *)

@@ -10,7 +10,8 @@ val digest : bytes -> bytes
 (** [digest b] is the 16-byte MD4 hash of [b]. *)
 
 val digest_sub : bytes -> pos:int -> len:int -> bytes
-(** Hash a subrange without materializing the slice. *)
+(** Hash a subrange without materializing the slice.
+    @raise Invalid_argument if the range is not inside the buffer. *)
 
 val hex_digest : bytes -> string
 

@@ -28,14 +28,16 @@ let fanfold password =
   (* Left-shift each 7-bit value into the high bits; parity bit is low. *)
   Bytes.init 8 (fun i -> Char.chr ((acc.(i) lsl 1) land 0xff))
 
+(* V4 corrects weak keys by toggling a byte. *)
+let correct_weak candidate =
+  if Des.is_weak candidate then
+    Des.fix_parity (Util.Bytesutil.xor candidate (Util.Bytesutil.of_hex "00000000000000f0"))
+  else candidate
+
 let derive password =
   let base = Des.fix_parity (fanfold password) in
   let key = Des.schedule base in
   let data = Mode.pad (Bytes.of_string password) in
   let ct = Mode.cbc_encrypt key ~iv:base data in
   let last = Bytes.sub ct (Bytes.length ct - 8) 8 in
-  let candidate = Des.fix_parity last in
-  if Des.is_weak candidate then
-    (* V4 corrects weak keys by toggling a byte. *)
-    Des.fix_parity (Util.Bytesutil.xor candidate (Util.Bytesutil.of_hex "00000000000000f0"))
-  else candidate
+  correct_weak (Des.fix_parity last)

@@ -815,10 +815,319 @@ let suite_deep =
     QCheck_alcotest.to_alcotest bignum_gcd_props;
     QCheck_alcotest.to_alcotest dh_public_in_range ]
 
+(* ------------------------------------------------------------------ *)
+(* Kernels against the definitions they replaced                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The bit-loop parity, the list-based weak-key test, the closure-based
+   MD4 and the per-byte Bignum conversions, as they stood before the
+   kernels replaced them. They share no code with the library's versions,
+   so agreement is evidence about the kernels. *)
+module Oracle = struct
+  let fix_parity k =
+    Bytes.map
+      (fun ch ->
+        let c = Char.code ch in
+        let ones = ref 0 in
+        for bit = 1 to 7 do
+          if (c lsr bit) land 1 = 1 then incr ones
+        done;
+        Char.chr ((c land 0xFE) lor if !ones mod 2 = 0 then 1 else 0))
+      k
+
+  let is_weak k =
+    let k = fix_parity k in
+    List.exists (fun w -> Bytes.equal w k) weak_and_semi_weak
+
+  let md4_sub b ~pos ~len =
+    let mask = 0xFFFFFFFF in
+    let ( +% ) a b = (a + b) land mask in
+    let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask in
+    let f x y z = (x land y) lor (lnot x land z land mask) in
+    let g x y z = (x land y) lor (x land z) lor (y land z) in
+    let h x y z = x lxor y lxor z in
+    let msg =
+      let padlen =
+        let r = (len + 1) mod 64 in
+        if r <= 56 then 56 - r + 1 else 64 - r + 56 + 1
+      in
+      let out = Bytes.create (len + padlen + 8) in
+      Bytes.blit b pos out 0 len;
+      Bytes.set out len '\x80';
+      Bytes.fill out (len + 1) (padlen - 1) '\000';
+      Bytes.set_int64_le out (len + padlen) (Int64.of_int (len * 8));
+      out
+    in
+    let a = ref 0x67452301 and b' = ref 0xefcdab89
+    and c = ref 0x98badcfe and d = ref 0x10325476 in
+    let x = Array.make 16 0 in
+    for blk = 0 to (Bytes.length msg / 64) - 1 do
+      for i = 0 to 15 do
+        x.(i) <- Int32.to_int (Bytes.get_int32_le msg ((blk * 64) + (i * 4))) land mask
+      done;
+      let aa = !a and bb = !b' and cc = !c and dd = !d in
+      let round1 a b c d k s = rotl (a +% f b c d +% x.(k)) s in
+      let round2 a b c d k s = rotl (a +% g b c d +% x.(k) +% 0x5a827999) s in
+      let round3 a b c d k s = rotl (a +% h b c d +% x.(k) +% 0x6ed9eba1) s in
+      List.iter
+        (fun k ->
+          a := round1 !a !b' !c !d k 3;
+          d := round1 !d !a !b' !c (k + 1) 7;
+          c := round1 !c !d !a !b' (k + 2) 11;
+          b' := round1 !b' !c !d !a (k + 3) 19)
+        [ 0; 4; 8; 12 ];
+      List.iter
+        (fun k ->
+          a := round2 !a !b' !c !d k 3;
+          d := round2 !d !a !b' !c (k + 4) 5;
+          c := round2 !c !d !a !b' (k + 8) 9;
+          b' := round2 !b' !c !d !a (k + 12) 13)
+        [ 0; 1; 2; 3 ];
+      List.iter
+        (fun k ->
+          a := round3 !a !b' !c !d k 3;
+          d := round3 !d !a !b' !c (k + 8) 9;
+          c := round3 !c !d !a !b' (k + 4) 11;
+          b' := round3 !b' !c !d !a (k + 12) 15)
+        [ 0; 2; 1; 3 ];
+      a := !a +% aa;
+      b' := !b' +% bb;
+      c := !c +% cc;
+      d := !d +% dd
+    done;
+    let out = Bytes.create 16 in
+    List.iteri (fun i v -> Bytes.set_int32_le out (i * 4) (Int32.of_int v)) [ !a; !b'; !c; !d ];
+    out
+
+  open Crypto.Bignum
+
+  let of_bytes_be b =
+    let v = ref zero in
+    Bytes.iter (fun c -> v := add (shift_left !v 8) (of_int (Char.code c))) b;
+    !v
+
+  let to_bytes_be ?size a =
+    let needed = (num_bits a + 7) / 8 in
+    let size = match size with None -> max needed 1 | Some s -> s in
+    if needed > size then invalid_arg "Bignum.to_bytes_be: value too large";
+    let out = Bytes.make size '\000' in
+    let v = ref a and i = ref (size - 1) in
+    while not (is_zero !v) do
+      (match to_int_opt (rem !v (of_int 256)) with
+      | Some b -> Bytes.set out !i (Char.chr b)
+      | None -> assert false);
+      v := shift_right !v 8;
+      decr i
+    done;
+    out
+
+  (* Right-to-left square-and-multiply over [mod_mul]. *)
+  let mod_pow ~base ~exp ~modulus =
+    if equal modulus one then zero
+    else begin
+      let r = ref one and b = ref (rem base modulus) in
+      for i = 0 to num_bits exp - 1 do
+        if bit exp i then r := mod_mul !r !b ~modulus;
+        b := mod_mul !b !b ~modulus
+      done;
+      !r
+    end
+end
+
+let all_bytes = List.init 256 Fun.id
+
+let parity_matches_bit_loop () =
+  List.iter
+    (fun c ->
+      let k = Bytes.make 8 (Char.chr c) in
+      check_hex (Printf.sprintf "fix_parity %02x" c) (to_hex (Oracle.fix_parity k))
+        (Crypto.Des.fix_parity k);
+      Alcotest.(check bool) (Printf.sprintf "is_weak %02x" c) (Oracle.is_weak k)
+        (Crypto.Des.is_weak k);
+      (* Byte [c] at each position of a key, for the position-dependent
+         shifts of the weak-key word. *)
+      for at = 0 to 7 do
+        let k = hex "133457799bbcdff1" in
+        Bytes.set k at (Char.chr c);
+        Alcotest.(check bool) (Printf.sprintf "is_weak %02x at %d" c at) (Oracle.is_weak k)
+          (Crypto.Des.is_weak k)
+      done)
+    all_bytes;
+  check_hex "lengths other than 8" "01fe0e" (Crypto.Des.fix_parity (hex "00ff0f"));
+  Alcotest.(check bool) "short key is not weak" false (Crypto.Des.is_weak (hex "01010101"))
+
+let weak_keys_any_parity () =
+  List.iter
+    (fun w ->
+      for flips = 0 to 255 do
+        let k = Bytes.copy w in
+        for i = 0 to 7 do
+          if (flips lsr i) land 1 = 1 then
+            Bytes.set k i (Char.chr (Char.code (Bytes.get k i) lxor 1))
+        done;
+        Alcotest.(check bool) (to_hex k ^ " is weak") true (Crypto.Des.is_weak k)
+      done;
+      for bit = 0 to 63 do
+        if bit mod 8 <> 0 then begin
+          let k = Bytes.copy w in
+          let i = 7 - (bit / 8) in
+          Bytes.set k i (Char.chr (Char.code (Bytes.get k i) lxor (1 lsl (bit mod 8))));
+          Alcotest.(check bool) (to_hex k ^ " agrees") (Oracle.is_weak k) (Crypto.Des.is_weak k)
+        end
+      done)
+    weak_and_semi_weak
+
+let parity_weak_prop =
+  QCheck.Test.make ~name:"parity and weak keys agree with the bit loops" ~count:1000
+    QCheck.(bytes_of_size (Gen.int_range 0 17))
+    (fun k ->
+      Bytes.equal (Crypto.Des.fix_parity k) (Oracle.fix_parity k)
+      && Crypto.Des.is_weak k = Oracle.is_weak k)
+
+(* Recorded from the bit-loop implementation; no digest elsewhere sees
+   these bytes, because a client and its KDC derive with the same code. *)
+let s2k_golden () =
+  List.iter
+    (fun (pw, expect) -> check_hex (Printf.sprintf "%S" pw) expect (Crypto.Str2key.derive pw))
+    [ ("", "b5df97e60d106d9e");
+      ("a", "64fb37c4c4dab329");
+      ("passwor", "b975bc5d8a8f529e");
+      ("password", "61fb686bbf5dabcd");
+      ("password1", "9e6bce464aa110ae");
+      ("sixteen-char-pwd", "91737976a76852bc");
+      ("seventeen-chars!!", "806d29a81907254c");
+      ("caf\xc3\xa9\x80\xff", "abdc68c20d92ab54");
+      ("CHANGEME", "466bad7aad798357");
+      ("correct horse battery staple", "c723a43ecdda5879") ]
+
+let s2k_weak_correction () =
+  List.iter2
+    (fun w expect ->
+      let fixed = Crypto.Str2key.correct_weak w in
+      check_hex (to_hex w ^ " corrected") expect fixed;
+      Alcotest.(check bool) (to_hex w ^ " no longer weak") false (Crypto.Des.is_weak fixed))
+    weak_and_semi_weak
+    [ "01010101010101f1"; "fefefefefefefe0e"; "e0e0e0e0f1f1f101"; "1f1f1f1f0e0e0efe";
+      "011f011f010e01fe"; "1f011f010e010ef1"; "01e001e001f10101"; "e001e001f101f1f1";
+      "01fe01fe01fe010e"; "fe01fe01fe01fef1"; "1fe01fe00ef10e01"; "e01fe01ff10ef1fe";
+      "1ffe1ffe0efe0e0e"; "fe1ffe1ffe0efefe"; "e0fee0fef1fef10e"; "fee0fee0fef1fe01" ];
+  let k = hex "133457799bbcdff1" in
+  Alcotest.(check bool) "non-weak key kept" true (Crypto.Str2key.correct_weak k == k)
+
+let md4_matches_oracle () =
+  let rng = Util.Rng.create 0x4D44L in
+  let buf = Util.Rng.bytes rng 320 in
+  for len = 0 to 300 do
+    List.iter
+      (fun pos ->
+        check_hex
+          (Printf.sprintf "len %d at %d" len pos)
+          (to_hex (Oracle.md4_sub buf ~pos ~len))
+          (Crypto.Md4.digest_sub buf ~pos ~len))
+      [ 0; 1; 3; 6; 19 ]
+  done;
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "range %d+%d" pos len)
+        (Invalid_argument "Md4.digest_sub")
+        (fun () -> ignore (Crypto.Md4.digest_sub buf ~pos ~len)))
+    [ (-1, 4); (0, -1); (300, 21); (321, 0) ]
+
+let bn_testable = Alcotest.testable Crypto.Bignum.pp Crypto.Bignum.equal
+
+let check_pow name ~base ~exp ~modulus =
+  Alcotest.check bn_testable name
+    (Oracle.mod_pow ~base ~exp ~modulus)
+    (Crypto.Bignum.mod_pow ~base ~exp ~modulus)
+
+let modpow_matches_oracle () =
+  let open Crypto.Bignum in
+  let rng = Util.Rng.create 0xE13L in
+  let groups =
+    List.map (fun bits -> (Crypto.Dh.group ~bits).Crypto.Dh.p) [ 16; 24; 31; 40; 61; 127; 521 ]
+  in
+  let even = [ shift_left one 400; of_int 1000; shift_left one 64; mul two (List.nth groups 5) ] in
+  let odd_composite = [ of_int 3; of_int 1_000_001; mul (List.nth groups 4) (List.nth groups 5) ] in
+  List.iter
+    (fun m ->
+      let name = "mod " ^ to_hex m in
+      let big = random_below rng m in
+      List.iter
+        (fun base ->
+          List.iter
+            (fun exp ->
+              check_pow (Printf.sprintf "%s ^%s %s" (to_hex base) (to_hex exp) name) ~base ~exp
+                ~modulus:m)
+            [ one; two; of_int 15; of_int 65537; sub m one; big ])
+        [ zero; one; of_int 7; big; m; add m (of_int 5); add (mul m (of_int 3)) (of_int 7) ];
+      Alcotest.check bn_testable (name ^ " ^0") one (mod_pow ~base:big ~exp:zero ~modulus:m))
+    (groups @ even @ odd_composite);
+  Alcotest.check bn_testable "modulus 1" zero
+    (mod_pow ~base:(of_int 5) ~exp:(of_int 3) ~modulus:one);
+  Alcotest.check bn_testable "modulus 1, exponent 0" zero
+    (mod_pow ~base:(of_int 5) ~exp:zero ~modulus:one);
+  Alcotest.check_raises "modulus 0" Division_by_zero (fun () ->
+      ignore (mod_pow ~base:(of_int 5) ~exp:one ~modulus:zero))
+
+let modpow_prop =
+  QCheck.Test.make ~name:"mod_pow agrees with square-and-multiply" ~count:300
+    QCheck.(quad (int_range 1 300) (int_range 0 600) (int_range 0 130) small_nat)
+    (fun (mbits, bbits, ebits, seed) ->
+      let rng = Util.Rng.create (Int64.of_int ((seed * 7919) + mbits)) in
+      let open Crypto.Bignum in
+      let modulus = add (random rng ~bits:mbits) one in
+      let base = random rng ~bits:bbits and exp = random rng ~bits:ebits in
+      equal (mod_pow ~base ~exp ~modulus) (Oracle.mod_pow ~base ~exp ~modulus))
+
+let bytes_conversions_match_oracle =
+  QCheck.Test.make ~name:"of_bytes_be and to_bytes_be agree with the per-byte forms" ~count:500
+    QCheck.(pair (int_range 0 600) (int_range 0 6))
+    (fun (bits, pad) ->
+      let rng = Util.Rng.create (Int64.of_int ((bits * 13) + pad)) in
+      let open Crypto.Bignum in
+      let a = random rng ~bits in
+      let raw = Util.Rng.bytes rng ((bits + 7) / 8 + pad) in
+      let needed = (num_bits a + 7) / 8 in
+      equal (of_bytes_be raw) (Oracle.of_bytes_be raw)
+      && Bytes.equal (to_bytes_be a) (Oracle.to_bytes_be a)
+      && Bytes.equal
+           (to_bytes_be ~size:(needed + pad) a)
+           (Oracle.to_bytes_be ~size:(needed + pad) a)
+      && (needed = 0
+         ||
+         match to_bytes_be ~size:(needed - 1) a with
+         | _ -> false
+         | exception Invalid_argument m -> m = "Bignum.to_bytes_be: value too large"))
+
+let bytes_conversion_edges () =
+  let open Crypto.Bignum in
+  Alcotest.check bn_testable "empty" zero (of_bytes_be Bytes.empty);
+  Alcotest.check bn_testable "leading zeros" (of_int 0x0102) (of_bytes_be (hex "0000000102"));
+  check_hex "zero" "00" (to_bytes_be zero);
+  check_hex "zero, size 0" "" (to_bytes_be ~size:0 zero);
+  check_hex "padded" "0000000102" (to_bytes_be ~size:5 (of_int 0x0102));
+  (* A value whose top byte straddles the last limb. *)
+  check_hex "26 bits" "03ffffff" (to_bytes_be (of_int 0x3FFFFFF));
+  Alcotest.check_raises "too large" (Invalid_argument "Bignum.to_bytes_be: value too large")
+    (fun () -> ignore (to_bytes_be ~size:1 (of_int 0x0102)))
+
+let suite_oracles =
+  [ Alcotest.test_case "parity and weak keys, all byte values" `Quick parity_matches_bit_loop;
+    Alcotest.test_case "weak keys under any parity" `Quick weak_keys_any_parity;
+    QCheck_alcotest.to_alcotest parity_weak_prop;
+    Alcotest.test_case "string-to-key golden vectors" `Quick s2k_golden;
+    Alcotest.test_case "string-to-key weak-key correction" `Quick s2k_weak_correction;
+    Alcotest.test_case "md4 every length 0-300" `Quick md4_matches_oracle;
+    Alcotest.test_case "mod_pow groups and edges" `Quick modpow_matches_oracle;
+    QCheck_alcotest.to_alcotest modpow_prop;
+    QCheck_alcotest.to_alcotest bytes_conversions_match_oracle;
+    Alcotest.test_case "byte conversion edges" `Quick bytes_conversion_edges ]
+
 let () =
   Alcotest.run "crypto"
     [ ("des", suite_des); ("modes", suite_modes); ("equiv", suite_equiv);
       ("crc32", suite_crc);
       ("md4", suite_md4); ("str2key", suite_s2k); ("checksum", suite_checksum);
       ("bignum", suite_bignum); ("dh", suite_dh); ("prf", suite_prf);
-      ("deep", suite_deep) ]
+      ("deep", suite_deep); ("oracles", suite_oracles) ]
