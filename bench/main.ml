@@ -178,12 +178,9 @@ let t_faults_jitter =
 
 (* The inert plane's overhead is the difference of two fits, and one pair
    of fits moves by several times the 1 % budget from run to run. So the
-   gate fits the two sessions [fault_fits] times, alternating which goes
-   first, takes each round's overhead, and holds the median to the budget
-   with the spread beside it: over budget only when median - IQR exceeds
-   it, within it when median + IQR does not, and unresolved at this noise
-   level in between. The jitter row, fitted once, shows what a plane that
-   fires costs, for scale. *)
+   gate fits the two sessions [fault_fits] times under {!overhead}'s rule.
+   The jitter row, fitted once, shows what a plane that fires costs, for
+   scale. *)
 let fault_fits = 7
 let fault_budget_pct = 1.0
 let faults_json_path = "BENCH_faults.json"
@@ -216,46 +213,78 @@ let median_iqr xs =
   in
   (q 0.5, q 0.75 -. q 0.25)
 
-type fault_verdict = Within | Over | Unresolved
+type verdict = Within | Over | Unresolved
 
-let fault_gate cfg =
-  (* (no plane, inert plane), the no-plane session fitted first in even
-     rounds and second in odd ones. *)
+type overhead = {
+  base : float;  (* median of the [base] measurements *)
+  cand : float;  (* median of the [cand] measurements *)
+  pct : float;  (* median per-pair overhead of [cand] over [base], % *)
+  iqr : float;  (* its interquartile range, percentage points *)
+  verdict : verdict;
+}
+
+(* What [cand] costs over [base] when one pair of timings moves by more
+   than the budget: [pairs] rounds, [base] measured first in even rounds
+   and second in odd ones, each round's overhead taken, and the median
+   held to [budget_pct] with the spread beside it — over budget only when
+   median - IQR exceeds it, within it when median + IQR does not, and
+   unresolved at this noise level in between. Only [Over] fails a gate. *)
+let overhead ~pairs ~budget_pct base cand =
   let round i =
     if i mod 2 = 0 then
-      let base = fit cfg t_faults_none in
-      (base, fit cfg t_faults_inert)
+      let b = base () in
+      (b, cand ())
     else
-      let inert = fit cfg t_faults_inert in
-      (fit cfg t_faults_none, inert)
+      let c = cand () in
+      (base (), c)
   in
-  let rounds = List.init fault_fits round in
-  let base, _ = median_iqr (List.map fst rounds) in
-  let inert, _ = median_iqr (List.map snd rounds) in
-  let pct, iqr = median_iqr (List.map (fun (b, i) -> (i -. b) /. b *. 100.0) rounds) in
-  let verdict =
-    if pct -. iqr > fault_budget_pct then Over
-    else if pct +. iqr <= fault_budget_pct then Within
-    else Unresolved
+  let rounds = List.init pairs round in
+  let pct, iqr = median_iqr (List.map (fun (b, c) -> (c -. b) /. b *. 100.0) rounds) in
+  { base = fst (median_iqr (List.map fst rounds));
+    cand = fst (median_iqr (List.map snd rounds));
+    pct; iqr;
+    verdict =
+      (if pct -. iqr > budget_pct then Over
+       else if pct +. iqr <= budget_pct then Within
+       else Unresolved) }
+
+let verdict_text = function
+  | Within -> "within budget"
+  | Over -> "over budget"
+  | Unresolved -> "unresolved at this noise level"
+
+let fault_gate cfg =
+  let o =
+    overhead ~pairs:fault_fits ~budget_pct:fault_budget_pct
+      (fun () -> fit cfg t_faults_none)
+      (fun () -> fit cfg t_faults_inert)
   in
   let json =
     Telemetry.Json.(
       Obj
         [ ("fits", Int fault_fits);
-          ("session_no_plane_ns", Float base);
-          ("session_inert_plane_ns", Float inert);
+          ("session_no_plane_ns", Float o.base);
+          ("session_inert_plane_ns", Float o.cand);
           ("session_jitter_plane_ns", Float (fit cfg t_faults_jitter));
-          ("overhead_disabled_pct", Float pct);
-          ("overhead_disabled_iqr_pct", Float iqr);
+          ("overhead_disabled_pct", Float o.pct);
+          ("overhead_disabled_iqr_pct", Float o.iqr);
           ("overhead_budget_pct", Float fault_budget_pct);
-          ( "verdict",
-            Str
-              (match verdict with
-              | Within -> "within budget"
-              | Over -> "over budget"
-              | Unresolved -> "unresolved at this noise level") ) ])
+          ("verdict", Str (verdict_text o.verdict)) ])
   in
-  (verdict, pct, iqr, json)
+  (o, json)
+
+(* Exit 1 from [guard] unless [text] parses as JSON carrying every key
+   path (as {!Telemetry.Json.path} reads them). *)
+let check_schema guard file text paths =
+  let lost =
+    match Telemetry.Json.of_string text with
+    | Ok j -> Telemetry.Json.missing j paths
+    | Error e -> [ "everything (" ^ e ^ ")" ]
+  in
+  if lost <> [] then begin
+    List.iter (Printf.eprintf "%s: %s schema lost %s\n" guard file) lost;
+    exit 1
+  end
 
 (* --- ablations: the cost of each recommended login mechanism, and of the
    two AP-exchange styles, measured as one whole simulated exchange --- *)
@@ -321,90 +350,72 @@ let t_ap_challenge =
 (* --- load smoke: BENCH_load.json schema guard --- *)
 
 (* With --load-smoke, run the loadgen ablation suite at reduced traffic
-   (1k users, but far fewer requests than `experiments load`) and assert
-   the serialized suite still carries every field EXPERIMENTS.md tells
-   operators to read. A schema drift in Loadgen then fails `dune runtest`
-   instead of silently breaking downstream consumers of BENCH_load.json. *)
+   (1k users, but far fewer requests than `experiments load`) and check
+   the parsed suite for every key path EXPERIMENTS.md tells operators to
+   read. A schema drift in Loadgen then fails `dune runtest` instead of
+   silently breaking downstream consumers of BENCH_load.json. *)
+let load_light_pairs = 11
+let load_light_budget_pct = 25.0
+
 let load_smoke () =
-  let cfg =
-    { Workloads.Loadgen.default with
-      Workloads.Loadgen.active_clients = 50;
-      requests_per_client = 20 }
+  let module L = Workloads.Loadgen in
+  let cfg = { L.default with L.active_clients = 50; requests_per_client = 20 } in
+  let suite = L.run_suite cfg in
+  let report =
+    [ "config.lazy_users"; "sim_seconds"; "completed"; "errors"; "as_requests";
+      "tgs_requests"; "ap_exchanges"; "ccache_hits"; "ccache_misses";
+      "as_latency.p50"; "tgs_latency.p90"; "ap_latency.p99"; "shard_lookups.0";
+      "shard_entries.0"; "shard_balance"; "lookup_balance";
+      "throughput_per_sim_second"; "span_breakdown.0.sim_seconds" ]
   in
-  let suite = Workloads.Loadgen.run_suite cfg in
-  let s = Telemetry.Json.to_string (Workloads.Loadgen.suite_to_json suite) in
-  let contains needle =
-    let nl = String.length needle and sl = String.length s in
-    let rec go i = i + nl <= sl && (String.sub s i nl = needle || go (i + 1)) in
-    go 0
+  let timing =
+    [ "setup_seconds"; "run_seconds"; "sim_events"; "sim_events_per_wall_second" ]
   in
-  let required =
-    [ "\"main\""; "\"cache_off\""; "\"shard_ablation\"";
-      "\"tgs_reduction_factor\""; "\"config\""; "\"sim_seconds\"";
-      "\"completed\""; "\"errors\""; "\"as_requests\""; "\"tgs_requests\"";
-      "\"ap_exchanges\""; "\"ccache_hits\""; "\"ccache_misses\"";
-      "\"as_latency\""; "\"tgs_latency\""; "\"ap_latency\""; "\"p50\"";
-      "\"p90\""; "\"p99\""; "\"shard_lookups\""; "\"shard_entries\"";
-      "\"shard_balance\""; "\"lookup_balance\"";
-      "\"throughput_per_sim_second\""; "\"span_breakdown\"";
-      "\"main_timing\""; "\"setup_seconds\""; "\"run_seconds\"";
-      "\"sim_events\""; "\"sim_events_per_wall_second\"";
-      "\"perf_ablation\""; "\"schedule_cache\""; "\"lightweight\"";
-      "\"lazy_users\""; "\"fast_path_speedup\"" ]
+  let prefixed p = List.map (fun k -> p ^ "." ^ k) in
+  let paths =
+    [ "tgs_reduction_factor"; "perf_ablation.0.schedule_cache";
+      "perf_ablation.0.lightweight"; "fast_path_speedup" ]
+    @ prefixed "main" report @ prefixed "cache_off" report
+    @ prefixed "shard_ablation.0" report @ prefixed "main_timing" timing
+    @ prefixed "perf_ablation.0.timing" timing
   in
-  List.iter
-    (fun key ->
-      if not (contains key) then (
-        Printf.eprintf "load smoke: BENCH_load.json schema lost %s\n" key;
-        exit 1))
-    required;
-  let r = suite.Workloads.Loadgen.main in
-  assert (r.Workloads.Loadgen.completed > 0);
-  assert (r.Workloads.Loadgen.errors = 0);
-  assert (Workloads.Loadgen.tgs_reduction suite > 1.0);
-  assert (suite.Workloads.Loadgen.main_timing.Workloads.Loadgen.events > 0);
+  check_schema "load smoke" "BENCH_load.json"
+    (Telemetry.Json.to_string (L.suite_to_json suite)) paths;
+  let r = suite.L.main in
+  assert (r.L.completed > 0);
+  assert (r.L.errors = 0);
+  assert (L.tgs_reduction suite > 1.0);
+  assert (suite.L.main_timing.L.events > 0);
   (* Lightweight telemetry must change nothing the report sees — same
      simulated world, same counts, same histograms — and must not cost
-     more than the full collector it strips down. The wall budget is
-     generous (25% + 20 ms of jitter allowance over the best of two runs)
-     because the claim is "inert", not "faster on every tiny run". *)
-  let timed_min cfg =
-    let _, t1 = Workloads.Loadgen.run_timed cfg in
-    let r, t2 = Workloads.Loadgen.run_timed cfg in
-    ( r,
-      Float.min t1.Workloads.Loadgen.run_seconds
-        t2.Workloads.Loadgen.run_seconds )
-  in
-  let full_r, full_s = timed_min { cfg with Workloads.Loadgen.lightweight = false } in
-  let light_r, light_s = timed_min { cfg with Workloads.Loadgen.lightweight = true } in
-  let masked =
-    { light_r with Workloads.Loadgen.r_config = full_r.Workloads.Loadgen.r_config }
-  in
+     more than the full collector it strips down. The claim is "inert",
+     not "faster on every tiny run", so the budget is 25 % under the
+     alternating-pairs rule ({!overhead}). *)
+  let light = { cfg with L.lightweight = true } in
+  let masked = { (L.run light) with L.r_config = cfg } in
   if
     not
       (String.equal
-         (Telemetry.Json.to_string (Workloads.Loadgen.report_to_json full_r))
-         (Telemetry.Json.to_string (Workloads.Loadgen.report_to_json masked)))
+         (Telemetry.Json.to_string (L.report_to_json r))
+         (Telemetry.Json.to_string (L.report_to_json masked)))
   then (
     Printf.eprintf
       "load smoke: lightweight telemetry changed the report — it must be \
        observationally inert\n";
     exit 1);
-  let budget = (full_s *. 1.25) +. 0.02 in
-  if light_s > budget then (
-    Printf.eprintf
-      "load smoke: lightweight run took %.3fs vs full %.3fs — exceeds the \
-       inert-telemetry budget (%.3fs)\n"
-      light_s full_s budget;
-    exit 1);
+  let run_seconds c () = (snd (L.run_timed c)).L.run_seconds in
+  let o =
+    overhead ~pairs:load_light_pairs ~budget_pct:load_light_budget_pct
+      (run_seconds cfg) (run_seconds light)
+  in
   Printf.printf
     "load smoke: suite ran (%d completed, tgs reduction %.1fx, fast-path \
-     speedup %.2fx), schema has all %d keys; lightweight run %.3fs vs full \
-     %.3fs (budget %.3fs), reports identical\n"
-    r.Workloads.Loadgen.completed
-    (Workloads.Loadgen.tgs_reduction suite)
-    (Workloads.Loadgen.fast_path_speedup suite)
-    (List.length required) light_s full_s budget
+     speedup %.2fx), schema has all %d key paths, reports identical; \
+     lightweight vs full %+.1f%% median (IQR %.1f) over %d pairs: %s at %.0f%%\n"
+    r.L.completed (L.tgs_reduction suite) (L.fast_path_speedup suite)
+    (List.length paths) o.pct o.iqr load_light_pairs (verdict_text o.verdict)
+    load_light_budget_pct;
+  if o.verdict = Over then exit 1
 
 (* --- recovery smoke: BENCH_recovery.json schema guard --- *)
 
@@ -479,116 +490,17 @@ let recovery_smoke () =
           rows));
   close_out oc;
   (* Schema guard over what was actually written. *)
-  let ic = open_in recovery_json_path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let contains needle =
-    let nl = String.length needle and sl = String.length s in
-    let rec go i = i + nl <= sl && (String.sub s i nl = needle || go (i + 1)) in
-    go 0
-  in
-  List.iter
-    (fun k ->
-      if not (contains k) then (
-        Printf.eprintf "recovery smoke: BENCH_recovery.json schema lost %s\n" k;
-        exit 1))
-    [ "\"wal_overhead\""; "\"add_ns_no_wal\""; "\"add_ns_wal\"";
-      "\"overhead_pct\""; "\"recovery_time\""; "\"wal_records\"";
-      "\"applied\""; "\"replay_ms\"" ];
+  check_schema "recovery smoke" recovery_json_path
+    (In_channel.with_open_bin recovery_json_path In_channel.input_all)
+    [ "wal_overhead.add_ns_no_wal"; "wal_overhead.add_ns_wal";
+      "wal_overhead.overhead_pct"; "recovery_time.0.wal_records";
+      "recovery_time.0.applied"; "recovery_time.0.replay_ms" ];
   Printf.printf
     "recovery smoke: add %.0f -> %.0f ns/mutation with WAL (%+.1f%%), replay \
      of %d-record log %.2f ms; schema intact\n"
     no_wal_ns wal_ns overhead_pct
     (match List.rev rows with (r, _, _) :: _ -> r | [] -> 0)
     (match List.rev rows with (_, _, ms) :: _ -> ms | [] -> 0.0)
-
-(* --- detect smoke: BENCH_detect.json schema guard --- *)
-
-(* With --detect-smoke, run a runtest-sized blended attack campaign twice
-   (same seed — the serialized JSON must be byte-identical), persist it to
-   BENCH_detect.json, check the schema, and hold the detection floor: at
-   least three attack classes at detection rate >= 0.9 with false-positive
-   rate <= 0.01. A detector regression then fails `dune runtest`. *)
-let detect_json_path = "BENCH_detect.json"
-
-let detect_smoke () =
-  let profile =
-    { Profile.v4 with
-      Profile.name = "v4+preauth+cache";
-      preauth = true;
-      ap_auth = Profile.Timestamp { skew = 300.0; replay_cache = true } }
-  in
-  let cfg =
-    { Workloads.Loadgen.default with
-      Workloads.Loadgen.users = 2_000; shards = 4; kdcs = 2;
-      active_clients = 300; requests_per_client = 30; think_time = 1.0;
-      ramp = 10.0; seed = 0xdefec7L; profile; lightweight = true;
-      lazy_users = true }
-  in
-  let mix =
-    { Workloads.Attack_mix.default_mix with
-      Workloads.Attack_mix.start = 25.0; stagger = 1.0; guess_tries = 20 }
-  in
-  let policy =
-    { Telemetry.Detect.default_policy with
-      Telemetry.Detect.warmup = 20.0; epoch = 10.0;
-      max_lifetime = cfg.Workloads.Loadgen.lifetime }
-  in
-  let run () = snd (Workloads.Loadgen.run_campaign ~policy ~mix cfg) in
-  let c1 = run () in
-  let c2 = run () in
-  let j1 = Telemetry.Json.to_string (Workloads.Loadgen.campaign_to_json c1) in
-  let j2 = Telemetry.Json.to_string (Workloads.Loadgen.campaign_to_json c2) in
-  if not (String.equal j1 j2) then (
-    Printf.eprintf
-      "detect smoke: two campaigns at the same seed serialized differently\n";
-    exit 1);
-  let oc = open_out detect_json_path in
-  output_string oc j1;
-  output_char oc '\n';
-  close_out oc;
-  let contains needle =
-    let nl = String.length needle and sl = String.length j1 in
-    let rec go i = i + nl <= sl && (String.sub j1 i nl = needle || go (i + 1)) in
-    go 0
-  in
-  List.iter
-    (fun k ->
-      if not (contains k) then (
-        Printf.eprintf "detect smoke: BENCH_detect.json schema lost %s\n" k;
-        exit 1))
-    [ "\"config\""; "\"mix\""; "\"policy\""; "\"report\"";
-      "\"detector_events\""; "\"labels\""; "\"alerts\""; "\"score\"";
-      "\"classes\""; "\"password_guess\""; "\"ticket_harvest\"";
-      "\"replay_auth\""; "\"forged_ticket\""; "\"attackers\"";
-      "\"detected\""; "\"detection_rate\""; "\"false_positive_rate\"";
-      "\"mean_ttd\""; "\"max_ttd\""; "\"benign_subjects\"";
-      "\"benign_flagged\""; "\"warmup\""; "\"burst_factor\""; "\"rule\"";
-      "\"subject\""; "\"evidence\"" ];
-  let score = c1.Workloads.Loadgen.ca_score in
-  let good =
-    List.filter
-      (fun (c : Telemetry.Detect.class_score) ->
-        c.Telemetry.Detect.cs_detection_rate >= 0.9
-        && c.Telemetry.Detect.cs_false_positive_rate <= 0.01)
-      score.Telemetry.Detect.sc_classes
-  in
-  if List.length good < 3 then (
-    Printf.eprintf
-      "detect smoke: only %d/%d attack classes at detection rate >= 0.9 with \
-       FPR <= 0.01 (need >= 3)\n"
-      (List.length good)
-      (List.length score.Telemetry.Detect.sc_classes);
-    exit 1);
-  Printf.printf
-    "detect smoke: %d/%d classes over the floor (overall FPR %.4f, %d \
-     alerts, %d detector events), campaign JSON deterministic (%d bytes), \
-     schema intact\n"
-    (List.length good)
-    (List.length score.Telemetry.Detect.sc_classes)
-    score.Telemetry.Detect.sc_false_positive_rate
-    score.Telemetry.Detect.sc_alerts c1.Workloads.Loadgen.ca_events
-    (String.length j1)
 
 (* --- transport smoke: UDP vs TCP-fallback latency, BENCH_transport.json --- *)
 
@@ -599,10 +511,13 @@ let detect_smoke () =
    TCP fallback). Both runs must complete every exchange; the sim-time
    latency rows quantify what the fallback costs. The constrained run is
    repeated at the same seed and its serialized row must be
-   byte-identical. Finally the armed-but-never-firing MTU check must cost
-   <= 1% wall time over the unconfigured network (plus a small absolute
-   jitter allowance), so the MTU model stays free when unused. *)
+   byte-identical. Finally the armed-but-never-firing MTU check must not
+   be over a 1 % wall budget against the unconfigured network, in the
+   median of 21 alternating pairs less their IQR ({!overhead}), so the
+   MTU model stays free when unused. *)
 let transport_json_path = "BENCH_transport.json"
+let transport_inert_pairs = 21
+let transport_inert_budget_pct = 1.0
 
 type transport_row = {
   tw_reads : int;
@@ -764,193 +679,132 @@ let transport_smoke () =
       udp.tw_fallbacks udp.tw_truncated;
     exit 1
   end;
-  (* Inert-MTU gate: armed but never firing must cost <= 1% wall over the
-     unconfigured network (best of 3, plus 20 ms jitter allowance). *)
-  let best_of_3 f =
-    let a = (f ()).tw_wall_s and b = (f ()).tw_wall_s and c = (f ()).tw_wall_s in
-    Float.min a (Float.min b c)
+  (* Inert-MTU gate: an MTU set above every packet is checked on every
+     send and never fires; under the alternating-pairs rule ({!overhead})
+     it must not cost more than 1 % wall over the unconfigured network. *)
+  let wall mtu () = (transport_workload ?mtu ~clients ~reads ()).tw_wall_s in
+  let o =
+    overhead ~pairs:transport_inert_pairs ~budget_pct:transport_inert_budget_pct
+      (wall None) (wall (Some 1_000_000))
   in
-  let base_s = best_of_3 (fun () -> transport_workload ~clients ~reads ()) in
-  let armed_s =
-    best_of_3 (fun () ->
-        transport_workload ~mtu:1_000_000 ~clients ~reads ())
-  in
-  let budget = (base_s *. 1.01) +. 0.02 in
-  if armed_s > budget then begin
-    Printf.eprintf
-      "transport smoke: armed-but-inert MTU run took %.4fs vs %.4fs \
-       unconfigured — exceeds the 1%% budget (%.4fs)\n"
-      armed_s base_s budget;
-    exit 1
-  end;
   let json =
     Printf.sprintf
       "{\n  \"udp\": %s,\n  \"tcp_fallback\": %s,\n  \"mtu\": %d,\n  \
-       \"inert_overhead\": { \"baseline_s\": %s, \"armed_s\": %s }\n}\n"
+       \"inert_overhead\": { \"baseline_s\": %s, \"armed_s\": %s, \"pairs\": \
+       %d, \"overhead_pct\": %s, \"overhead_iqr_pct\": %s, \"budget_pct\": \
+       %s, \"verdict\": %S }\n}\n"
       (transport_row_json udp) (transport_row_json tcp) constrained_mtu
-      (num base_s) (num armed_s)
+      (num o.base) (num o.cand) transport_inert_pairs (num o.pct) (num o.iqr)
+      (num transport_inert_budget_pct) (verdict_text o.verdict)
   in
   let oc = open_out transport_json_path in
   output_string oc json;
   close_out oc;
-  let contains needle =
-    let nl = String.length needle and sl = String.length json in
-    let rec go i = i + nl <= sl && (String.sub json i nl = needle || go (i + 1)) in
-    go 0
-  in
-  List.iter
-    (fun k ->
-      if not (contains k) then begin
-        Printf.eprintf "transport smoke: BENCH_transport.json schema lost %s\n" k;
-        exit 1
-      end)
-    [ "\"udp\""; "\"tcp_fallback\""; "\"mtu\""; "\"inert_overhead\"";
-      "\"reads\""; "\"completed\""; "\"p50_sim_ms\""; "\"max_sim_ms\"";
-      "\"udp_calls\""; "\"tcp_calls\""; "\"fallbacks\"";
-      "\"response_too_big\""; "\"truncated\"";
-      "\"packets\""; "\"baseline_s\""; "\"armed_s\"" ];
+  check_schema "transport smoke" transport_json_path json
+    ([ "mtu"; "inert_overhead.baseline_s"; "inert_overhead.armed_s";
+       "inert_overhead.pairs"; "inert_overhead.overhead_pct";
+       "inert_overhead.overhead_iqr_pct"; "inert_overhead.budget_pct";
+       "inert_overhead.verdict" ]
+    @ List.concat_map
+        (fun row ->
+          List.map (fun k -> row ^ "." ^ k)
+            [ "reads"; "completed"; "p50_sim_ms"; "max_sim_ms"; "udp_calls";
+              "tcp_calls"; "fallbacks"; "response_too_big"; "truncated";
+              "packets" ])
+        [ "udp"; "tcp_fallback" ]);
   Printf.printf
     "transport smoke: %d/%d udp exchanges (p50 %.1f sim-ms), %d/%d forced \
      through TCP fallback (p50 %.1f sim-ms, %d fallbacks), constrained row \
-     deterministic, inert-MTU %.4fs vs %.4fs (budget %.4fs), schema intact\n"
+     deterministic, schema intact; inert MTU %+.1f%% median (IQR %.1f) over \
+     %d pairs: %s at %.0f%%\n"
     udp.tw_completed udp.tw_reads udp.tw_p50_ms tcp.tw_completed tcp.tw_reads
-    tcp.tw_p50_ms tcp.tw_fallbacks armed_s base_s budget
+    tcp.tw_p50_ms tcp.tw_fallbacks o.pct o.iqr transport_inert_pairs
+    (verdict_text o.verdict) transport_inert_budget_pct;
+  if o.verdict = Over then exit 1
 
-(* --- replication smoke (--replication-smoke) ---
+(* --- perfbench digests (--digests BENCH_EXE EXPECTED_JSON) ---
 
-   The viral-service campaign at its committed seed, run twice: the
-   suite JSON must be byte-identical across runs, keep its schema, and
-   the replication floors must hold — primary-only melts (p99 >= 2x
-   calm), the replica pool keeps p99 flat (<= 1.2x) and balanced
-   (max/mean <= 1.5), and a crashed replica rejoins converged. *)
-let replication_smoke () =
-  let open Workloads.Loadgen in
-  let v = default_viral in
-  let s = run_viral v in
-  let json = Telemetry.Json.to_string (viral_suite_to_json s) in
-  let json2 =
-    Telemetry.Json.to_string (viral_suite_to_json (run_viral v))
-  in
-  if not (String.equal json json2) then begin
-    prerr_endline
-      "replication smoke: re-run diverged (campaign determinism lost)";
-    exit 1
-  end;
-  let contains needle =
-    let nl = String.length needle and sl = String.length json in
-    let rec go i = i + nl <= sl && (String.sub json i nl = needle || go (i + 1)) in
-    go 0
-  in
+   Every toy-size run perfbench/expected.json records (three workloads at
+   34 seeds) run once, untraced, by the repository benchmark's own
+   binary: each report's digest, completed and error counts must be the
+   recorded ones. The full-size runs take minutes and stay with
+   perfbench/run.py. *)
+let digests exe expected =
+  let module J = Telemetry.Json in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let parse path = Result.to_option (J.of_string (read path)) in
+  let out = Filename.temp_file "perfbench" ".json" in
+  let runs = ref 0 and bad = ref 0 in
+  let members = function J.Obj kvs -> kvs | _ -> [] in
+  let toy = Option.bind (parse expected) (J.member "toy") in
   List.iter
-    (fun k ->
-      if not (contains k) then begin
-        Printf.eprintf
-          "replication smoke: BENCH_replication.json schema lost %s\n" k;
-        exit 1
-      end)
-    [ "\"config\""; "\"calm\""; "\"unreplicated\""; "\"replicated\"";
-      "\"overload_p99_ratio\""; "\"replicated_p99_ratio\"";
-      "\"floor_failures\""; "\"tgs_latency\""; "\"shard_lookup_balance\"";
-      "\"unit_reads\""; "\"unit_balance\""; "\"fresh_fallbacks\"";
-      "\"shipped_records\""; "\"catchups\""; "\"max_lag_seen\"";
-      "\"replica_crashes\""; "\"converged\"" ];
-  let fails = viral_floor_failures s in
-  List.iter (fun f -> Printf.eprintf "replication smoke: floor: %s\n" f) fails;
-  if fails <> [] then exit 1;
+    (fun (workload, seeds) ->
+      List.iter
+        (fun (seed, want) ->
+          incr runs;
+          let cmd =
+            Filename.quote_command exe ~stdout:out
+              [ "run"; "--toy"; "--workload"; workload; "--seed"; seed ]
+          in
+          let got = if Sys.command cmd = 0 then parse out else None in
+          List.iter
+            (fun k ->
+              if Option.bind got (J.member k) <> J.member k want then begin
+                incr bad;
+                Printf.eprintf "digests: %s seed %s: %s differs from the recorded one\n"
+                  workload seed k
+              end)
+            [ "digest"; "completed"; "errors" ])
+        (members seeds))
+    (Option.fold ~none:[] ~some:members toy);
+  Sys.remove out;
+  if !runs = 0 || !bad > 0 then exit 1;
   Printf.printf
-    "replication smoke: spike p99 %.2fx calm unreplicated vs %.2fx with %d \
-     replicas (pool balance %.2f, %d records shipped, %d crash(es) rejoined \
-     converged), suite JSON deterministic (%d bytes), schema intact\n"
-    (viral_overload_ratio s) (viral_p99_ratio s) v.v_replicas
-    s.vs_replicated.vr_unit_balance s.vs_replicated.vr_shipped_records
-    s.vs_replicated.vr_replica_crashes (String.length json)
-
-(* --- overload smoke (--overload-smoke) ---
-
-   The metastable-failure campaign at its committed seed, run twice:
-   byte-identical suite JSON across runs, schema intact, and the
-   overload floors must hold — the naive retry storm collapses goodput
-   past the spike (< 50% of calm) and never recovers within the
-   horizon, the budgeted/breaker/hint-honoring row recovers to >= 90%
-   of baseline within 8 sim-seconds and ends the horizon at >= 90% of
-   the calm row's final goodput, the controlled KDCs visibly shed
-   (busy + brownout > 0), and no row drops a request silently. *)
-let overload_smoke () =
-  let open Workloads.Loadgen in
-  let o = default_overload in
-  let s = run_overload o in
-  let json = Telemetry.Json.to_string (overload_suite_to_json s) in
-  let json2 =
-    Telemetry.Json.to_string (overload_suite_to_json (run_overload o))
-  in
-  if not (String.equal json json2) then begin
-    prerr_endline "overload smoke: re-run diverged (campaign determinism lost)";
-    exit 1
-  end;
-  let contains needle =
-    let nl = String.length needle and sl = String.length json in
-    let rec go i = i + nl <= sl && (String.sub json i nl = needle || go (i + 1)) in
-    go 0
-  in
-  List.iter
-    (fun k ->
-      if not (contains k) then begin
-        Printf.eprintf "overload smoke: BENCH_overload.json schema lost %s\n" k;
-        exit 1
-      end)
-    [ "\"config\""; "\"calm\""; "\"naive\""; "\"controlled\"";
-      "\"floor_failures\""; "\"goodput_baseline\""; "\"goodput_post\"";
-      "\"goodput_final\""; "\"recovery_s\""; "\"windows\"";
-      "\"busy_received\""; "\"breaker_trips\""; "\"budget_exhausted\"";
-      "\"arrived\""; "\"processed\""; "\"busy_rejections\"";
-      "\"brownout_sheds\""; "\"deadline_sheds\""; "\"residual_queue\"";
-      "\"silent_drops\"" ];
-  let fails = overload_floor_failures s in
-  List.iter (fun f -> Printf.eprintf "overload smoke: floor: %s\n" f) fails;
-  if fails <> [] then exit 1;
-  Printf.printf
-    "overload smoke: naive post-spike goodput %.1f/s vs calm %.1f/s \
-     (collapsed, never recovered); controlled recovered in %.1fs, %d busy + \
-     %d brownout sheds, 0 silent drops; suite JSON deterministic (%d bytes), \
-     schema intact\n"
-    s.os_naive.or_goodput_post s.os_calm.or_goodput_baseline
-    (match s.os_controlled.or_recovery_s with Some r -> r | None -> nan)
-    s.os_controlled.or_busy_rejections s.os_controlled.or_brownout_sheds
-    (String.length json)
+    "digests: %d toy-size perfbench runs reproduce their recorded digest, \
+     completed and error counts\n"
+    !runs
 
 (* --- docs check (--docs-check) ---
 
    Lint the documentation plane against Expframework.Catalog: every
    experiments subcommand must be named in EXPERIMENTS.md (as
    `experiments <name>`), every committed BENCH_*.json must be listed in
-   the catalog AND carry a `### `<file>`` section in BENCH.md, and every
+   the catalog AND carry a `### `<file>`` section in BENCH.md whose first
+   `Regenerate: `<command>`` line is the catalog's command, and every
    catalog bench entry must exist on disk. Run from the repo root or as
    a dune rule (where the sources sit one directory up). *)
 let docs_check () =
   let root = if Sys.file_exists "EXPERIMENTS.md" then "." else ".." in
-  let read_file path =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
+  let problems = ref [] in
+  let problem fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
+  let read name =
+    let p = Filename.concat root name in
+    if Sys.file_exists p then In_channel.with_open_bin p In_channel.input_all
+    else (problem "%s missing" name; "")
   in
+  let experiments_md = read "EXPERIMENTS.md" in
+  let bench_md = String.split_on_char '\n' (read "BENCH.md") in
   let contains hay needle =
     let nl = String.length needle and sl = String.length hay in
     let rec go i = i + nl <= sl && (String.sub hay i nl = needle || go (i + 1)) in
     go 0
   in
-  let problems = ref [] in
-  let problem fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  let experiments_md =
-    let p = Filename.concat root "EXPERIMENTS.md" in
-    if Sys.file_exists p then read_file p
-    else (problem "EXPERIMENTS.md missing"; "")
-  in
-  let bench_md =
-    let p = Filename.concat root "BENCH.md" in
-    if Sys.file_exists p then read_file p
-    else (problem "BENCH.md missing"; "")
+  (* The command on the first "Regenerate: `...`" line of [file]'s
+     section, if it has one. *)
+  let regenerate file =
+    let rec section = function
+      | [] -> None
+      | l :: rest -> if l = Printf.sprintf "### `%s`" file then command rest else section rest
+    and command = function
+      | [] -> None
+      | l :: rest -> (
+          if String.starts_with ~prefix:"### " l then None
+          else
+            match String.split_on_char '`' l with
+            | "Regenerate: " :: cmd :: _ -> Some cmd
+            | _ -> command rest)
+    in
+    section bench_md
   in
   List.iter
     (fun (name, _) ->
@@ -959,11 +813,14 @@ let docs_check () =
         problem "EXPERIMENTS.md has no section for `experiments %s`" name)
     Expframework.Catalog.experiments_subcommands;
   List.iter
-    (fun (file, _) ->
+    (fun (file, cmd) ->
       if not (Sys.file_exists (Filename.concat root file)) then
         problem "catalog lists %s but it is not committed" file;
-      if not (contains bench_md (Printf.sprintf "### `%s`" file)) then
-        problem "BENCH.md has no ### `%s` section" file)
+      match regenerate file with
+      | Some c when c = cmd -> ()
+      | Some c ->
+          problem "BENCH.md regenerates %s with `%s`, the catalog with `%s`" file c cmd
+      | None -> problem "BENCH.md has no ### `%s` section with a Regenerate: line" file)
     Expframework.Catalog.bench_files;
   Array.iter
     (fun f ->
@@ -979,7 +836,8 @@ let docs_check () =
   | [] ->
       Printf.printf
         "docs check: %d experiments subcommands and %d bench files all \
-         documented (EXPERIMENTS.md, BENCH.md)\n"
+         documented, every Regenerate: line the catalog's command \
+         (EXPERIMENTS.md, BENCH.md)\n"
         (List.length Expframework.Catalog.experiments_subcommands)
         (List.length Expframework.Catalog.bench_files)
   | ps ->
@@ -1019,33 +877,23 @@ let () =
   if Array.exists (( = ) "--load-smoke") Sys.argv then (load_smoke (); exit 0);
   if Array.exists (( = ) "--recovery-smoke") Sys.argv then
     (recovery_smoke (); exit 0);
-  if Array.exists (( = ) "--detect-smoke") Sys.argv then
-    (detect_smoke (); exit 0);
   if Array.exists (( = ) "--transport-smoke") Sys.argv then
     (transport_smoke (); exit 0);
-  if Array.exists (( = ) "--replication-smoke") Sys.argv then
-    (replication_smoke (); exit 0);
-  if Array.exists (( = ) "--overload-smoke") Sys.argv then
-    (overload_smoke (); exit 0);
   if Array.exists (( = ) "--docs-check") Sys.argv then (docs_check (); exit 0);
+  (match Sys.argv with
+  | [| _; "--digests"; exe; expected |] -> (digests exe expected; exit 0)
+  | _ -> ());
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in
   let cfg =
     if smoke then Benchmark.cfg ~limit:1 ~quota:(Time.second 0.001) ~kde:None ()
     else Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None ()
   in
   let rows = fits cfg tests in
-  let verdict, pct, iqr, faults_json = fault_gate cfg in
+  let faults, faults_json = fault_gate cfg in
   let faults_json = Telemetry.Json.to_string faults_json in
   if smoke then begin
     (* Schema guard for BENCH_faults.json: the gate's object, parsed back. *)
-    let parsed = Telemetry.Json.of_string faults_json in
-    List.iter
-      (fun key ->
-        match parsed with
-        | Ok j when Telemetry.Json.member key j <> None -> ()
-        | _ ->
-            Printf.eprintf "bench smoke: BENCH_faults.json schema lost %s\n" key;
-            exit 1)
+    check_schema "bench smoke" faults_json_path faults_json
       [ "fits"; "session_no_plane_ns"; "session_inert_plane_ns"; "session_jitter_plane_ns";
         "overhead_disabled_pct"; "overhead_disabled_iqr_pct"; "overhead_budget_pct"; "verdict" ];
     Printf.printf
@@ -1074,7 +922,7 @@ let () =
     output_char oc '\n';
     close_out oc;
     Printf.printf "fault-plane overhead:     %s (inert plane: %+.2f%% median, IQR %.2f)\n"
-      (Filename.concat (Sys.getcwd ()) faults_json_path) pct iqr;
+      (Filename.concat (Sys.getcwd ()) faults_json_path) faults.pct faults.iqr;
     (* Telemetry companion: one traced session per profile, each on its
        own fresh collector, exported as {profile: metrics}. Sharing one
        collector across the three sessions used to re-register every
@@ -1093,7 +941,11 @@ let () =
     let telemetry_json =
       Telemetry.Json.to_string (Telemetry.Json.Obj profile_metrics)
     in
-    if String.contains telemetry_json '#' then begin
+    let suffixed = function
+      | Telemetry.Json.Obj kvs -> List.exists (fun (k, _) -> String.contains k '#') kvs
+      | _ -> false
+    in
+    if List.exists (fun (_, m) -> suffixed m) profile_metrics then begin
       Printf.eprintf
         "telemetry companion: duplicate metric keys leaked into %s\n"
         telemetry_json_path;
@@ -1105,12 +957,11 @@ let () =
     close_out oc;
     Printf.printf "telemetry histograms:     %s\n"
       (Filename.concat (Sys.getcwd ()) telemetry_json_path);
-    match verdict with
-    | Over ->
-        Printf.eprintf
-          "fault-plane gate: inert plane costs %.2f%% (IQR %.2f) over fits, above the \
-           %.1f%% budget\n"
-          pct iqr fault_budget_pct;
-        exit 1
-    | Within | Unresolved -> ()
+    if faults.verdict = Over then begin
+      Printf.eprintf
+        "fault-plane gate: inert plane costs %.2f%% (IQR %.2f) over fits, above the \
+         %.1f%% budget\n"
+        faults.pct faults.iqr fault_budget_pct;
+      exit 1
+    end
   end

@@ -361,12 +361,63 @@ let print_load users shards kdcs active requests services seed lightweight
     (Filename.concat (Sys.getcwd ()) load_json_path)
     cpu
 
-(* The blended attack campaign: hide the paper's attacks inside benign
-   load, attach the detection plane, score against ground truth, persist
-   BENCH_detect.json. Exits nonzero unless at least three attack classes
-   clear detection rate >= 0.9 at false-positive rate <= 0.01, so CI can
-   gate on detector quality. *)
-let detect_json_path = "BENCH_detect.json"
+(* --- the campaign gates ---------------------------------------------
+
+   Every deterministic campaign goes through one driver. A full run writes
+   the campaign's BENCH file. [--quick] runs the runtest-sized campaign
+   twice and fails unless the two JSON documents are byte-identical, the
+   parsed document carries every schema key path and, at the committed
+   configuration, its MD5 is the recorded one. Either way the floors must
+   hold, or the command exits 1. *)
+type 'a campaign = {
+  name : string;
+  file : string;  (* what a full run writes *)
+  run : unit -> 'a;
+  print : 'a -> unit;
+  to_json : 'a -> Telemetry.Json.t;
+  floors : 'a -> string list;
+  schema : string list;  (* key paths, as Telemetry.Json.path reads them *)
+}
+
+let gate c ~quick ~pinned =
+  let r = c.run () in
+  c.print r;
+  let json = Telemetry.Json.to_string (c.to_json r) in
+  let fails = ref (List.map (( ^ ) "floor: ") (c.floors r)) in
+  let fail fmt = Printf.ksprintf (fun s -> fails := !fails @ [ s ]) fmt in
+  if quick then begin
+    if String.equal json (Telemetry.Json.to_string (c.to_json (c.run ()))) then
+      Printf.printf "\ndeterminism: re-run produced byte-identical JSON (%d bytes)\n"
+        (String.length json)
+    else fail "determinism: RE-RUN DIVERGED";
+    (match Telemetry.Json.of_string json with
+    | Ok j -> List.iter (fail "schema: %s missing") (Telemetry.Json.missing j c.schema)
+    | Error e -> fail "schema: the JSON does not parse back (%s)" e);
+    match pinned with
+    | None -> ()
+    | Some want ->
+        let got = Digest.to_hex (Digest.string json) in
+        if got = want then Printf.printf "digest: %s, as recorded\n" got
+        else fail "digest: %s, recorded %s" got want
+  end
+  else begin
+    let oc = open_out c.file in
+    output_string oc json;
+    output_char oc '\n';
+    close_out oc;
+    Printf.printf "\nmachine-readable results: %s\n"
+      (Filename.concat (Sys.getcwd ()) c.file)
+  end;
+  List.iter print_endline !fails;
+  if !fails <> [] then begin
+    Printf.printf "%s: FAILED\n" c.name;
+    exit 1
+  end
+  else Printf.printf "%s: all gates hold\n" c.name
+
+(* Every key path [p.k] for [p] in [prefixes], [k] in [keys]. *)
+let under prefixes keys =
+  List.concat_map (fun p -> List.map (fun k -> p ^ "." ^ k) keys) prefixes
 
 (* V4 plus the two fixes the rules lean on: preauthentication (so a
    guesser's wrong keys are visible as failures) and the replay cache V4
@@ -407,6 +458,13 @@ let print_campaign_score (score : Telemetry.Detect.score) =
     score.Telemetry.Detect.sc_benign score.Telemetry.Detect.sc_benign_flagged
     score.Telemetry.Detect.sc_false_positive_rate score.Telemetry.Detect.sc_alerts
 
+let detect_defaults = (100_000, 2_000, 60, 0xdefec7)
+
+(* The blended attack campaign: hide the paper's attacks inside benign
+   load, attach the detection plane, score against ground truth, persist
+   BENCH_detect.json. Fails unless at least three attack classes clear
+   detection rate >= 0.9 at false-positive rate <= 0.01, so CI can gate
+   on detector quality. *)
 let print_detect users active requests seed quick =
   let cfg, mix, policy =
     if quick then
@@ -442,44 +500,39 @@ let print_detect users active requests seed quick =
     cfg.Workloads.Loadgen.requests_per_client mix.Workloads.Attack_mix.guessers
     mix.Workloads.Attack_mix.harvesters mix.Workloads.Attack_mix.replayers
     mix.Workloads.Attack_mix.forgers;
-  let det, campaign = Workloads.Loadgen.run_campaign ?policy ~mix cfg in
-  print_string (Telemetry.Detect.report det);
-  print_newline ();
-  print_campaign_score campaign.Workloads.Loadgen.ca_score;
-  let json = Telemetry.Json.to_string (Workloads.Loadgen.campaign_to_json campaign) in
-  let failures = ref 0 in
-  if quick then begin
-    (* Determinism: the same seed must serialize to the same bytes. *)
-    let _, campaign2 = Workloads.Loadgen.run_campaign ?policy ~mix cfg in
-    let json2 =
-      Telemetry.Json.to_string (Workloads.Loadgen.campaign_to_json campaign2)
-    in
-    if String.equal json json2 then
-      Printf.printf "\ndeterminism: re-run produced byte-identical campaign JSON (%d bytes)\n"
-        (String.length json)
-    else begin
-      print_endline "\ndeterminism: RE-RUN DIVERGED";
-      incr failures
-    end
-  end
-  else begin
-    let oc = open_out detect_json_path in
-    output_string oc json;
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "\nmachine-readable results: %s\n"
-      (Filename.concat (Sys.getcwd ()) detect_json_path)
-  end;
-  let good = detect_floor_classes campaign.Workloads.Loadgen.ca_score in
-  Printf.printf
-    "detection floor: %d/%d classes at rate >= 0.9 with FPR <= 0.01 (need >= 3)\n"
-    (List.length good)
-    (List.length campaign.Workloads.Loadgen.ca_score.Telemetry.Detect.sc_classes);
-  if List.length good < 3 then incr failures;
-  if !failures > 0 then begin
-    print_endline "detect: FAILED";
-    exit 1
-  end
+  let score (_, c) = c.Workloads.Loadgen.ca_score in
+  gate ~quick
+    ~pinned:
+      (if (users, active, requests, seed) = detect_defaults then
+         Some "36b6f89aa7ecd544a6f1c492d2e97e20"
+       else None)
+    { name = "detect"; file = "BENCH_detect.json";
+      run = (fun () -> Workloads.Loadgen.run_campaign ?policy ~mix cfg);
+      print =
+        (fun ((det, _) as r) ->
+          print_string (Telemetry.Detect.report det);
+          print_newline ();
+          print_campaign_score (score r);
+          Printf.printf
+            "detection floor: %d/%d classes at rate >= 0.9 with FPR <= 0.01 \
+             (need >= 3)\n"
+            (List.length (detect_floor_classes (score r)))
+            (List.length (score r).Telemetry.Detect.sc_classes));
+      to_json = (fun (_, c) -> Workloads.Loadgen.campaign_to_json c);
+      floors =
+        (fun r ->
+          if List.length (detect_floor_classes (score r)) >= 3 then []
+          else [ "fewer than 3 attack classes at rate >= 0.9 with FPR <= 0.01" ]);
+      schema =
+        [ "config.profile"; "mix.guessers"; "policy.warmup"; "policy.burst_factor";
+          "report.completed"; "detector_events"; "labels.0.class";
+          "alerts.0.rule"; "alerts.0.subject"; "alerts.0.evidence";
+          "score.benign_subjects"; "score.benign_flagged" ]
+        @ under
+            (List.map (( ^ ) "score.classes.")
+               [ "password_guess"; "ticket_harvest"; "replay_auth"; "forged_ticket" ])
+            [ "attackers"; "detected"; "detection_rate"; "false_positive_rate";
+              "mean_ttd"; "max_ttd" ] }
 
 (* The replication campaign: one service goes viral. Three same-seed runs
    (calm baseline, spike through the primary alone, spike against a
@@ -487,8 +540,6 @@ let print_detect users active requests seed quick =
    floors BENCH_replication.json commits to: overload visible without
    replicas, p99 TGS flat (<= 1.2x calm) and the pool balanced (max/mean
    <= 1.5) with them, replica state converged at quiesce. *)
-let replication_json_path = "BENCH_replication.json"
-
 let print_viral_rows (s : Workloads.Loadgen.viral_suite) =
   let open Workloads.Loadgen in
   Expframework.Table.print
@@ -536,40 +587,22 @@ let print_replicate seed quick =
     v.v_base.users v.v_base.shards v.v_spike_service v.v_spike_at
     v.v_spike_clients v.v_spike_requests v.v_replicas v.v_ship_every
     v.v_max_lag;
-  let s = run_viral v in
-  print_viral_rows s;
-  let json = Telemetry.Json.to_string (viral_suite_to_json s) in
-  let failures = ref 0 in
-  if quick then begin
-    let s2 = run_viral v in
-    let json2 = Telemetry.Json.to_string (viral_suite_to_json s2) in
-    if String.equal json json2 then
-      Printf.printf
-        "\ndeterminism: re-run produced byte-identical suite JSON (%d bytes)\n"
-        (String.length json)
-    else begin
-      print_endline "\ndeterminism: RE-RUN DIVERGED";
-      incr failures
-    end
-  end
-  else begin
-    let oc = open_out replication_json_path in
-    output_string oc json;
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "\nmachine-readable results: %s\n"
-      (Filename.concat (Sys.getcwd ()) replication_json_path)
-  end;
-  let floor_fails = viral_floor_failures s in
-  List.iter (fun f -> Printf.printf "floor: %s\n" f) floor_fails;
-  if floor_fails <> [] then incr failures;
-  if !failures > 0 then begin
-    print_endline "replicate: FAILED";
-    exit 1
-  end
-  else print_endline "replicate: all floors hold"
-
-let overload_json_path = "BENCH_overload.json"
+  gate ~quick
+    ~pinned:
+      (if Int64.of_int seed = default_viral.v_base.seed then
+         Some "95bfdd884d6cc8bdddb2b2b4b0ac7e15"
+       else None)
+    { name = "replicate"; file = "BENCH_replication.json";
+      run = (fun () -> run_viral v); print = print_viral_rows;
+      to_json = viral_suite_to_json; floors = viral_floor_failures;
+      schema =
+        [ "config.base.users"; "config.replicas"; "overload_p99_ratio";
+          "replicated_p99_ratio"; "floor_failures" ]
+        @ under
+            [ "calm"; "unreplicated"; "replicated" ]
+            [ "tgs_latency.p99"; "shard_lookup_balance"; "unit_reads.primary";
+              "unit_balance"; "fresh_fallbacks"; "shipped_records"; "catchups";
+              "max_lag_seen"; "replica_crashes"; "converged" ] }
 
 let print_overload_rows (s : Workloads.Loadgen.overload_suite) =
   let open Workloads.Loadgen in
@@ -608,38 +641,22 @@ let print_overload seed quick =
     o.o_spike_requests o.o_spike_think o.o_base.kdcs o.o_service_time
     o.o_queue_limit o.o_brownout_at o.o_retries o.o_retry_budget
     o.o_breaker_threshold o.o_breaker_cooldown o.o_deadline;
-  let s = run_overload o in
-  print_overload_rows s;
-  let json = Telemetry.Json.to_string (overload_suite_to_json s) in
-  let failures = ref 0 in
-  if quick then begin
-    let s2 = run_overload o in
-    let json2 = Telemetry.Json.to_string (overload_suite_to_json s2) in
-    if String.equal json json2 then
-      Printf.printf
-        "\ndeterminism: re-run produced byte-identical suite JSON (%d bytes)\n"
-        (String.length json)
-    else begin
-      print_endline "\ndeterminism: RE-RUN DIVERGED";
-      incr failures
-    end
-  end
-  else begin
-    let oc = open_out overload_json_path in
-    output_string oc json;
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "\nmachine-readable results: %s\n"
-      (Filename.concat (Sys.getcwd ()) overload_json_path)
-  end;
-  let floor_fails = overload_floor_failures s in
-  List.iter (fun f -> Printf.printf "floor: %s\n" f) floor_fails;
-  if floor_fails <> [] then incr failures;
-  if !failures > 0 then begin
-    print_endline "overload: FAILED";
-    exit 1
-  end
-  else print_endline "overload: all floors hold"
+  gate ~quick
+    ~pinned:
+      (if Int64.of_int seed = default_overload.o_base.seed then
+         Some "402ff3b4fcc9ad97a00dcaeef5fb5c8f"
+       else None)
+    { name = "overload"; file = "BENCH_overload.json";
+      run = (fun () -> run_overload o); print = print_overload_rows;
+      to_json = overload_suite_to_json; floors = overload_floor_failures;
+      schema =
+        [ "config.base.users"; "config.queue_limit"; "floor_failures" ]
+        @ under
+            [ "calm"; "naive"; "controlled" ]
+            [ "goodput_baseline"; "goodput_post"; "goodput_final"; "recovery_s";
+              "windows.0"; "busy_received"; "breaker_trips"; "budget_exhausted";
+              "arrived"; "processed"; "busy_rejections"; "brownout_sheds";
+              "deadline_sheds"; "residual_queue"; "silent_drops" ] }
 
 let run_all () =
   print_matrix ();
@@ -778,22 +795,28 @@ let load_cmd =
       const print_load $ users $ shards $ kdcs $ active $ requests $ services
       $ seed $ lightweight $ lazy_users $ quick)
 
+(* The campaigns' shared options. *)
+let seed_opt default =
+  Arg.(value & opt int default & info [ "seed" ] ~docv:"N" ~doc:"Campaign seed.")
+
+let quick_flag file =
+  let doc =
+    Printf.sprintf
+      "Runtest-sized campaign, run twice: fails unless the two JSON \
+       documents are byte-identical, carry every schema key path and, at \
+       the committed options, match the recorded digest; no %s."
+      file
+  in
+  Arg.(value & flag & info [ "quick" ] ~doc)
+
 let detect_cmd =
   let opt_int name ~default ~doc =
     Arg.(value & opt int default & info [ name ] ~docv:"N" ~doc)
   in
-  let users = opt_int "users" ~default:100_000 ~doc:"Principals in the realm." in
-  let active = opt_int "active" ~default:2_000 ~doc:"Benign clients driving traffic." in
-  let requests = opt_int "requests" ~default:60 ~doc:"Requests per benign client." in
-  let seed = opt_int "seed" ~default:0xdefec7 ~doc:"Campaign seed." in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:
-            "Runtest-sized campaign, run twice to assert byte-identical \
-             JSON; no BENCH_detect.json.")
-  in
+  let users, active, requests, seed = detect_defaults in
+  let users = opt_int "users" ~default:users ~doc:"Principals in the realm." in
+  let active = opt_int "active" ~default:active ~doc:"Benign clients driving traffic." in
+  let requests = opt_int "requests" ~default:requests ~doc:"Requests per benign client." in
   Cmd.v
     (Cmd.info "detect"
        ~doc:
@@ -802,23 +825,11 @@ let detect_cmd =
           benign load, score the detection plane against ground truth, \
           and write BENCH_detect.json (exits nonzero unless >= 3 attack \
           classes clear detection rate >= 0.9 at FPR <= 0.01)")
-    Term.(const print_detect $ users $ active $ requests $ seed $ quick)
+    Term.(
+      const print_detect $ users $ active $ requests $ seed_opt seed
+      $ quick_flag "BENCH_detect.json")
 
 let replicate_cmd =
-  let seed =
-    Arg.(
-      value
-      & opt int (Int64.to_int Workloads.Loadgen.default_viral.v_base.seed)
-      & info [ "seed" ] ~docv:"N" ~doc:"Campaign seed.")
-  in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:
-            "Runtest-sized campaign, run twice to assert byte-identical \
-             JSON; no BENCH_replication.json.")
-  in
   Cmd.v
     (Cmd.info "replicate"
        ~doc:
@@ -827,23 +838,12 @@ let replicate_cmd =
           replicas, with a replica crash + rejoin mid-storm; writes \
           BENCH_replication.json and exits nonzero unless p99 stays flat, \
           the pool balances, and the replicas converge")
-    Term.(const print_replicate $ seed $ quick)
+    Term.(
+      const print_replicate
+      $ seed_opt (Int64.to_int Workloads.Loadgen.default_viral.v_base.seed)
+      $ quick_flag "BENCH_replication.json")
 
 let overload_cmd =
-  let seed =
-    Arg.(
-      value
-      & opt int (Int64.to_int Workloads.Loadgen.default_overload.o_base.seed)
-      & info [ "seed" ] ~docv:"N" ~doc:"Campaign seed.")
-  in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:
-            "Runtest-sized campaign, run twice to assert byte-identical \
-             JSON; no BENCH_overload.json.")
-  in
   Cmd.v
     (Cmd.info "overload"
        ~doc:
@@ -853,7 +853,10 @@ let overload_cmd =
           control + retry budgets + circuit breakers + retry-after + \
           deadlines recover it within bounded sim-seconds; writes \
           BENCH_overload.json and exits nonzero unless the floors hold")
-    Term.(const print_overload $ seed $ quick)
+    Term.(
+      const print_overload
+      $ seed_opt (Int64.to_int Workloads.Loadgen.default_overload.o_base.seed)
+      $ quick_flag "BENCH_overload.json")
 
 let () =
   let default = Term.(const run_all $ const ()) in

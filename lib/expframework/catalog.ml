@@ -2,7 +2,8 @@
    walks this to fail the build when the docs drift: every experiments
    subcommand must be named in EXPERIMENTS.md (as `experiments <name>`)
    and every committed BENCH_*.json must have a BENCH.md section (headed
-   `### `<file>``). bin/experiments.ml asserts its cmdliner group matches
+   `### `<file>``) whose Regenerate: line is the exact command below,
+   the one that writes the committed file. bin/experiments.ml asserts its cmdliner group matches
    [experiments_subcommands] at startup, so a subcommand cannot be added
    without landing here — and therefore not without landing in the
    docs. *)
@@ -29,7 +30,9 @@ let bench_files =
   [ ("BENCH_crypto.json", "dune exec bench/main.exe");
     ("BENCH_faults.json", "dune exec bench/main.exe");
     ("BENCH_telemetry.json", "dune exec bench/main.exe");
-    ("BENCH_load.json", "dune exec bin/experiments.exe -- load");
+    ( "BENCH_load.json",
+      "dune exec bin/experiments.exe -- load --users 1000000 --shards 8 \
+       --kdcs 4 --active 2000 --requests 10 --lightweight --lazy" );
     ("BENCH_recovery.json", "dune exec bench/main.exe -- --recovery-smoke");
     ("BENCH_detect.json", "dune exec bin/experiments.exe -- detect");
     ("BENCH_transport.json", "dune exec bench/main.exe -- --transport-smoke");

@@ -11,6 +11,7 @@ val experiments_subcommands : (string * string) list
 
 val bench_files : (string * string) list
 (** [(filename, regeneration command)] for every committed
-    [BENCH_*.json]. BENCH.md must carry a [### `<filename>`] section for
-    each, and every [BENCH_*.json] present in the repo root must be
-    listed here. *)
+    [BENCH_*.json]: the exact command, options included, that writes the
+    committed file. BENCH.md must carry a [### `<filename>`] section for
+    each whose first [Regenerate: `<command>`] line is this command, and
+    every [BENCH_*.json] present in the repo root must be listed here. *)

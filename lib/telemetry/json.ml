@@ -222,6 +222,17 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
+let path p j =
+  List.fold_left
+    (fun acc seg ->
+      match (acc, int_of_string_opt seg) with
+      | Some (List l), Some i -> List.nth_opt l i
+      | Some v, _ -> member seg v
+      | None, _ -> None)
+    (Some j) (String.split_on_char '.' p)
+
+let missing j paths = List.filter (fun p -> path p j = None) paths
+
 let to_float = function Int i -> Some (float_of_int i) | Float f -> Some f | _ -> None
 let to_int = function Int i -> Some i | _ -> None
 let to_str = function Str s -> Some s | _ -> None

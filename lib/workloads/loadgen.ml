@@ -123,20 +123,44 @@ let breakdown_of tel =
    the attack world (replay victims) and the benign scoring set. *)
 let client_addr i = Sim.Addr.of_quad 10 (2 + (i / 250)) (i mod 250) 1
 
-let run_timed ?on_world cfg =
+(* --- the world every campaign runs in --------------------------------- *)
+
+type world = {
+  cfg : config;
+  tel : Telemetry.Collector.t;
+  engine : Sim.Engine.t;
+  net : Sim.Net.t;
+  rng : Util.Rng.t;
+  db : Kdb.t;
+  reads : Replication.t option;
+  kdcs : Kdc.t list;
+  kdc_addrs : (string * Sim.Addr.t) list;
+  services : (Principal.t * bytes * Sim.Addr.t) array;
+  pick : Util.Rng.t -> int;  (* a zipf draw over [services] *)
+  mutable completed : int;
+  mutable errors : int;
+}
+
+(* One realm on one simulated network: the TGS key, a pool of KDCs over
+   one sharded database, one echo service per host, and the population.
+   It draws from the seed in this order — the TGS key, each KDC's seed,
+   then each service's key and AP-server seed — and every campaign's
+   clients draw after it. [reads] builds the replica-aware read router
+   every KDC reads through; [admission] is every KDC's admission queue. *)
+let build ?reads ?admission cfg =
   validate cfg;
-  let t0 = Sys.time () in
   (* A private collector: latency histograms and KDC counters for this run
      only, clocked on this run's engine. Lightweight mode keeps exactly
-     the metrics the report below reads and skips the trace machinery. *)
+     the metrics the reports read and skips the trace machinery. *)
   let tel = Telemetry.Collector.create ~lightweight:cfg.lightweight () in
   let engine = Sim.Engine.create () in
   let net = Sim.Net.create ~telemetry:tel engine in
   let rng = Util.Rng.create cfg.seed in
   let db = Kdb.create ~shards:cfg.shards () in
   Kdb.add_service db (Principal.tgs ~realm) ~key:(Crypto.Des.random_key rng);
+  let reads = Option.map (fun f -> f tel db) reads in
   (* The KDC pool: every member serves the same sharded database. *)
-  let kdc_addrs =
+  let kdcs =
     List.init cfg.kdcs (fun i ->
         let host =
           Sim.Host.create ~name:(Printf.sprintf "kdc%02d" i)
@@ -144,11 +168,11 @@ let run_timed ?on_world cfg =
         in
         Sim.Net.attach net host;
         let kdc =
-          Kdc.create ~seed:(Util.Rng.next_int64 rng) ~telemetry:tel ~realm
-            ~profile:cfg.profile ~lifetime:cfg.lifetime db
+          Kdc.create ~seed:(Util.Rng.next_int64 rng) ~telemetry:tel ?reads
+            ?admission ~realm ~profile:cfg.profile ~lifetime:cfg.lifetime db
         in
         Kdc.install net host kdc ();
-        (realm, Sim.Host.primary_ip host))
+        (kdc, (realm, Sim.Host.primary_ip host)))
   in
   (* Application services, one host each, echo handlers. *)
   let services =
@@ -198,62 +222,115 @@ let run_timed ?on_world cfg =
       Kdb.add_user db (Principal.user ~realm u.Passwords.name)
         ~password:u.Passwords.password
     done;
-  (* Active clients: open-loop traffic. Each client's requests fire on a
-     fixed absolute schedule regardless of completions — arrival is not
-     gated on service, as in any open-loop load test. Request [j]
-     schedules request [j+1] when it fires (same instants as scheduling
-     the whole chain up front, without holding clients*requests closures
-     in the heap at once), and the ramp of start events goes in as one
-     bulk {!Sim.Engine.schedule_batch}. *)
-  let completed = ref 0 and errors = ref 0 in
-  let pick_service = zipf_sampler cfg in
+  { cfg; tel; engine; net; rng; db; reads; kdcs = List.map fst kdcs;
+    kdc_addrs = List.map snd kdcs; services; pick = zipf_sampler cfg;
+    completed = 0; errors = 0 }
+
+let failed w = w.errors <- w.errors + 1
+
+(* The world's client: key rotation over the pool, the configured cache. *)
+let client ?ccache w ~seed ~password host principal =
+  let ccache = Option.value ccache ~default:w.cfg.ccache in
+  Client.create ~seed ~password ~ccache ~kdc_rotation:true w.net host
+    ~profile:w.cfg.profile ~kdcs:w.kdc_addrs principal
+
+(* What each request of a wave does. *)
+type request =
+  | Echo of string * int option
+      (* a ticket, the AP exchange and one KRB_PRIV echo of the payload,
+         the channel closed once its reply is in; to the given service,
+         or to a zipf draw from a generator of the client's own *)
+  | Ticket of ((Client.credentials * Client.source, string) result -> unit)
+      (* a ticket for a zipf-drawn service, and nothing more *)
+  | Login  (* an AS exchange *)
+
+let login w c (u : Passwords.user) =
+  Client.login c ~password:u.password (function
+    | Ok _ -> ()
+    | Error _ -> failed w)
+
+let echo w c (principal, _, addr) payload =
+  Client.get_ticket c ~service:principal (function
+    | Error _ -> failed w
+    | Ok creds ->
+        Client.ap_exchange c creds ~dst:addr ~dport:600 (function
+          | Error _ -> failed w
+          | Ok chan ->
+              Client.call_priv c chan (Bytes.of_string payload) ~k:(fun r ->
+                  Client.close chan;
+                  match r with
+                  | Error _ -> failed w
+                  | Ok _ -> w.completed <- w.completed + 1)))
+
+(* One wave of open-loop clients; the defaults are the configured calm
+   load. Client [j] is user [first + j] on host [prefix ^ j] and starts at
+   [at] plus up to [jitter] seconds. It logs in there and fires request
+   [k] at [start + 1 + k * think] — a wave of logins fires its first at
+   [start] itself — whether or not earlier requests completed: arrival is
+   not gated on service. Request [k] schedules request [k+1] when it
+   fires (the same instants as scheduling the whole chain up front,
+   without holding clients*requests closures in the heap at once), and
+   the starts go in as one bulk {!Sim.Engine.schedule_batch}, the list
+   dropped at once. Per client it draws the client's seed, the request
+   generator if the requests draw services, then the start. A client
+   keeps nothing but its [fire] closure alive between requests: at 20,000
+   clients, one more closure each is a MiB of peak heap. *)
+let wave w ?(make = client w) ?(first = 0) ?(prefix = "c")
+    ?(clients = w.cfg.active_clients) ?(at = 0.0) ?(jitter = w.cfg.ramp)
+    ?(think = w.cfg.think_time) ?(requests = w.cfg.requests_per_client)
+    request =
   let starts = ref [] in
-  let clients =
-    Array.init cfg.active_clients (fun i ->
-        let u = user_of cfg i in
+  let logins = match request with Login -> true | _ -> false in
+  let lead = if logins then 0.0 else 1.0 in
+  let cs =
+    Array.init clients (fun j ->
+        let i = first + j in
+        let u = user_of w.cfg i in
         let host =
-          Sim.Host.create ~name:(Printf.sprintf "c%05d" i) ~ips:[ client_addr i ] ()
+          Sim.Host.create ~name:(Printf.sprintf "%s%05d" prefix j)
+            ~ips:[ client_addr i ] ()
         in
-        Sim.Net.attach net host;
-        let client =
-          Client.create ~seed:(Util.Rng.next_int64 rng)
-            ~password:u.Passwords.password ~ccache:cfg.ccache
-            ~kdc_rotation:true net host ~profile:cfg.profile ~kdcs:kdc_addrs
-            (Principal.user ~realm u.Passwords.name)
+        Sim.Net.attach w.net host;
+        let c =
+          make ~seed:(Util.Rng.next_int64 w.rng) ~password:u.Passwords.password
+            host (Principal.user ~realm u.Passwords.name)
         in
-        let crng = Util.Rng.create (Util.Rng.next_int64 rng) in
-        let start = Util.Rng.float rng cfg.ramp in
+        (* Only zipf draws need a generator; the others never read it. *)
+        let crng =
+          match request with
+          | Echo (_, None) | Ticket _ -> Util.Rng.split w.rng
+          | Echo (_, Some _) | Login -> w.rng
+        in
+        let start = at +. Util.Rng.float w.rng jitter in
         let rec fire j () =
-          let svc_principal, _, svc_addr = services.(pick_service crng) in
-          Client.get_ticket client ~service:svc_principal (function
-            | Error _ -> incr errors
-            | Ok creds ->
-                Client.ap_exchange client creds ~dst:svc_addr ~dport:600
-                  (function
-                  | Error _ -> incr errors
-                  | Ok chan ->
-                      Client.call_priv client chan (Bytes.of_string "PING")
-                        ~k:(fun r ->
-                          Client.close chan;
-                          match r with
-                          | Error _ -> incr errors
-                          | Ok _ -> incr completed)));
-          if j + 1 < cfg.requests_per_client then
-            Sim.Engine.schedule engine
-              ~at:(start +. 1.0 +. (float_of_int (j + 1) *. cfg.think_time))
+          (match request with
+          | Echo (payload, Some s) -> echo w c w.services.(s) payload
+          | Echo (payload, None) -> echo w c w.services.(w.pick crng) payload
+          | Ticket k ->
+              let principal, _, _ = w.services.(w.pick crng) in
+              Client.get_ticket_ex c ~service:principal k
+          | Login -> login w c u);
+          if j + 1 < requests then
+            Sim.Engine.schedule w.engine
+              ~at:(start +. lead +. (float_of_int (j + 1) *. think))
               (fire (j + 1))
         in
         starts :=
           ( start,
-            fun () ->
-              Client.login client ~password:u.Passwords.password (function
-                | Ok _ -> ()
-                | Error _ -> incr errors);
-              Sim.Engine.schedule engine ~at:(start +. 1.0) (fire 0) )
+            if logins then fire 0
+            else fun () ->
+              login w c u;
+              Sim.Engine.schedule w.engine ~at:(start +. lead) (fire 0) )
           :: !starts;
-        client)
+        c)
   in
-  Sim.Engine.schedule_batch engine (List.rev !starts);
+  Sim.Engine.schedule_batch w.engine (List.rev !starts);
+  cs
+
+let run_timed ?on_world cfg =
+  let t0 = Sys.time () in
+  let w = build cfg in
+  let clients = wave w (Echo ("PING", None)) in
   (* The attack plane, if any, schedules itself into the same engine now —
      after the benign world is fully built (splitting the generator here
      perturbs nothing: the benign run draws no more from [rng]). *)
@@ -261,24 +338,25 @@ let run_timed ?on_world cfg =
   | None -> ()
   | Some f ->
       f
-        { Attack_mix.w_net = net; w_engine = engine; w_rng = Util.Rng.split rng;
-          w_profile = cfg.profile; w_realm = realm;
-          w_kdcs = List.map snd kdc_addrs; w_services = services;
+        { Attack_mix.w_net = w.net; w_engine = w.engine;
+          w_rng = Util.Rng.split w.rng; w_profile = cfg.profile;
+          w_realm = realm; w_kdcs = List.map snd w.kdc_addrs;
+          w_services = w.services;
           w_client_addrs = Array.init cfg.active_clients client_addr;
           w_user = user_of cfg; w_users = cfg.users; w_active = cfg.active_clients }
-        tel);
+        w.tel);
   let setup_seconds = Sys.time () -. t0 in
   let t1 = Sys.time () in
-  Sim.Engine.run engine;
+  Sim.Engine.run w.engine;
   let run_seconds = Sys.time () -. t1 in
-  let m = Telemetry.Collector.metrics tel in
+  let m = Telemetry.Collector.metrics w.tel in
   let hist name = Telemetry.Metrics.histogram m name in
   let count name = Telemetry.Metrics.hist_count (hist name) in
   let hits = Array.fold_left (fun a c -> a + Client.ccache_hits c) 0 clients in
   let misses = Array.fold_left (fun a c -> a + Client.ccache_misses c) 0 clients in
-  let sim_seconds = Sim.Engine.now engine in
-  let events = Sim.Engine.executed engine in
-  ( { r_config = cfg; sim_seconds; completed = !completed; errors = !errors;
+  let sim_seconds = Sim.Engine.now w.engine in
+  let events = Sim.Engine.executed w.engine in
+  ( { r_config = cfg; sim_seconds; completed = w.completed; errors = w.errors;
       as_requests = count "span.kdc.as_req.seconds";
       tgs_requests = count "span.kdc.tgs_req.seconds";
       ap_exchanges = count "span.client.ap_exchange.seconds";
@@ -286,11 +364,11 @@ let run_timed ?on_world cfg =
       as_latency = percentiles_of_hist (hist "span.kdc.as_req.seconds");
       tgs_latency = percentiles_of_hist (hist "span.client.tgs_exchange.seconds");
       ap_latency = percentiles_of_hist (hist "span.client.ap_exchange.seconds");
-      shard_lookups = Kdb.shard_lookups db;
-      shard_entries = Kdb.shard_sizes db;
+      shard_lookups = Kdb.shard_lookups w.db;
+      shard_entries = Kdb.shard_sizes w.db;
       throughput =
-        (if sim_seconds > 0.0 then float_of_int !completed /. sim_seconds else 0.0);
-      span_breakdown = breakdown_of tel },
+        (if sim_seconds > 0.0 then float_of_int w.completed /. sim_seconds else 0.0);
+      span_breakdown = breakdown_of w.tel },
     { setup_seconds; run_seconds; events;
       events_per_second =
         (if run_seconds > 0.0 then float_of_int events /. run_seconds else 0.0) } )
@@ -422,7 +500,7 @@ let run_campaign ?policy ?(mix = Attack_mix.default_mix) cfg =
 
 (* Everything in this object is a function of (config, mix, policy, seed):
    no wall-clock numbers, so two runs at the same seed serialize to the
-   same bytes — the determinism the smoke test byte-compares. *)
+   same bytes — the determinism [experiments detect --quick] byte-compares. *)
 let campaign_to_json c =
   let open Telemetry.Json in
   Obj
@@ -586,7 +664,6 @@ type viral_row = {
 }
 
 let validate_viral v =
-  validate v.v_base;
   if v.v_replicas < 0 || v.v_replicas > 16 then
     invalid_arg "Loadgen: v_replicas out of range";
   if v.v_service_time < 0.0 then invalid_arg "Loadgen: negative service time";
@@ -602,168 +679,38 @@ let validate_viral v =
 
 let run_viral_one v ~label ~replicas ~spike =
   let cfg = v.v_base in
-  let tel = Telemetry.Collector.create ~lightweight:cfg.lightweight () in
-  let engine = Sim.Engine.create () in
-  let net = Sim.Net.create ~telemetry:tel engine in
-  let rng = Util.Rng.create cfg.seed in
-  let db = Kdb.create ~shards:cfg.shards () in
-  Kdb.add_service db (Principal.tgs ~realm) ~key:(Crypto.Des.random_key rng);
+  let w =
+    build cfg ~reads:(fun tel db ->
+        Replication.create ~service_time:v.v_service_time ~max_lag:v.v_max_lag
+          ~telemetry:tel db)
+  in
+  let router = Option.get w.reads in
   (* Population first, durability second: the initial checkpoint then
      covers the whole registered realm and replicas bootstrap from it
      instead of replaying one Put per principal. *)
-  let services =
-    Array.init cfg.services (fun i ->
-        let host =
-          Sim.Host.create ~name:(Printf.sprintf "svc%02d" i)
-            ~ips:[ Sim.Addr.of_quad 10 1 (i / 200) ((i mod 200) + 1) ] ()
-        in
-        Sim.Net.attach net host;
-        let principal =
-          Principal.service ~realm (Printf.sprintf "app%02d" i)
-            ~host:host.Sim.Host.name
-        in
-        let key = Crypto.Des.random_key rng in
-        Kdb.add_service db principal ~key;
-        let (_ : Apserver.t) =
-          Apserver.install ~seed:(Util.Rng.next_int64 rng) net host
-            ~profile:cfg.profile ~principal ~key ~port:600
-            ~handler:(fun _session ~client:_ data -> Some data)
-            ()
-        in
-        (principal, key, Sim.Host.primary_ip host))
-  in
-  for i = 0 to cfg.users - 1 do
-    let u = user_of cfg i in
-    Kdb.add_user db (Principal.user ~realm u.Passwords.name)
-      ~password:u.Passwords.password
-  done;
-  Kdb.enable_durability ~checkpoint_every:500 db;
-  let router =
-    Replication.create ~service_time:v.v_service_time ~max_lag:v.v_max_lag
-      ~telemetry:tel db
-  in
+  Kdb.enable_durability ~checkpoint_every:500 w.db;
   let pool_replicas =
     List.init replicas (fun i ->
         let r =
-          Kdb.attach_replica ~telemetry:tel db
+          Kdb.attach_replica ~telemetry:w.tel w.db
             ~name:(Printf.sprintf "replica%d" i)
         in
         Replication.add_replica router r;
         r)
   in
-  let kdc_addrs =
-    List.init cfg.kdcs (fun i ->
-        let host =
-          Sim.Host.create ~name:(Printf.sprintf "kdc%02d" i)
-            ~ips:[ Sim.Addr.of_quad 10 0 0 (i + 1) ] ()
-        in
-        Sim.Net.attach net host;
-        let kdc =
-          Kdc.create ~seed:(Util.Rng.next_int64 rng) ~telemetry:tel
-            ~reads:router ~realm ~profile:cfg.profile ~lifetime:cfg.lifetime db
-        in
-        Kdc.install net host kdc ();
-        (realm, Sim.Host.primary_ip host))
-  in
-  let completed = ref 0 and errors = ref 0 in
-  let pick_service = zipf_sampler cfg in
-  let starts = ref [] in
   (* The calm background: the same open-loop clients as {!run_timed}. *)
-  Array.iteri
-    (fun i () ->
-      let u = user_of cfg i in
-      let host =
-        Sim.Host.create ~name:(Printf.sprintf "c%05d" i)
-          ~ips:[ client_addr i ] ()
-      in
-      Sim.Net.attach net host;
-      let client =
-        Client.create ~seed:(Util.Rng.next_int64 rng)
-          ~password:u.Passwords.password ~ccache:cfg.ccache ~kdc_rotation:true
-          net host ~profile:cfg.profile ~kdcs:kdc_addrs
-          (Principal.user ~realm u.Passwords.name)
-      in
-      let crng = Util.Rng.create (Util.Rng.next_int64 rng) in
-      let start = Util.Rng.float rng cfg.ramp in
-      let rec fire j () =
-        let svc_principal, _, svc_addr = services.(pick_service crng) in
-        Client.get_ticket client ~service:svc_principal (function
-          | Error _ -> incr errors
-          | Ok creds ->
-              Client.ap_exchange client creds ~dst:svc_addr ~dport:600
-                (function
-                | Error _ -> incr errors
-                | Ok chan ->
-                    Client.call_priv client chan (Bytes.of_string "PING")
-                      ~k:(fun r ->
-                        Client.close chan;
-                        match r with
-                        | Error _ -> incr errors
-                        | Ok _ -> incr completed)));
-        if j + 1 < cfg.requests_per_client then
-          Sim.Engine.schedule engine
-            ~at:(start +. 1.0 +. (float_of_int (j + 1) *. cfg.think_time))
-            (fire (j + 1))
-      in
-      starts :=
-        ( start,
-          fun () ->
-            Client.login client ~password:u.Passwords.password (function
-              | Ok _ -> ()
-              | Error _ -> incr errors);
-            Sim.Engine.schedule engine ~at:(start +. 1.0) (fire 0) )
-        :: !starts)
-    (Array.make cfg.active_clients ());
+  ignore (wave w (Echo ("PING", None)) : Client.t array);
   (* The viral wave: cache-less clients, all aimed at one service, open
      loop at a much hotter think time. Cache-less is the realistic shape —
      a service suddenly popular is popular with *new* clients, who all
      need tickets. *)
   if spike then
-    Array.iteri
-      (fun j () ->
-        let i = cfg.active_clients + j in
-        let u = user_of cfg i in
-        let host =
-          Sim.Host.create ~name:(Printf.sprintf "v%05d" j)
-            ~ips:[ client_addr i ] ()
-        in
-        Sim.Net.attach net host;
-        let client =
-          Client.create ~seed:(Util.Rng.next_int64 rng)
-            ~password:u.Passwords.password ~ccache:false ~kdc_rotation:true
-            net host ~profile:cfg.profile ~kdcs:kdc_addrs
-            (Principal.user ~realm u.Passwords.name)
-        in
-        let svc_principal, _, svc_addr = services.(v.v_spike_service) in
-        let start = v.v_spike_at +. Util.Rng.float rng 1.0 in
-        let rec fire j () =
-          Client.get_ticket client ~service:svc_principal (function
-            | Error _ -> incr errors
-            | Ok creds ->
-                Client.ap_exchange client creds ~dst:svc_addr ~dport:600
-                  (function
-                  | Error _ -> incr errors
-                  | Ok chan ->
-                      Client.call_priv client chan (Bytes.of_string "VIRAL")
-                        ~k:(fun r ->
-                          Client.close chan;
-                          match r with
-                          | Error _ -> incr errors
-                          | Ok _ -> incr completed)));
-          if j + 1 < v.v_spike_requests then
-            Sim.Engine.schedule engine
-              ~at:(start +. 1.0 +. (float_of_int (j + 1) *. v.v_spike_think))
-              (fire (j + 1))
-        in
-        starts :=
-          ( start,
-            fun () ->
-              Client.login client ~password:u.Passwords.password (function
-                | Ok _ -> ()
-                | Error _ -> incr errors);
-              Sim.Engine.schedule engine ~at:(start +. 1.0) (fire 0) )
-          :: !starts)
-      (Array.make v.v_spike_clients ());
+    ignore
+      (wave w ~make:(client ~ccache:false w) ~first:cfg.active_clients
+         ~prefix:"v" ~clients:v.v_spike_clients ~at:v.v_spike_at ~jitter:1.0
+         ~think:v.v_spike_think ~requests:v.v_spike_requests
+         (Echo ("VIRAL", Some v.v_spike_service))
+        : Client.t array);
   let base_end =
     cfg.ramp +. 1.0
     +. (float_of_int cfg.requests_per_client *. cfg.think_time)
@@ -790,10 +737,10 @@ let run_viral_one v ~label ~replicas ~spike =
       if lag > !max_lag_seen then max_lag_seen := lag;
       shipped := !shipped + Replication.ship_if_lagged ~fraction:0.5 router;
       if at < horizon then
-        Sim.Engine.schedule engine ~at:(at +. v.v_ship_every)
+        Sim.Engine.schedule w.engine ~at:(at +. v.v_ship_every)
           (ship_tick (at +. v.v_ship_every))
     in
-    Sim.Engine.schedule engine ~at:v.v_ship_every (ship_tick v.v_ship_every)
+    Sim.Engine.schedule w.engine ~at:v.v_ship_every (ship_tick v.v_ship_every)
   end;
   (* Background password churn on a user pool nobody logs in as: write
      traffic for the WAL to ship, and the reason the freshness floor
@@ -803,13 +750,13 @@ let run_viral_one v ~label ~replicas ~spike =
     let rec churn_tick n at () =
       let i = churn_base + (n mod 50) in
       let u = user_of cfg i in
-      Kdb.add_user db (Principal.user ~realm u.Passwords.name)
+      Kdb.add_user w.db (Principal.user ~realm u.Passwords.name)
         ~password:(Printf.sprintf "%s#%d" u.Passwords.password n);
       if at < horizon then
-        Sim.Engine.schedule engine ~at:(at +. v.v_churn_every)
+        Sim.Engine.schedule w.engine ~at:(at +. v.v_churn_every)
           (churn_tick (n + 1) (at +. v.v_churn_every))
     in
-    Sim.Engine.schedule engine ~at:1.0 (churn_tick 0 1.0)
+    Sim.Engine.schedule w.engine ~at:1.0 (churn_tick 0 1.0)
   end;
   (* A replica dies in the middle of the storm and rejoins through the
      reconcile machinery while writes keep flowing. *)
@@ -817,14 +764,13 @@ let run_viral_one v ~label ~replicas ~spike =
   (match (v.v_crash_replica && spike, pool_replicas) with
   | true, r0 :: _ ->
       let mid = v.v_spike_at +. 1.0 in
-      Sim.Engine.schedule engine ~at:mid (fun () ->
+      Sim.Engine.schedule w.engine ~at:mid (fun () ->
           incr crashes;
           Kdb.replica_crash r0);
-      Sim.Engine.schedule engine ~at:(mid +. 0.6) (fun () ->
+      Sim.Engine.schedule w.engine ~at:(mid +. 0.6) (fun () ->
           ignore (Kdb.replica_rejoin r0 : int))
   | _ -> ());
-  Sim.Engine.schedule_batch engine (List.rev !starts);
-  Sim.Engine.run engine;
+  Sim.Engine.run w.engine;
   (* Quiesce: one final shipping round, then convergence is digest +
      version-vector equality on every subscribed shard. *)
   shipped := !shipped + Replication.ship_all router;
@@ -832,20 +778,20 @@ let run_viral_one v ~label ~replicas ~spike =
     List.for_all
       (fun r ->
         let rdb = Kdb.replica_db r in
-        Kdb.version_vector rdb = Kdb.version_vector db
-        && Kdb.digests rdb = Kdb.digests db)
+        Kdb.version_vector rdb = Kdb.version_vector w.db
+        && Kdb.digests rdb = Kdb.digests w.db)
       pool_replicas
   in
-  let m = Telemetry.Collector.metrics tel in
+  let m = Telemetry.Collector.metrics w.tel in
   let hist name = Telemetry.Metrics.histogram m name in
   let unit_reads = Replication.unit_reads router in
   { vr_label = label;
-    vr_completed = !completed;
-    vr_errors = !errors;
+    vr_completed = w.completed;
+    vr_errors = w.errors;
     vr_as_requests = Telemetry.Metrics.hist_count (hist "span.kdc.as_req.seconds");
     vr_tgs_requests = Telemetry.Metrics.hist_count (hist "span.kdc.tgs_req.seconds");
     vr_tgs_latency = percentiles_of_hist (hist "span.client.tgs_exchange.seconds");
-    vr_shard_lookup_balance = max_over_mean (Kdb.shard_lookups db);
+    vr_shard_lookup_balance = max_over_mean (Kdb.shard_lookups w.db);
     vr_unit_reads = unit_reads;
     vr_unit_balance =
       max_over_mean (Array.of_list (List.map snd unit_reads));
@@ -857,7 +803,7 @@ let run_viral_one v ~label ~replicas ~spike =
     vr_max_lag_seen = !max_lag_seen;
     vr_replica_crashes = !crashes;
     vr_converged = converged;
-    vr_sim_seconds = Sim.Engine.now engine }
+    vr_sim_seconds = Sim.Engine.now w.engine }
 
 type viral_suite = {
   vs_config : viral_config;
@@ -886,8 +832,8 @@ let viral_overload_ratio s =
     s.vs_unreplicated.vr_tgs_latency.p99 /. s.vs_calm.vr_tgs_latency.p99
   else 1.0
 
-(* The gates BENCH_replication.json and the smoke rule enforce. Returns
-   human-readable violations; [] is a pass. *)
+(* The gates BENCH_replication.json and [experiments replicate] enforce.
+   Returns human-readable violations; [] is a pass. *)
 let viral_floor_failures s =
   let fails = ref [] in
   let check cond msg = if not cond then fails := msg :: !fails in
@@ -1032,7 +978,6 @@ let overload_spike_end o =
   o.o_spike_at +. 0.5 +. (float_of_int o.o_spike_requests *. o.o_spike_think)
 
 let validate_overload o =
-  validate o.o_base;
   if o.o_service_time < 0.0 then invalid_arg "Loadgen: negative service time";
   if o.o_queue_limit < 1 then invalid_arg "Loadgen: queue limit out of range";
   if o.o_spike_clients < 1 || o.o_spike_requests < 1 then
@@ -1080,28 +1025,6 @@ type overload_row = {
 
 let run_overload_one o ~label ~spike ~hygiene =
   let cfg = o.o_base in
-  let tel = Telemetry.Collector.create ~lightweight:cfg.lightweight () in
-  let engine = Sim.Engine.create () in
-  let net = Sim.Net.create ~telemetry:tel engine in
-  let rng = Util.Rng.create cfg.seed in
-  let db = Kdb.create ~shards:cfg.shards () in
-  Kdb.add_service db (Principal.tgs ~realm) ~key:(Crypto.Des.random_key rng);
-  (* Service principals only — the campaign measures ticket goodput, so
-     nobody runs an AP exchange and the services need no hosts. *)
-  let services =
-    Array.init cfg.services (fun i ->
-        let principal =
-          Principal.service ~realm (Printf.sprintf "app%02d" i)
-            ~host:(Printf.sprintf "svc%02d" i)
-        in
-        Kdb.add_service db principal ~key:(Crypto.Des.random_key rng);
-        principal)
-  in
-  for i = 0 to cfg.users - 1 do
-    let u = user_of cfg i in
-    Kdb.add_user db (Principal.user ~realm u.Passwords.name)
-      ~password:u.Passwords.password
-  done;
   let admission =
     if hygiene then
       { Kdc.queue_limit = o.o_queue_limit;
@@ -1121,121 +1044,55 @@ let run_overload_one o ~label ~spike ~hygiene =
         suspect_rate = max_int;
         classes = false }
   in
-  let kdc_pool = ref [] in
-  let kdc_addrs =
-    List.init cfg.kdcs (fun i ->
-        let host =
-          Sim.Host.create ~name:(Printf.sprintf "kdc%02d" i)
-            ~ips:[ Sim.Addr.of_quad 10 0 0 (i + 1) ] ()
-        in
-        Sim.Net.attach net host;
-        let kdc =
-          Kdc.create ~seed:(Util.Rng.next_int64 rng) ~telemetry:tel ~admission
-            ~realm ~profile:cfg.profile ~lifetime:cfg.lifetime db
-        in
-        kdc_pool := kdc :: !kdc_pool;
-        Kdc.install net host kdc ();
-        (realm, Sim.Host.primary_ip host))
-  in
-  let mk_client ~seed ~password host principal =
+  (* The campaign measures ticket goodput: nobody runs an AP exchange, so
+     the echo services stand idle. *)
+  let w = build ~admission cfg in
+  let make ~seed ~password host principal =
     if hygiene then
       Client.create ~seed ~password ~ccache:false ~kdc_rotation:true
         ~kdc_retries:o.o_retries ~retry_budget:o.o_retry_budget
         ~breaker_threshold:o.o_breaker_threshold
         ~breaker_cooldown:o.o_breaker_cooldown ~honor_retry_after:true
-        ~kdc_deadline:o.o_deadline net host ~profile:cfg.profile
-        ~kdcs:kdc_addrs principal
+        ~kdc_deadline:o.o_deadline w.net host ~profile:cfg.profile
+        ~kdcs:w.kdc_addrs principal
     else
       Client.create ~seed ~password ~ccache:false ~kdc_rotation:true
-        ~kdc_retries:o.o_retries net host ~profile:cfg.profile
-        ~kdcs:kdc_addrs principal
+        ~kdc_retries:o.o_retries w.net host ~profile:cfg.profile
+        ~kdcs:w.kdc_addrs principal
   in
   let nwin = int_of_float (o.o_horizon /. o.o_window) in
   let windows = Array.make (max nwin 1) 0 in
-  let completed = ref 0 and errors = ref 0 and degraded = ref 0 in
-  let all_clients = ref [] in
+  let degraded = ref 0 in
   let record_completion () =
-    incr completed;
-    let w = int_of_float (Sim.Engine.now engine /. o.o_window) in
-    if w >= 0 && w < nwin then windows.(w) <- windows.(w) + 1
+    w.completed <- w.completed + 1;
+    let i = int_of_float (Sim.Engine.now w.engine /. o.o_window) in
+    if i >= 0 && i < nwin then windows.(i) <- windows.(i) + 1
   in
-  let pick_service = zipf_sampler cfg in
-  let starts = ref [] in
   (* The calm population: open-loop TGS traffic, the goodput being
      defended. Only [From_kdc] answers count — wallet fallbacks keep the
      client alive but are not KDC goodput. *)
-  Array.iteri
-    (fun i () ->
-      let u = user_of cfg i in
-      let host =
-        Sim.Host.create ~name:(Printf.sprintf "c%05d" i)
-          ~ips:[ client_addr i ] ()
-      in
-      Sim.Net.attach net host;
-      let client =
-        mk_client ~seed:(Util.Rng.next_int64 rng) ~password:u.Passwords.password
-          host
-          (Principal.user ~realm u.Passwords.name)
-      in
-      all_clients := client :: !all_clients;
-      let crng = Util.Rng.create (Util.Rng.next_int64 rng) in
-      let start = Util.Rng.float rng cfg.ramp in
-      let rec fire j () =
-        Client.get_ticket_ex client ~service:services.(pick_service crng)
-          (function
-          | Ok (_, Client.From_kdc) -> record_completion ()
-          | Ok (_, Client.From_cache) -> ()
-          | Ok (_, Client.Degraded) -> incr degraded
-          | Error _ -> incr errors);
-        if j + 1 < cfg.requests_per_client then
-          Sim.Engine.schedule engine
-            ~at:(start +. 1.0 +. (float_of_int (j + 1) *. cfg.think_time))
-            (fire (j + 1))
-      in
-      starts :=
-        ( start,
-          fun () ->
-            Client.login client ~password:u.Passwords.password (function
-              | Ok _ -> ()
-              | Error _ -> incr errors);
-            Sim.Engine.schedule engine ~at:(start +. 1.0) (fire 0) )
-        :: !starts)
-    (Array.make cfg.active_clients ());
+  let calm =
+    wave w ~make
+      (Ticket
+         (function
+         | Ok (_, Client.From_kdc) -> record_completion ()
+         | Ok (_, Client.From_cache) -> ()
+         | Ok (_, Client.Degraded) -> incr degraded
+         | Error _ -> failed w))
+  in
   (* The spike: a wave of fresh clients all logging in at once — the
      morning-rush AS storm, open loop. Their padata makes each request
      expensive in the brownout sense. *)
-  if spike then
-    Array.iteri
-      (fun j () ->
-        let i = cfg.active_clients + j in
-        let u = user_of cfg i in
-        let host =
-          Sim.Host.create ~name:(Printf.sprintf "s%05d" j)
-            ~ips:[ client_addr i ] ()
-        in
-        Sim.Net.attach net host;
-        let client =
-          mk_client ~seed:(Util.Rng.next_int64 rng)
-            ~password:u.Passwords.password host
-            (Principal.user ~realm u.Passwords.name)
-        in
-        all_clients := client :: !all_clients;
-        let start = o.o_spike_at +. Util.Rng.float rng 0.5 in
-        let rec fire j () =
-          Client.login client ~password:u.Passwords.password (function
-            | Ok _ -> ()
-            | Error _ -> incr errors);
-          if j + 1 < o.o_spike_requests then
-            Sim.Engine.schedule engine
-              ~at:(start +. (float_of_int (j + 1) *. o.o_spike_think))
-              (fire (j + 1))
-        in
-        starts := (start, fire 0) :: !starts)
-      (Array.make o.o_spike_clients ());
-  Sim.Engine.schedule_batch engine (List.rev !starts);
-  Sim.Engine.run engine;
-  let ksum f = List.fold_left (fun a k -> a + f k) 0 !kdc_pool in
-  let csum f = List.fold_left (fun a c -> a + f c) 0 !all_clients in
+  let storm =
+    if spike then
+      wave w ~make ~first:cfg.active_clients ~prefix:"s"
+        ~clients:o.o_spike_clients ~at:o.o_spike_at ~jitter:0.5
+        ~think:o.o_spike_think ~requests:o.o_spike_requests Login
+    else [||]
+  in
+  Sim.Engine.run w.engine;
+  let ksum f = List.fold_left (fun a k -> a + f k) 0 w.kdcs in
+  let csum f = Array.fold_left (fun a c -> a + f c) 0 (Array.append calm storm) in
   let arrived = ksum Kdc.admission_arrived in
   let processed = ksum Kdc.admission_processed in
   let busy_rejections = ksum Kdc.busy_rejections in
@@ -1273,8 +1130,8 @@ let run_overload_one o ~label ~spike ~hygiene =
     end
   in
   { or_label = label;
-    or_completed = !completed;
-    or_errors = !errors;
+    or_completed = w.completed;
+    or_errors = w.errors;
     or_degraded = !degraded;
     or_goodput_baseline = baseline;
     or_goodput_post = post;
@@ -1294,7 +1151,7 @@ let run_overload_one o ~label ~spike ~hygiene =
       arrived
       - (processed + busy_rejections + brownout_sheds + deadline_sheds
        + residual);
-    or_sim_seconds = Sim.Engine.now engine }
+    or_sim_seconds = Sim.Engine.now w.engine }
 
 type overload_suite = {
   os_config : overload_config;
@@ -1311,7 +1168,7 @@ let run_overload o =
     os_controlled =
       run_overload_one o ~label:"spike-controlled" ~spike:true ~hygiene:true }
 
-(* The gates BENCH_overload.json and the smoke rule enforce. *)
+(* The gates BENCH_overload.json and [experiments overload] enforce. *)
 let overload_floor_failures s =
   let fails = ref [] in
   let check cond msg = if not cond then fails := msg :: !fails in

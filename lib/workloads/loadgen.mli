@@ -15,7 +15,12 @@
     eager populations are byte-identical — see {!Passwords.user_at}), and
     [lightweight] swaps the run's collector into counters-and-histograms
     mode ({!Telemetry.Collector.set_lightweight}). Neither changes a
-    single simulated byte; both change what the wall clock sees. *)
+    single simulated byte; both change what the wall clock sees.
+
+    Every campaign below stands its realm up the same way and draws from
+    the seed in one order: the TGS key, each KDC's seed, each service's
+    key and AP-server seed, then its clients, wave by wave. A change to
+    that order moves every campaign's bytes. *)
 
 type config = {
   users : int;  (** principals in the realm (registered or derivable) *)
@@ -220,8 +225,9 @@ type viral_config = {
 }
 
 val default_viral : viral_config
-(** Runtest-sized: the committed-seed configuration the replication
-    smoke runs (and [experiments replicate --quick] byte-compares). *)
+(** Runtest-sized: the committed-seed configuration
+    [experiments replicate --quick] runs twice, byte-compares and pins
+    to a recorded digest. *)
 
 type viral_row = {
   vr_label : string;
@@ -263,7 +269,7 @@ val viral_p99_ratio : viral_suite -> float
     number (the floor gates it at <= 1.2). *)
 
 val viral_floor_failures : viral_suite -> string list
-(** The gates BENCH_replication.json and [bench --replication-smoke]
+(** The gates BENCH_replication.json and [experiments replicate]
     enforce: overload visible unreplicated, flat p99 replicated, unit
     balance <= 1.5, convergence after crash/rejoin. [[]] is a pass. *)
 
@@ -307,8 +313,9 @@ val overload_profile : Kerberos.Profile.t
     expensive-work shape brownout sheds first. *)
 
 val default_overload : overload_config
-(** Runtest-sized: the committed-seed configuration the overload smoke
-    runs (and [experiments overload] byte-compares). *)
+(** Runtest-sized: the committed-seed configuration
+    [experiments overload --quick] runs twice, byte-compares and pins to
+    a recorded digest. *)
 
 val overload_spike_end : overload_config -> float
 (** When the last spike login can have fired — recovery time is measured
@@ -352,7 +359,7 @@ val run_overload : overload_config -> overload_suite
     the spike, and the calm schedule must outlive the horizon). *)
 
 val overload_floor_failures : overload_suite -> string list
-(** The gates BENCH_overload.json and [bench --overload-smoke] enforce:
+(** The gates BENCH_overload.json and [experiments overload] enforce:
     naive post-spike goodput under half the calm baseline with no
     recovery, controlled recovery within 8 sim-seconds and final goodput
     back at >= 90%, visible shedding, and zero silent drops on every
