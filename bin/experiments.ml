@@ -89,10 +89,12 @@ let print_e14 () =
   Expframework.Table.print
     ~header:
       [ "profile"; "messages/session"; "messages/AP exchange";
-        "cache entries after 25 auths"; "authenticated datagrams" ]
+        "server words per session"; "cache entries after 25 auths";
+        "authenticated datagrams" ]
     (List.map
-       (fun (p, total, ap, cache, dg) ->
-         [ p; string_of_int total; string_of_int ap; string_of_int cache; yn dg ])
+       (fun (p, total, ap, words, cache, dg) ->
+         [ p; string_of_int total; string_of_int ap; string_of_int words;
+           string_of_int cache; yn dg ])
        (Expframework.Sweeps.overhead ()))
 
 let print_validation () =

@@ -116,9 +116,11 @@ let run ?(seed = 0xE10L) ?(enc_tkt_cname_check = false) ~profile () =
               match !stolen_key with
               | None -> Sim.Net.Drop
               | Some skey ->
+                  (* A draw whose value is unused: it keeps the attacker's
+                     random stream as recorded. *)
+                  ignore (Util.Rng.next_int64 bed.rng);
                   let session =
-                    Session.make ~profile ~rng:(Util.Rng.split bed.rng)
-                      ~role:Session.Server_side ~key:skey
+                    Session.make ~profile ~role:Session.Server_side ~key:skey
                       ~own_addr:(Sim.Host.primary_ip bed.file_host)
                       ~peer_addr:pkt.Sim.Packet.src ~send_seq:0 ~recv_seq:0
                   in

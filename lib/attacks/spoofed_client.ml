@@ -118,8 +118,11 @@ let call_priv_as (bed : Testbed.t) ~spoof_addr ~client ~(creds : Client.credenti
               (Messages.ap_req_to_value ap)));
       (* The ap_ok goes to the spoofed host; we only need the session state
          we already know. Send the sealed request next. *)
+      (* A draw whose value is unused: it keeps the attacker's random
+         stream as recorded. *)
+      ignore (Util.Rng.next_int64 bed.rng);
       let session =
-        Session.make ~profile ~rng:(Util.Rng.split bed.rng) ~role:Session.Client_side
+        Session.make ~profile ~role:Session.Client_side
           ~key:creds.session_key ~own_addr:spoof_addr ~peer_addr:dst ~send_seq:0
           ~recv_seq:0
       in

@@ -72,6 +72,23 @@ let replay_cache_size t =
 
 let peer_state_size t = Sim.Endpoint.Table.length t.peers
 
+(* The peer table and its eviction queue measured twice, once as they are
+   and once emptied to the same bucket count, with the shared values in
+   both measurements so that only what the bindings hold alone remains. *)
+let peer_state_words t =
+  let shared =
+    Sim.Endpoint.Table.fold
+      (fun _ state acc ->
+        match state with
+        | Established (s, _) -> Obj.repr s.Session.sched :: acc
+        | Awaiting_response _ -> acc)
+      t.peers [ Obj.repr t.profile ]
+  in
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let buckets = (Sim.Endpoint.Table.stats t.peers).Hashtbl.num_buckets in
+  words (t.peers, t.peer_order, shared)
+  - words (Sim.Endpoint.Table.create buckets, Queue.create (), shared)
+
 (* Insert peer state, evicting the oldest entries beyond the bound. An
    evicted pending challenge simply forces the honest client to start
    over; an evicted session forces re-authentication. *)
@@ -143,8 +160,11 @@ let establish t ~cx ~(ticket : Messages.ticket) ~client_part ~server_part
     Session.derived_key t.profile ~multi:ticket.Messages.session_key
       ~client_part ~server_part
   in
+  (* A draw per session whose value is unused: it keeps the server's
+     random stream, and so every seeded run, as recorded. *)
+  ignore (Util.Rng.next_int64 t.rng);
   let session =
-    Session.make ~profile:t.profile ~rng:(Util.Rng.split t.rng) ~role:Session.Server_side
+    Session.make ~profile:t.profile ~role:Session.Server_side
       ~key ~own_addr:cx.cx_own ~peer_addr:cx.cx_src
       ~send_seq:(Option.value server_seq ~default:0)
       ~recv_seq:(Option.value client_seq ~default:0)

@@ -74,3 +74,11 @@ val replay_cache_size : t -> int
 val peer_state_size : t -> int
 (** Pending challenges plus established sessions currently held — the
     state cost E14 measures. *)
+
+val peer_state_words : t -> int
+(** Heap words those {!peer_state_size} entries hold: each one's table
+    and eviction-queue cells, its endpoint, and its pending challenge or
+    session (key, client principal, replay cache). The empty table, the
+    profile and the sessions' DES schedules, which the server and the
+    schedule memo hold anyway, are not counted. A measurement, not a hot
+    path: it walks everything the table reaches. *)

@@ -1003,10 +1003,12 @@ and ap_exchange t (creds : credentials) ?(mutual = true) ?deadline
         ~server_part
     with
     | key ->
+        (* A draw per session whose value is unused: it keeps the
+           client's random stream, and so every seeded run, as recorded. *)
+        ignore (Util.Rng.next_int64 t.rng);
         let session =
-          Session.make ~profile:t.profile ~rng:(Util.Rng.split t.rng)
-            ~role:Session.Client_side ~key ~own_addr:(Sim.Host.primary_ip t.host)
-            ~peer_addr:dst
+          Session.make ~profile:t.profile ~role:Session.Client_side ~key
+            ~own_addr:(Sim.Host.primary_ip t.host) ~peer_addr:dst
             ~send_seq:(Option.value my_seq ~default:0)
             ~recv_seq:(Option.value their_seq ~default:0)
         in

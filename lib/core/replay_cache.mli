@@ -9,12 +9,15 @@
 
     Expiry is tracked by a min-heap drained incrementally, so sustained
     insert load costs O(log n) amortized per operation rather than a full
-    table sweep per insert.
+    table sweep per insert. The heap's arrays and the key index are sized
+    to the live entries: an empty cache is one small record, and each live
+    key adds its own bytes and a few words of array slots.
 
     The paper names cache flooding as a denial-of-service vector: an
     attacker stuffing distinct authenticators grows the cache without
     bound. [cap] closes it — at capacity the live entry closest to expiry
-    is evicted deterministically (the smallest re-opened replay window)
+    is evicted deterministically (the smallest re-opened replay window;
+    among equal expiries, an order fixed by the sequence of operations)
     and counted in {!evicted}. *)
 
 type t
@@ -60,4 +63,6 @@ val of_bytes : ?now:float -> ?on_evict:(unit -> unit) -> bytes -> t
     after a long crash window must not resurrect stale entries or rebuild
     a heap of dead weight. [on_evict] re-attaches the eviction hook
     (callbacks cannot be serialized).
-    @raise Wire.Codec.Decode_error on malformed input. *)
+    @raise Wire.Codec.Decode_error on malformed input, which includes
+    what {!to_bytes} never writes: keys out of increasing order (so a key
+    twice) and more live entries than the snapshot's cap. *)

@@ -12,7 +12,6 @@ type t = {
   mutable send_iv : bytes;
   mutable recv_iv : bytes;
   cache : Replay_cache.t;
-  rng : Util.Rng.t;
 }
 
 (* Directional initial IVs both sides can compute: E_k(direction byte,
@@ -24,7 +23,7 @@ let initial_iv ~sched direction =
   Crypto.Des.encrypt_block sched block
 
 (* Only [Cbc_iv_chain] reads the IVs, so only it pays their two blocks. *)
-let make ~profile ~rng ~role ~key ~own_addr ~peer_addr ~send_seq ~recv_seq =
+let make ~profile ~role ~key ~own_addr ~peer_addr ~send_seq ~recv_seq =
   let sched = Crypto.Des.schedule_cached key in
   let send_iv, recv_iv =
     match profile.Profile.priv_mode with
@@ -34,7 +33,7 @@ let make ~profile ~rng ~role ~key ~own_addr ~peer_addr ~send_seq ~recv_seq =
         match role with Client_side -> (c2s, s2c) | Server_side -> (s2c, c2s))
   in
   { profile; key; sched; role; own_addr; peer_addr; send_seq; recv_seq;
-    send_iv; recv_iv; cache = Replay_cache.create ~horizon:600.0 (); rng }
+    send_iv; recv_iv; cache = Replay_cache.create ~horizon:600.0 () }
 
 let derived_key (profile : Profile.t) ~multi ~client_part ~server_part =
   if not profile.negotiate_session_key then multi

@@ -25,12 +25,10 @@ type t = {
       (** evolving IV, [Cbc_iv_chain] only; empty under the other modes *)
   mutable recv_iv : bytes;
   cache : Replay_cache.t;  (** per-session cache of priv timestamps *)
-  rng : Util.Rng.t;
 }
 
 val make :
   profile:Profile.t ->
-  rng:Util.Rng.t ->
   role:role ->
   key:bytes ->
   own_addr:Sim.Addr.t ->

@@ -121,6 +121,11 @@ let overhead () =
                   in
                   go 0)));
       Attacks.Testbed.run bed;
+      (* What the file server keeps for the session it now holds. *)
+      let server_words =
+        let ap = Services.Fileserver.apserver bed.file in
+        Apserver.peer_state_words ap / max 1 (Apserver.peer_state_size ap)
+      in
       let sent_between a b =
         Sim.Net.events bed.net
         |> List.filteri (fun i _ -> i >= a && i < b)
@@ -160,5 +165,6 @@ let overhead () =
         | Profile.Timestamp _ -> true
         | Profile.Challenge_response -> false
       in
-      (profile.Profile.name, total_msgs, ap_msgs, cache_entries, datagram_ok))
+      ( profile.Profile.name, total_msgs, ap_msgs, server_words, cache_entries,
+        datagram_ok ))
     profiles

@@ -19,9 +19,10 @@ val modexp_cost : unit -> (int * float) list
 (** E13b: (modulus bits, cpu seconds per login-side exponentiation) — and
     the other side of the trade-off: "using large ones is expensive". *)
 
-val overhead : unit -> (string * int * int * int * bool) list
+val overhead : unit -> (string * int * int * int * int * bool) list
 (** E14: per profile, (name, messages in a full session, messages in the AP
-    exchange alone, server replay-cache entries after 25 authentications,
-    authenticated datagram possible?). The challenge/response option "rules
-    out the possibility of authenticated datagrams" and "all servers must
-    then retain state". *)
+    exchange alone, heap words the server keeps for the session after it
+    ({!Kerberos.Apserver.peer_state_words}), server replay-cache entries
+    after 25 authentications, authenticated datagram possible?). The
+    challenge/response option "rules out the possibility of authenticated
+    datagrams" and "all servers must then retain state". *)

@@ -55,13 +55,17 @@ let dlog_sweep_shape () =
 let overhead_shape () =
   let rows = Expframework.Sweeps.overhead () in
   let find name =
-    match List.find_opt (fun (n, _, _, _, _) -> n = name) rows with
+    match List.find_opt (fun (n, _, _, _, _, _) -> n = name) rows with
     | Some r -> r
     | None -> Alcotest.failf "%s missing" name
   in
-  let _, _, ap_v4, cache_v4, dg_v4 = find "v4" in
-  let _, _, ap_h, cache_h, dg_h = find "hardened" in
-  let _, _, _, cache_c, _ = find "v4+cache" in
+  let _, _, ap_v4, words_v4, cache_v4, dg_v4 = find "v4" in
+  let _, _, ap_h, words_h, cache_h, dg_h = find "hardened" in
+  let _, _, _, words_c, cache_c, _ = find "v4+cache" in
+  Alcotest.(check bool) "the server keeps words for its session" true
+    (words_v4 > 0 && words_h > 0);
+  Alcotest.(check int) "the server-wide cache is not session state" words_v4
+    words_c;
   Alcotest.(check int) "challenge/response adds one message pair" (ap_v4 + 2) ap_h;
   Alcotest.(check bool) "v4 supports authenticated datagrams" true dg_v4;
   Alcotest.(check bool) "challenge/response rules them out" false dg_h;

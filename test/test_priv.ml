@@ -10,11 +10,11 @@ let mk_pair (profile : Profile.t) =
   let a_addr = Sim.Addr.of_quad 10 0 0 1 and b_addr = Sim.Addr.of_quad 10 0 0 2 in
   let seq_a = 100 and seq_b = 500 in
   let client =
-    Session.make ~profile ~rng:(Util.Rng.create 1L) ~role:Session.Client_side ~key
+    Session.make ~profile ~role:Session.Client_side ~key
       ~own_addr:a_addr ~peer_addr:b_addr ~send_seq:seq_a ~recv_seq:seq_b
   in
   let server =
-    Session.make ~profile ~rng:(Util.Rng.create 2L) ~role:Session.Server_side ~key
+    Session.make ~profile ~role:Session.Server_side ~key
       ~own_addr:b_addr ~peer_addr:a_addr ~send_seq:seq_b ~recv_seq:seq_a
   in
   (client, server)
@@ -371,11 +371,132 @@ let cache_mutation_safe () =
     (Replay_cache.check_and_insert c ~now:2.0 (Bytes.of_string "authenticator-A")
      = Replay_cache.Replayed)
 
+(* Against the table-and-heap oracle ([Replay_oracle], the cache before it
+   became one heap of parallel arrays): the same operations on both, and
+   after every one the same verdict, size, counters, eviction-hook calls
+   and snapshot bytes. The key pool is small enough for replays and wide
+   enough to grow and shrink the heap; the clock steps include zero (a
+   burst at one instant, so equal expiries tie and the cap picks among
+   them) and backwards steps; reloads go through [to_bytes] and [of_bytes]
+   with and without [~now]. *)
+type cache_op = Insert of int | Step of float | Purge | Reload of bool
+
+let show_cache_op = function
+  | Insert k -> Printf.sprintf "insert %d" k
+  | Step d -> Printf.sprintf "step %+g" d
+  | Purge -> "purge"
+  | Reload pruned -> if pruned then "reload ~now" else "reload"
+
+(* Keys of several lengths, so some collide in the index's low bits. *)
+let oracle_key k = Bytes.of_string (String.make (k mod 5 * 8) 'k' ^ string_of_int k)
+
+let oracle_case =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [ (6, map (fun k -> Insert k) (frequency [ (3, int_bound 5); (1, int_bound 40) ]));
+        (2, map (fun d -> Step d) (oneofl [ 0.0; 0.0; 0.25; 0.5; 1.0; 3.0; -0.5; -2.0 ]));
+        (1, return Purge);
+        (1, map (fun pruned -> Reload pruned) bool) ]
+  in
+  QCheck.make
+    ~print:(fun (cap, horizon, ops) ->
+      Printf.sprintf "cap %s, horizon %g: %s"
+        (match cap with None -> "none" | Some c -> string_of_int c)
+        horizon
+        (String.concat "; " (List.map show_cache_op ops)))
+    (triple
+       (oneofl [ None; Some 1; Some 2; Some 3; Some 8 ])
+       (oneofl [ 0.5; 1.0; 2.5 ])
+       (list_size (int_range 1 80) op))
+
+let cache_matches_oracle =
+  QCheck.Test.make ~name:"matches the table-and-heap oracle" ~count:600 oracle_case
+    (fun (cap, horizon, ops) ->
+      let evicted = ref 0 and oracle_evicted = ref 0 in
+      let c = ref (Replay_cache.create ?cap ~on_evict:(fun () -> incr evicted) ~horizon ())
+      and o =
+        ref (Replay_oracle.create ?cap ~on_evict:(fun () -> incr oracle_evicted) ~horizon ())
+      in
+      let now = ref 10.0 in
+      let same () =
+        Replay_cache.size !c = Replay_oracle.size !o
+        && Replay_cache.hits !c = Replay_oracle.hits !o
+        && Replay_cache.inserts !c = Replay_oracle.inserts !o
+        && Replay_cache.evicted !c = Replay_oracle.evicted !o
+        && !evicted = !oracle_evicted
+        && Bytes.equal (Replay_cache.to_bytes !c) (Replay_oracle.to_bytes !o)
+      in
+      List.for_all
+        (fun op ->
+          let verdicts_agree =
+            match op with
+            | Insert k ->
+                let fresh = Replay_cache.check_and_insert !c ~now:!now (oracle_key k) in
+                let oracle = Replay_oracle.check_and_insert !o ~now:!now (oracle_key k) in
+                (fresh = Replay_cache.Fresh) = (oracle = Replay_oracle.Fresh)
+            | Step d ->
+                now := !now +. d;
+                true
+            | Purge ->
+                Replay_cache.purge !c ~now:!now;
+                Replay_oracle.purge !o ~now:!now;
+                true
+            | Reload pruned ->
+                let now = if pruned then Some !now else None in
+                c := Replay_cache.of_bytes ?now ~on_evict:(fun () -> incr evicted)
+                       (Replay_cache.to_bytes !c);
+                o := Replay_oracle.of_bytes ?now ~on_evict:(fun () -> incr oracle_evicted)
+                       (Replay_oracle.to_bytes !o);
+                true
+          in
+          verdicts_agree && same ())
+        ops)
+
+(* A snapshot [to_bytes] could not have written is malformed: more live
+   entries than its own cap, or one key twice. Loading either used to
+   succeed, and the over-cap cache then stayed over its bound (three
+   entries under cap 1 were still three after an insert that evicted
+   one). *)
+let snapshot ~cap entries =
+  let w = Wire.Codec.Writer.create () in
+  Wire.Codec.Writer.i64 w (Int64.bits_of_float 600.0);
+  Wire.Codec.Writer.u32 w cap;
+  Wire.Codec.Writer.u32 w (List.length entries);
+  List.iter
+    (fun (k, expiry) ->
+      Wire.Codec.Writer.lstring w k;
+      Wire.Codec.Writer.i64 w (Int64.bits_of_float expiry))
+    entries;
+  Wire.Codec.Writer.contents w
+
+let cache_rejects_crafted_snapshots () =
+  let three = [ ("auth-a", 700.0); ("auth-b", 800.0); ("auth-c", 900.0) ] in
+  let refused label ?now b =
+    match Replay_cache.of_bytes ?now b with
+    | exception Wire.Codec.Decode_error _ -> ()
+    | c -> Alcotest.failf "%s: loaded with %d entries" label (Replay_cache.size c)
+  in
+  Alcotest.(check int) "three entries under cap 3 load" 3
+    (Replay_cache.size (Replay_cache.of_bytes (snapshot ~cap:3 three)));
+  refused "three live entries under cap 1" (snapshot ~cap:1 three);
+  refused "two of three entries live at load under cap 1" ~now:750.0
+    (snapshot ~cap:1 three);
+  Alcotest.(check int) "one live entry under cap 1 after pruning" 1
+    (Replay_cache.size (Replay_cache.of_bytes ~now:850.0 (snapshot ~cap:1 three)));
+  refused "one key twice" (snapshot ~cap:0 [ ("auth-a", 700.0); ("auth-a", 800.0) ]);
+  refused "one key twice, the first expired at load" ~now:750.0
+    (snapshot ~cap:0 [ ("auth-a", 700.0); ("auth-a", 800.0) ]);
+  refused "keys out of order" (snapshot ~cap:0 [ ("auth-b", 700.0); ("auth-a", 800.0) ])
+
 let suite_cache =
   [ Alcotest.test_case "basics" `Quick cache_basics;
     QCheck_alcotest.to_alcotest cache_prop;
     QCheck_alcotest.to_alcotest cache_no_conflation_prop;
-    Alcotest.test_case "buffer mutation safety" `Quick cache_mutation_safe ]
+    Alcotest.test_case "buffer mutation safety" `Quick cache_mutation_safe;
+    Alcotest.test_case "crafted snapshots refused" `Quick cache_rejects_crafted_snapshots;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5EED |])
+      cache_matches_oracle ]
 
 let () =
   Alcotest.run "priv-safe"

@@ -204,17 +204,8 @@ let suite_codec =
     Alcotest.test_case "length overrun rejected" `Quick codec_rejects_overrun ]
 
 (* ------------------------------------------------------------------ *)
-(* Heap and engine                                                     *)
+(* Engine                                                              *)
 (* ------------------------------------------------------------------ *)
-
-let heap_sorts =
-  QCheck.Test.make ~name:"heap drains in order" ~count:300
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:Int.compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-      drain [] = List.sort Int.compare xs)
 
 let engine_ordering () =
   let eng = Engine.create () in
@@ -278,8 +269,7 @@ let engine_rejects_nan () =
   Alcotest.(check (float 0.0)) "clock" 1.0 (Engine.now eng)
 
 let suite_engine =
-  [ QCheck_alcotest.to_alcotest heap_sorts;
-    Alcotest.test_case "NaN times rejected" `Quick engine_rejects_nan;
+  [ Alcotest.test_case "NaN times rejected" `Quick engine_rejects_nan;
     Alcotest.test_case "event ordering" `Quick engine_ordering;
     Alcotest.test_case "cascading events" `Quick engine_cascade;
     Alcotest.test_case "run_until" `Quick engine_run_until;

@@ -101,7 +101,7 @@ let mutate rng b =
 (* A server-side session per priv mode, for the sealed-message openers. *)
 let session_for profile =
   let rng = Util.Rng.create 0x5E55L in
-  Session.make ~profile ~rng ~role:Session.Server_side
+  Session.make ~profile ~role:Session.Server_side
     ~key:(Crypto.Des.random_key rng) ~own_addr:(quad 10 9 0 2)
     ~peer_addr:(quad 10 9 0 10) ~send_seq:0 ~recv_seq:0
 
