@@ -722,21 +722,22 @@ let transport_smoke () =
     (verdict_text o.verdict) transport_inert_budget_pct;
   if o.verdict = Over then exit 1
 
-(* --- perfbench digests (--digests BENCH_EXE EXPECTED_JSON) ---
+(* --- perfbench digests (--digests SIZE BENCH_EXE EXPECTED_JSON) ---
 
-   Every toy-size run perfbench/expected.json records (three workloads at
-   34 seeds) run once, untraced, by the repository benchmark's own
-   binary: each report's digest, completed and error counts must be the
-   recorded ones. The full-size runs take minutes and stay with
-   perfbench/run.py. *)
-let digests exe expected =
+   Every run of one size that perfbench/expected.json records (three
+   workloads at 34 seeds) run once, untraced, by the repository
+   benchmark's own binary: each report's digest, completed and error
+   counts must be the recorded ones. The 102 toy-size runs take seconds
+   and are a runtest rule; the 102 full-size ones take about ten minutes
+   on two cores and are run by hand. *)
+let digests size exe expected =
   let module J = Telemetry.Json in
   let read path = In_channel.with_open_bin path In_channel.input_all in
   let parse path = Result.to_option (J.of_string (read path)) in
   let out = Filename.temp_file "perfbench" ".json" in
   let runs = ref 0 and bad = ref 0 in
   let members = function J.Obj kvs -> kvs | _ -> [] in
-  let toy = Option.bind (parse expected) (J.member "toy") in
+  let recorded = Option.bind (parse expected) (J.member size) in
   List.iter
     (fun (workload, seeds) ->
       List.iter
@@ -744,7 +745,8 @@ let digests exe expected =
           incr runs;
           let cmd =
             Filename.quote_command exe ~stdout:out
-              [ "run"; "--toy"; "--workload"; workload; "--seed"; seed ]
+              ((if size = "toy" then [ "run"; "--toy" ] else [ "run" ])
+              @ [ "--workload"; workload; "--seed"; seed ])
           in
           let got = if Sys.command cmd = 0 then parse out else None in
           List.iter
@@ -756,13 +758,13 @@ let digests exe expected =
               end)
             [ "digest"; "completed"; "errors" ])
         (members seeds))
-    (Option.fold ~none:[] ~some:members toy);
+    (Option.fold ~none:[] ~some:members recorded);
   Sys.remove out;
   if !runs = 0 || !bad > 0 then exit 1;
   Printf.printf
-    "digests: %d toy-size perfbench runs reproduce their recorded digest, \
+    "digests: %d %s-size perfbench runs reproduce their recorded digest, \
      completed and error counts\n"
-    !runs
+    !runs size
 
 (* --- docs check (--docs-check) ---
 
@@ -880,9 +882,15 @@ let () =
   if Array.exists (( = ) "--transport-smoke") Sys.argv then
     (transport_smoke (); exit 0);
   if Array.exists (( = ) "--docs-check") Sys.argv then (docs_check (); exit 0);
-  (match Sys.argv with
-  | [| _; "--digests"; exe; expected |] -> (digests exe expected; exit 0)
-  | _ -> ());
+  if Array.exists (( = ) "--digests") Sys.argv then begin
+    match Sys.argv with
+    | [| _; "--digests"; ("toy" | "full") as size; exe; expected |] ->
+        digests size exe expected;
+        exit 0
+    | _ ->
+        prerr_endline "usage: main.exe --digests toy|full BENCH_EXE EXPECTED_JSON";
+        exit 2
+  end;
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in
   let cfg =
     if smoke then Benchmark.cfg ~limit:1 ~quota:(Time.second 0.001) ~kde:None ()

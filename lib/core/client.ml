@@ -916,11 +916,13 @@ and ap_exchange t (creds : credentials) ?(mutual = true) ?deadline
   let tel, span, wrap_k = exchange_span t "client.ap_exchange" in
   let k = wrap_k k in
   (* With a deadline the continuation can be raced by the timer: first
-     completion wins, the loser is a no-op. *)
-  let settled = ref false in
+     completion wins, the loser is a no-op. Settling disarms the timer, so
+     the exchange's graph leaves the event queue with it. *)
+  let settled = ref false and deadline_timer = ref None in
   let k r =
     if not !settled then begin
       settled := true;
+      Option.iter Sim.Engine.disarm !deadline_timer;
       k r
     end
   in
@@ -936,11 +938,13 @@ and ap_exchange t (creds : credentials) ?(mutual = true) ?deadline
     teardown ();
     k r
   in
-  (match deadline with
-  | None -> ()
-  | Some d ->
-      Sim.Engine.schedule_after (Sim.Net.engine t.net) d (fun () ->
-          if not !settled then finish (Error "AP exchange timed out")));
+  Option.iter
+    (fun d ->
+      deadline_timer :=
+        Some
+          (Sim.Engine.arm_after (Sim.Net.engine t.net) d (fun () ->
+               finish (Error "AP exchange timed out"))))
+    deadline;
   (* One attempt = one link. [start] builds the link (upgrading a doomed
      datagram attempt to the stream when the AP_REQ itself cannot fit the
      path MTU), installs the mode's reply handler, and transmits the
@@ -1134,28 +1138,30 @@ and ap_exchange t (creds : credentials) ?(mutual = true) ?deadline
   attempt initial
 
 (* Park a waiter on the channel, optionally bounded by a deadline. The
-   waiter and the timer race; the first to settle wins, and the timer only
-   clears the channel slot if it still holds {e this} call's waiter (a
-   later call may have replaced it). *)
+   waiter and the timer race, and whichever runs first settles the call.
+   The channel clears its slot before running a waiter, so the waiter runs
+   at most once, and it disarms the timer. The timer clears the slot and
+   the pending plaintext only if the slot still holds {e this} call's
+   waiter (a later call may have replaced it): a timed-out call must not
+   be resent by a later TCP upgrade. *)
 let wait_on_channel chan ?deadline net ~k =
   match deadline with
   | None -> chan.chan_waiting <- k
   | Some d ->
-      let settled = ref false in
-      let rec waiter r =
-        if not !settled then begin
-          settled := true;
-          k r
-        end
-      and timer () =
-        if not !settled then begin
-          settled := true;
-          if chan.chan_waiting == waiter then chan.chan_waiting <- ignore;
-          k (Error "call timed out")
-        end
+      let timer = ref None in
+      let waiter r =
+        Option.iter Sim.Engine.disarm !timer;
+        k r
       in
       chan.chan_waiting <- waiter;
-      Sim.Engine.schedule_after (Sim.Net.engine net) d timer
+      timer :=
+        Some
+          (Sim.Engine.arm_after (Sim.Net.engine net) d (fun () ->
+               if chan.chan_waiting == waiter then begin
+                 chan.chan_waiting <- ignore;
+                 chan.chan_pending <- None
+               end;
+               k (Error "call timed out")))
 
 let closed_error = Error "channel closed"
 

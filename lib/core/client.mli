@@ -184,7 +184,9 @@ val ap_exchange :
 (** [deadline] (seconds from now; default none — wait forever, the
     pre-fault-plane behaviour) bounds the whole exchange: if it passes
     first the link is torn down and the continuation gets
-    [Error "AP exchange timed out"], exactly once.
+    [Error "AP exchange timed out"], exactly once. The deadline timer is
+    disarmed when the exchange settles, so the event queue lets go of the
+    continuation then, not at the deadline.
 
     [transport] (default [`Auto]) picks the channel's link: [`Auto]
     tries a datagram exchange first and transparently redoes it over
@@ -199,7 +201,10 @@ val call_priv :
   t -> channel -> ?deadline:float -> bytes -> k:((bytes, string) result -> unit) -> unit
 (** Seal a request, send it on the channel, open the sealed response.
     [deadline] bounds the wait as in {!ap_exchange} (the channel itself
-    survives for later calls). On a {!close}d channel the continuation
+    survives for later calls): the continuation runs exactly once, and a
+    reply disarms the deadline timer, releasing the continuation at once.
+    A call that times out is forgotten: a later TCP upgrade of the
+    channel does not resend it. On a {!close}d channel the continuation
     gets [Error "channel closed"] at once. *)
 
 val send_priv_oneway : t -> channel -> bytes -> unit

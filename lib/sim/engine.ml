@@ -116,6 +116,23 @@ let schedule t ~at fn =
 
 let schedule_after t delay fn = schedule t ~at:(t.clock +. delay) fn
 
+(* A guard timer is an ordinary event whose closure only reaches this
+   one-field record. Disarming swaps the action for [nop], so whatever
+   the action captured is released at once while the event itself keeps
+   its place in the queue and fires, counted, as a no-op. *)
+type timer = { mutable action : unit -> unit }
+
+let arm t ~at fn =
+  let tm = { action = fn } in
+  schedule t ~at (fun () ->
+      let fn = tm.action in
+      tm.action <- nop;
+      fn ());
+  tm
+
+let arm_after t delay fn = arm t ~at:(t.clock +. delay) fn
+let disarm tm = tm.action <- nop
+
 (* One call for a burst of events (the loadgen ramp): sequence numbers are
    assigned in list order, so the batch fires exactly as the same sequence
    of [schedule] calls would. A batch small next to the live queue is

@@ -21,6 +21,28 @@ val schedule : t -> at:float -> (unit -> unit) -> unit
 
 val schedule_after : t -> float -> (unit -> unit) -> unit
 
+(** {1 Guard timers}
+
+    A timeout that guards a call and is moot once the call settles. *)
+
+type timer
+
+val arm : t -> at:float -> (unit -> unit) -> timer
+(** Schedule an action as {!schedule} does and return a handle that can
+    {!disarm} it. The action runs at most once; the timer keeps only a
+    small record of its own in the queue, so the action's closure is
+    released as soon as it runs or is disarmed.
+    @raise Invalid_argument if [at] is NaN or in the past. *)
+
+val arm_after : t -> float -> (unit -> unit) -> timer
+
+val disarm : timer -> unit
+(** Drop the action, and with it everything its closure reaches, at
+    once. The event keeps its time and sequence number and still fires
+    at its instant as a no-op, which {!executed} counts, so disarming
+    moves no other event, the clock or any count. Disarming twice, or
+    after the action ran, does nothing. *)
+
 val schedule_batch : t -> (float * (unit -> unit)) list -> unit
 (** Schedule a burst in one call: fires exactly as the same sequence of
     {!schedule} calls would (sequence numbers are taken in list order),

@@ -1,9 +1,10 @@
-(* The one-shot [finish] owns the listener: whichever of reply / final
-   timeout wins removes the ephemeral-port handler before running its
-   continuation, and the loser becomes a no-op. The old arrangement let a
-   reply racing the final timeout fire [on_reply] after [on_timeout] —
-   and under duplicate-prone networks a second copy of the reply could
-   find the listener still registered. *)
+(* [finish] owns the listener and the timer: whichever of reply / final
+   timeout settles the call removes the ephemeral-port handler and
+   disarms the pending timer before running its continuation. Replies are
+   looked up at the port when they land and a disarmed timer fires as a
+   no-op, so nothing of the call runs after it has settled. Disarming
+   also drops the request's graph (payload, continuations, this closure)
+   from the event queue at once instead of a timeout later. *)
 let call net host ?src ?(timeout = 1.0) ?(retries = 0) ?(backoff = 2.0)
     ?(max_timeout = 8.0) ?(jitter = 0.1) ?deadline ~dst ~dport payload
     ~on_reply ~on_timeout =
@@ -12,13 +13,11 @@ let call net host ?src ?(timeout = 1.0) ?(retries = 0) ?(backoff = 2.0)
     match deadline with None -> infinity | Some d -> Engine.now eng +. d
   in
   let sport = Net.ephemeral_port net in
-  let finished = ref false in
+  let timer = ref None in
   let finish k =
-    if not !finished then begin
-      finished := true;
-      Net.unlisten net host ~port:sport;
-      k ()
-    end
+    Option.iter Engine.disarm !timer;
+    Net.unlisten net host ~port:sport;
+    k ()
   in
   Net.listen net host ~port:sport (fun pkt -> finish (fun () -> on_reply pkt));
   let rec attempt n base =
@@ -33,11 +32,12 @@ let call net host ?src ?(timeout = 1.0) ?(retries = 0) ?(backoff = 2.0)
        the RNG stream; a clamped timer is the last one. *)
     let at = Engine.now eng +. wait in
     let last = at >= expires in
-    Engine.schedule eng ~at:(if last then Float.max expires (Engine.now eng) else at)
-      (fun () ->
-        if not !finished then
-          if n < retries && not last then
-            attempt (n + 1) (Float.min max_timeout (base *. backoff))
-          else finish on_timeout)
+    timer :=
+      Some
+        (Engine.arm eng ~at:(if last then Float.max expires (Engine.now eng) else at)
+           (fun () ->
+             if n < retries && not last then
+               attempt (n + 1) (Float.min max_timeout (base *. backoff))
+             else finish on_timeout))
   in
   attempt 0 timeout

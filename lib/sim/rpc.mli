@@ -11,7 +11,10 @@
     ephemeral-port listener is removed before it does: duplicate replies
     are suppressed, and a reply that loses the race with the final timeout
     is dropped at the (now unregistered) port instead of resurrecting the
-    call. *)
+    call. A reply also disarms the pending retransmit timer
+    ({!Engine.disarm}), so nothing the call captured (payload,
+    continuations) stays reachable from the event queue once it
+    settles. *)
 
 val call :
   Net.t ->

@@ -85,7 +85,7 @@ type conn = {
   mutable dup_acks : int;
   mutable rto : float;
   mutable retries : int;
-  mutable timer_armed : bool;
+  mutable timer : Engine.timer option;  (** the armed retransmission timer *)
   mutable detach : unit -> unit;
   (* framing (on_message): 4-byte big-endian length prefix *)
   fbuf : Buffer.t;
@@ -121,7 +121,11 @@ let teardown c ~reset =
   if not c.detached then begin
     c.closed <- true;
     c.detached <- true;
-    c.timer_armed <- false;
+    (* The timer's closure reaches the connection and through it every
+       callback; disarming lets a torn-down connection go now rather than
+       at the timer's instant. *)
+    Option.iter Engine.disarm c.timer;
+    c.timer <- None;
     Queue.clear c.unacked;
     Hashtbl.reset c.ooo;
     c.detach ();
@@ -163,18 +167,19 @@ let retransmit_all c =
    stream split off the network RNG, so schedules are reproducible but a
    fleet of senders does not fire in lockstep. *)
 let rec arm_timer c =
-  if not c.timer_armed then begin
-    c.timer_armed <- true;
+  if Option.is_none c.timer then begin
     let jitter = 0.1 in
     let wait =
       c.rto *. (1.0 +. (Util.Rng.float c.rto_rng (2.0 *. jitter) -. jitter))
     in
-    Engine.schedule_after (Net.engine c.net) wait (fun () -> timer_fire c)
+    c.timer <- Some (Engine.arm_after (Net.engine c.net) wait (fun () -> timer_fire c))
   end
 
+(* Teardown disarms the timer, so it only ever fires on a live
+   connection. *)
 and timer_fire c =
-  c.timer_armed <- false;
-  if (not c.detached) && not (Queue.is_empty c.unacked) then
+  c.timer <- None;
+  if not (Queue.is_empty c.unacked) then
     if c.retries >= max_retries then reset c "retransmit limit exceeded"
     else begin
       c.retries <- c.retries + 1;
@@ -379,7 +384,7 @@ let make_conn net host ~local_addr ~local_port ~peer_addr ~peer_port ~isn =
     closed = false; detached = false; data_cb = ignore;
     close_cb = (fun ~reset:_ -> ()); sent = 0; received = 0;
     unacked = Queue.create (); ooo = Hashtbl.create 8; dup_acks = 0;
-    rto = base_rto; retries = 0; timer_armed = false; detach = ignore;
+    rto = base_rto; retries = 0; timer = None; detach = ignore;
     fbuf = Buffer.create 64; msg_cb = None }
 
 let listen net host ~port ?(isn = Random_isn) ~on_accept () =

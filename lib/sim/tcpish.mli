@@ -76,7 +76,9 @@ val abort : conn -> unit
 val on_close : conn -> (reset:bool -> unit) -> unit
 (** Fires once when the connection tears down — [reset:true] for a RST
     (sent or received, including retransmission exhaustion), [false] for
-    an orderly FIN. *)
+    an orderly FIN. Teardown disarms the retransmission timer, so from
+    then on the event queue holds nothing of the connection or its
+    callbacks. *)
 
 val established : conn -> bool
 

@@ -73,8 +73,17 @@ let shutdown s =
 let call net host ?src ?(timeout = 1.0) ?(retries = 0) ?(backoff = 2.0)
     ?(max_timeout = 8.0) ?(jitter = 0.1) ?(tcp_timeout = 2.0) ?deadline
     ?(classify = fun _ -> Accept) ~dst ~dport payload ~on_reply ~on_timeout =
-  let finished = ref false in
-  let finish k = if not !finished then begin finished := true; k () end in
+  (* The stream leg's budget timer, disarmed by whichever outcome settles
+     the call first so the request's graph leaves the event queue with
+     it. The datagram leg's timers are {!Rpc.call}'s own. *)
+  let finished = ref false and budget_timer = ref None in
+  let finish k =
+    if not !finished then begin
+      finished := true;
+      Option.iter Engine.disarm !budget_timer;
+      k ()
+    end
+  in
   let span =
     Telemetry.Collector.span_begin (Net.telemetry net) ~component:"transport"
       "transport.call"
@@ -108,7 +117,6 @@ let call net host ?src ?(timeout = 1.0) ?(retries = 0) ?(backoff = 2.0)
     else begin
       bump net ("transport.fallback." ^ why);
       bump net "transport.tcp.calls";
-      let conn_ref = ref None in
       let conn =
         Tcpish.connect net host ?src ~dst ~dport:(tcp_port dport)
           ~on_connected:(fun conn ->
@@ -121,15 +129,14 @@ let call net host ?src ?(timeout = 1.0) ?(retries = 0) ?(backoff = 2.0)
             Tcpish.send_message conn payload)
           ()
       in
-      conn_ref := Some conn;
       Tcpish.on_close conn (fun ~reset ->
           if reset then
             finish (fun () -> settle "reset" on_timeout));
-      Engine.schedule_after (Net.engine net) budget (fun () ->
-          if not !finished then begin
-            (match !conn_ref with Some c -> Tcpish.abort c | None -> ());
-            finish (fun () -> settle "timeout" on_timeout)
-          end)
+      budget_timer :=
+        Some
+          (Engine.arm_after (Net.engine net) budget (fun () ->
+               Tcpish.abort conn;
+               finish (fun () -> settle "timeout" on_timeout)))
     end
   in
   (* An attempt that expires at the deadline counts as the deadline

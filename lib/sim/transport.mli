@@ -86,4 +86,7 @@ val call :
     and a fallback entered with the deadline already spent reports
     [on_timeout] immediately. Both ways of running out are counted in
     [transport.deadline_exhausted]. Exactly one of [on_reply]/[on_timeout]
-    fires. *)
+    fires. Whichever way the call settles disarms its timers (the datagram
+    leg's, and the stream leg's budget), so the event queue releases the
+    call's closures then; the stream itself is released when it
+    closes. *)

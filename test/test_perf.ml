@@ -2,9 +2,10 @@
    identical to the expensive path it replaces. The DES schedule cache must
    be invisible to ciphertext; a session must schedule its key exactly once
    no matter how many messages it seals; the engine's event queue, bulk
-   inserts included, must fire events in (time, seq) order; and a lazily
-   materialized realm must serve byte-identical traffic to an eagerly
-   registered one. *)
+   inserts and disarmed timers included, must fire events in (time, seq)
+   order; a settled call must let go of its closures before its guard
+   timer's instant; and a lazily materialized realm must serve
+   byte-identical traffic to an eagerly registered one. *)
 
 let realm = "ATHENA"
 
@@ -157,8 +158,8 @@ let crypto_per_request () =
       under "minor" words words_ceiling;
       under "promoted" promoted promoted_ceiling)
     [ (Kerberos.Profile.v4, 4766, 70, 4668, 229);
-      (Kerberos.Profile.v5_draft3, 3896, 70, 8971, 260);
-      (Kerberos.Profile.hardened, 6516, 120, 26362, 329) ]
+      (Kerberos.Profile.v5_draft3, 3896, 70, 8971, 231);
+      (Kerberos.Profile.hardened, 6516, 120, 26362, 290) ]
 
 (* ------------------------------------------------------------------ *)
 (* Footprint: what a replay cache and a server session hold            *)
@@ -229,15 +230,21 @@ let cmp (t1, s1) (t2, s2) =
    where heap order bugs hide. *)
 let pool_time = QCheck.Gen.map (fun t -> float_of_int t /. 4.0) (QCheck.Gen.int_bound 12)
 
-(* Engine operations, with every time an offset from the current clock. *)
+(* Engine operations, with every time an offset from the current clock.
+   [Disarm i] picks one of the timers armed so far, newest first, modulo
+   their number; it may pick one that already fired or was disarmed. *)
 type op =
   | Schedule of float
+  | Arm of float
+  | Disarm of int
   | Batch of float list
   | Step
   | Run_until of float
 
 let show_op = function
   | Schedule d -> Printf.sprintf "schedule +%g" d
+  | Arm d -> Printf.sprintf "arm +%g" d
+  | Disarm i -> Printf.sprintf "disarm #%d" i
   | Batch ds -> Printf.sprintf "batch [%s]" (String.concat "," (List.map string_of_float ds))
   | Step -> "step"
   | Run_until d -> Printf.sprintf "run_until +%g" d
@@ -249,19 +256,24 @@ let ops =
       list_size (int_bound 60)
         (frequency
            [ (4, map (fun d -> Schedule d) pool_time);
+             (2, map (fun d -> Arm d) pool_time);
+             (2, map (fun i -> Disarm i) (int_bound 8));
              (1, map (fun ds -> Batch ds) (list_size (int_bound 40) pool_time));
              (3, return Step);
              (1, map (fun d -> Run_until d) pool_time) ]))
 
 (* Against a reference model: the pending events as a list, popped by
    sorting on (time, seq). Each event logs its own sequence number when it
-   fires; after every operation the clock and the queue length must agree,
-   and the whole firing order must match at the end. *)
+   fires; a disarmed timer still pops in its place and counts as executed,
+   but logs nothing. After every operation the clock, the queue length and
+   the executed count must agree, and the whole firing order must match at
+   the end. *)
 let engine_matches_model =
   QCheck.Test.make ~name:"queue pops like a sorted model" ~count:300 ops (fun ops ->
       let eng = Sim.Engine.create () in
       let fired = ref [] and expected = ref [] in
       let pending = ref [] and clock = ref 0.0 and seq = ref 0 in
+      let timers = ref [] and disarmed = ref [] and executed = ref 0 in
       let event () =
         let s = !seq in
         incr seq;
@@ -273,7 +285,8 @@ let engine_matches_model =
         | ((t, s) as e) :: _ ->
             pending := List.filter (fun x -> x != e) !pending;
             clock := t;
-            expected := s :: !expected;
+            incr executed;
+            if not (List.mem s !disarmed) then expected := s :: !expected;
             true
       in
       let next_due limit =
@@ -284,6 +297,19 @@ let engine_matches_model =
             let fn, s = event () in
             Sim.Engine.schedule eng ~at:(!clock +. d) fn;
             pending := (!clock +. d, s) :: !pending;
+            true
+        | Arm d ->
+            let fn, s = event () in
+            timers := (Sim.Engine.arm eng ~at:(!clock +. d) fn, s) :: !timers;
+            pending := (!clock +. d, s) :: !pending;
+            true
+        | Disarm i ->
+            (match !timers with
+            | [] -> ()
+            | l ->
+                let tm, s = List.nth l (i mod List.length l) in
+                Sim.Engine.disarm tm;
+                disarmed := s :: !disarmed);
             true
         | Batch ds ->
             let evs =
@@ -308,13 +334,179 @@ let engine_matches_model =
         (fun op ->
           apply op
           && Sim.Engine.now eng = !clock
-          && Sim.Engine.pending eng = List.length !pending)
+          && Sim.Engine.pending eng = List.length !pending
+          && Sim.Engine.executed eng = !executed)
         ops
       && begin
         Sim.Engine.run eng;
         while model_pop () do () done;
-        !fired = !expected
+        !fired = !expected && Sim.Engine.executed eng = !executed
       end)
+
+(* ------------------------------------------------------------------ *)
+(* Guard timers: a settled call lets go of what its timer captured      *)
+(* ------------------------------------------------------------------ *)
+
+(* Each check parks a fresh sentinel in a weak slot and lets only the
+   caller's continuations capture it. The capturing closures are built in
+   functions that are never inlined, so no stack slot of the test holds
+   the sentinel. *)
+let[@inline never] sentinel slot =
+  let s = Bytes.make 64 's' in
+  Weak.set slot 0 (Some s);
+  s
+
+let hold s = ignore (Sys.opaque_identity s)
+
+(* Step until the call has settled (and for [linger] seconds more, time
+   for a stream to close), then check that the guard's instant is still
+   ahead and that a major collection frees the sentinel. *)
+let released ~what ?(linger = 0.0) eng slot settled ~before =
+  while (not !settled) && Sim.Engine.step eng do () done;
+  Alcotest.(check bool) (what ^ ": settled") true !settled;
+  if linger > 0.0 then Sim.Engine.run_until eng (Sim.Engine.now eng +. linger);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.3f s is before the guard timer's instant %.3f s" what
+       (Sim.Engine.now eng) before)
+    true
+    (Sim.Engine.now eng < before && Sim.Engine.pending eng > 0);
+  Gc.full_major ();
+  Alcotest.(check bool) (what ^ ": sentinel collected") false (Weak.check slot 0)
+
+let[@inline never] arm_holding eng slot =
+  let s = sentinel slot in
+  Sim.Engine.arm eng ~at:1.0 (fun () -> hold s)
+
+let disarm_releases () =
+  let eng = Sim.Engine.create () in
+  let slot = Weak.create 1 in
+  let tm = arm_holding eng slot in
+  Gc.full_major ();
+  Alcotest.(check bool) "an armed timer keeps its closure" true (Weak.check slot 0);
+  Sim.Engine.disarm tm;
+  Gc.full_major ();
+  Alcotest.(check bool) "a disarmed one lets go while queued" false
+    (Weak.check slot 0);
+  Alcotest.(check int) "the event is still queued" 1 (Sim.Engine.pending eng);
+  Sim.Engine.disarm tm;
+  Sim.Engine.run eng;
+  Alcotest.(check (float 0.0)) "it fired at its instant" 1.0 (Sim.Engine.now eng);
+  Alcotest.(check int) "and was counted" 1 (Sim.Engine.executed eng)
+
+let udp_pair () =
+  let eng = Sim.Engine.create () in
+  let net = Sim.Net.create ~seed:5L eng in
+  let a = Sim.Host.create ~name:"a" ~ips:[ Sim.Addr.of_quad 10 9 0 1 ] () in
+  let b = Sim.Host.create ~name:"b" ~ips:[ Sim.Addr.of_quad 10 9 0 2 ] () in
+  Sim.Net.attach net a;
+  Sim.Net.attach net b;
+  (eng, net, a, b)
+
+let[@inline never] rpc_call net a b slot settled =
+  let s = sentinel slot in
+  Sim.Rpc.call net a ~timeout:1.0 ~dst:(Sim.Host.primary_ip b) ~dport:7
+    (Bytes.of_string "ping")
+    ~on_reply:(fun _ -> hold s; settled := true)
+    ~on_timeout:(fun () -> hold s)
+
+let rpc_releases what () =
+  let eng, net, a, b = udp_pair () in
+  Sim.Net.listen net b ~port:7 (fun pkt ->
+      Sim.Net.send net b ~sport:7 ~dst:pkt.Sim.Packet.src
+        ~dport:pkt.Sim.Packet.sport pkt.Sim.Packet.payload);
+  let slot = Weak.create 1 and settled = ref false in
+  rpc_call net a b slot settled;
+  released ~what eng slot settled ~before:0.9
+
+(* The echo service behind both transport legs. With a path MTU below the
+   request, the caller skips the datagram and goes straight to the
+   stream. *)
+let[@inline never] transport_call ~mtu net a b slot settled =
+  Sim.Net.set_mtu net mtu;
+  let s = sentinel slot in
+  Sim.Transport.call net a ~timeout:1.0 ~tcp_timeout:2.0
+    ~dst:(Sim.Host.primary_ip b) ~dport:7 (Bytes.make 300 'q')
+    ~on_reply:(fun _ -> hold s; settled := true)
+    ~on_timeout:(fun () -> hold s)
+
+let transport_releases ~mtu ~linger ~before what () =
+  let eng, net, a, b = udp_pair () in
+  ignore
+    (Sim.Transport.serve net b ~port:7 (fun ~peer:_ req ~reply ->
+         reply (Bytes.sub req 0 16)));
+  let slot = Weak.create 1 and settled = ref false in
+  transport_call ~mtu net a b slot settled;
+  released ~what eng slot settled ~linger ~before
+
+let[@inline never] tcpish_exchange net a b slot settled =
+  let s = sentinel slot in
+  let conn =
+    Sim.Tcpish.connect net a ~dst:(Sim.Host.primary_ip b) ~dport:9
+      ~on_connected:(fun conn ->
+        Sim.Tcpish.on_message conn (fun _ -> hold s; Sim.Tcpish.close conn);
+        Sim.Tcpish.send_message conn (Bytes.of_string "hello"))
+      ()
+  in
+  Sim.Tcpish.on_close conn (fun ~reset:_ -> hold s; settled := true)
+
+let tcpish_releases what () =
+  let eng, net, a, b = udp_pair () in
+  Sim.Tcpish.listen net b ~port:9
+    ~on_accept:(fun conn ->
+      Sim.Tcpish.on_message conn (fun m -> Sim.Tcpish.send_message conn m))
+    ();
+  let slot = Weak.create 1 and settled = ref false in
+  tcpish_exchange net a b slot settled;
+  released ~what eng slot settled ~before:0.225
+
+(* The client calls run on the attack testbed's file server. Each
+   sentinel is made inside the continuation that starts the guarded call,
+   so no earlier exchange's closures capture it. *)
+let[@inline never] ap_exchange (bed : Attacks.Testbed.t) creds slot settled =
+  let s = sentinel slot in
+  Kerberos.Client.ap_exchange bed.victim creds ~deadline:5.0
+    ~dst:(Sim.Host.primary_ip bed.file_host) ~dport:bed.file_port (fun r ->
+      hold s;
+      ignore (Attacks.Testbed.expect "ap" r);
+      settled := true)
+
+let[@inline never] call_priv (bed : Attacks.Testbed.t) chan slot settled =
+  let s = sentinel slot in
+  Kerberos.Client.call_priv bed.victim chan ~deadline:5.0
+    (Bytes.of_string "READ /f0") ~k:(fun r ->
+      hold s;
+      ignore (Attacks.Testbed.expect "priv" r);
+      settled := true)
+
+let client_releases start what () =
+  let open Kerberos in
+  let bed = Attacks.Testbed.make ~profile:Profile.v4 () in
+  let slot = Weak.create 1 and settled = ref false and t0 = ref 0.0 in
+  Client.login bed.victim ~password:bed.victim_password (fun r ->
+      ignore (Attacks.Testbed.expect "login" r);
+      Client.get_ticket bed.victim ~service:bed.file_principal (fun r ->
+          let creds = Attacks.Testbed.expect "ticket" r in
+          t0 := Sim.Engine.now bed.eng;
+          start bed creds slot settled));
+  while !t0 = 0.0 && Sim.Engine.step bed.eng do () done;
+  released ~what bed.eng slot settled ~before:(!t0 +. 5.0)
+
+let channel_then_call_priv (bed : Attacks.Testbed.t) creds slot settled =
+  Kerberos.Client.ap_exchange bed.victim creds
+    ~dst:(Sim.Host.primary_ip bed.file_host) ~dport:bed.file_port (fun r ->
+      call_priv bed (Attacks.Testbed.expect "ap" r) slot settled)
+
+let release_cases =
+  [ ("Rpc.call", rpc_releases);
+    ( "Transport.call, datagram leg",
+      transport_releases ~mtu:None ~linger:0.0 ~before:0.9 );
+    (* The stream closes within a few round trips of the reply; its own
+       retransmit timer comes due at 0.225 s at the earliest. *)
+    ( "Transport.call, stream leg",
+      transport_releases ~mtu:(Some 100) ~linger:0.05 ~before:0.225 );
+    ("closed Tcpish connection", tcpish_releases);
+    ("Client.ap_exchange ~deadline", client_releases ap_exchange);
+    ("Client.call_priv ~deadline", client_releases channel_then_call_priv) ]
 
 (* ------------------------------------------------------------------ *)
 (* Lazy materialization: same realm, same bytes, fewer registrations   *)
@@ -409,7 +601,13 @@ let () =
           Alcotest.test_case "crypto per request" `Quick crypto_per_request;
           Alcotest.test_case "footprint" `Quick footprint ] );
       ( "engine",
-        [ QCheck_alcotest.to_alcotest engine_matches_model ] );
+        [ QCheck_alcotest.to_alcotest engine_matches_model;
+          Alcotest.test_case "disarm releases the closure" `Quick
+            disarm_releases ] );
+      ( "release",
+        List.map
+          (fun (name, f) -> Alcotest.test_case name `Quick (f name))
+          release_cases );
       ( "lazy-users",
         [ Alcotest.test_case "user_at index-pure" `Quick user_at_is_index_pure;
           Alcotest.test_case "kdb provider" `Quick kdb_lazy_provider;

@@ -4,7 +4,8 @@
    datagram truncation at the MTU choke point (delivered short, rejected
    by the hardened decoders, counted), and the quickstart workload forced
    through the RESPONSE-TOO-BIG -> framed-TCP fallback end to end —
-   byte-identically across two runs at one seed. *)
+   byte-identically across two runs at one seed, and without resending a
+   call whose deadline already fired. *)
 
 open Kerberos
 
@@ -142,12 +143,10 @@ let truncation_delivered_short_and_rejected () =
 (* ------------------------------------------------------------------ *)
 
 (* The quickstart realm with the path MTU pinned below the largest
-   AS/TGS reply: login, TGS, AP exchange and a sealed read of a blob
-   far above the MTU must all complete — the KDC exchanges retried over
-   the stream after the server's explicit refusal, the AP channel
-   upgraded for the oversized sealed reply. Returns the full telemetry
-   trace so the caller can compare two runs byte for byte. *)
-let quickstart_under_mtu () =
+   AS/TGS reply and a 1,200-byte /blob on the file server: login, then
+   TGS and an AP exchange, then [on_chan] with the client and the open
+   channel. *)
+let mtu_realm ~on_chan =
   let tel = Telemetry.Collector.fresh_default () in
   let eng = Sim.Engine.create () in
   let net = Sim.Net.create ~seed:0x7E57L ~telemetry:tel eng in
@@ -180,7 +179,6 @@ let quickstart_under_mtu () =
       ~kdcs:[ ("TPORT", Sim.Host.primary_ip kdc_host) ]
       user
   in
-  let read = ref None in
   Client.login c ~password:"pw.u" (function
     | Error e -> Alcotest.failf "login under MTU: %s" e
     | Ok _ ->
@@ -190,10 +188,20 @@ let quickstart_under_mtu () =
               Client.ap_exchange c creds ~deadline:10.0
                 ~dst:(Sim.Host.primary_ip fs_host) ~dport:600 (function
                 | Error e -> Alcotest.failf "AP under MTU: %s" e
-                | Ok chan ->
-                    Client.call_priv c chan ~deadline:10.0
-                      (Bytes.of_string "READ /blob") ~k:(fun r ->
-                        read := Some r))));
+                | Ok chan -> on_chan c chan)));
+  (tel, eng, fsrv)
+
+(* A sealed read of the blob must complete — the KDC exchanges retried
+   over the stream after the server's explicit refusal, the AP channel
+   upgraded for the oversized sealed reply. Returns the full telemetry
+   trace so the caller can compare two runs byte for byte. *)
+let quickstart_under_mtu () =
+  let read = ref None in
+  let tel, eng, _ =
+    mtu_realm ~on_chan:(fun c chan ->
+        Client.call_priv c chan ~deadline:10.0 (Bytes.of_string "READ /blob")
+          ~k:(fun r -> read := Some r))
+  in
   Sim.Engine.run eng;
   (match !read with
   | Some (Ok data) ->
@@ -217,6 +225,29 @@ let fallback_deterministic () =
   let _, trace2 = quickstart_under_mtu () in
   Alcotest.(check bool) "two runs at one seed trace byte-identically" true
     (String.equal trace1 trace2)
+
+(* A call whose deadline fires before the server's RESPONSE-TOO-BIG
+   refusal lands is settled as timed out. The refusal still upgrades the
+   channel to the stream, and the upgrade must not resend the timed-out
+   request: the file server processes READ /blob once. *)
+let timed_out_call_not_resent () =
+  let result = ref None in
+  let _, eng, fsrv =
+    mtu_realm ~on_chan:(fun c chan ->
+        Client.call_priv c chan ~deadline:0.006 (Bytes.of_string "READ /blob")
+          ~k:(fun r -> result := Some r))
+  in
+  Sim.Engine.run eng;
+  (match !result with
+  | Some (Error "call timed out") -> ()
+  | Some (Error e) -> Alcotest.failf "expected a timeout, got %s" e
+  | Some (Ok _) -> Alcotest.fail "expected a timeout, got the blob"
+  | None -> Alcotest.fail "call never settled");
+  let reads =
+    List.filter (fun (cmd, _) -> cmd = "READ /blob")
+      (Services.Fileserver.request_log fsrv)
+  in
+  Alcotest.(check int) "READ /blob processed once" 1 (List.length reads)
 
 (* ------------------------------------------------------------------ *)
 (* Deadline across the fallback                                        *)
@@ -302,4 +333,6 @@ let () =
           Alcotest.test_case "deadline spent before fallback" `Quick
             deadline_spent_before_fallback;
           Alcotest.test_case "byte-identical at one seed" `Quick
-            fallback_deterministic ] ) ]
+            fallback_deterministic;
+          Alcotest.test_case "timed-out call not resent on upgrade" `Quick
+            timed_out_call_not_resent ] ) ]
