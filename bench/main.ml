@@ -178,7 +178,7 @@ let t_faults_jitter =
 
 (* The inert plane's overhead is the difference of two fits, and one pair
    of fits moves by several times the 1 % budget from run to run. So the
-   gate fits the two sessions [fault_fits] times under {!overhead}'s rule.
+   gate fits the two sessions [fault_fits] times under {!verdict}'s rule.
    The jitter row, fitted once, shows what a plane that fires costs, for
    scale. *)
 let fault_fits = 7
@@ -213,23 +213,20 @@ let median_iqr xs =
   in
   (q 0.5, q 0.75 -. q 0.25)
 
-type verdict = Within | Over | Unresolved
-
 type overhead = {
   base : float;  (* median of the [base] measurements *)
+  base_iqr : float;
   cand : float;  (* median of the [cand] measurements *)
+  cand_iqr : float;
   pct : float;  (* median per-pair overhead of [cand] over [base], % *)
   iqr : float;  (* its interquartile range, percentage points *)
-  verdict : verdict;
 }
 
 (* What [cand] costs over [base] when one pair of timings moves by more
-   than the budget: [pairs] rounds, [base] measured first in even rounds
-   and second in odd ones, each round's overhead taken, and the median
-   held to [budget_pct] with the spread beside it — over budget only when
-   median - IQR exceeds it, within it when median + IQR does not, and
-   unresolved at this noise level in between. Only [Over] fails a gate. *)
-let overhead ~pairs ~budget_pct base cand =
+   than the difference sought: [pairs] rounds, [base] measured first in
+   even rounds and second in odd ones, and each round's overhead taken,
+   so drift over the run hits both sides alike. *)
+let paired ~pairs base cand =
   let round i =
     if i mod 2 = 0 then
       let b = base () in
@@ -239,14 +236,21 @@ let overhead ~pairs ~budget_pct base cand =
       (base (), c)
   in
   let rounds = List.init pairs round in
+  let base, base_iqr = median_iqr (List.map fst rounds) in
+  let cand, cand_iqr = median_iqr (List.map snd rounds) in
   let pct, iqr = median_iqr (List.map (fun (b, c) -> (c -. b) /. b *. 100.0) rounds) in
-  { base = fst (median_iqr (List.map fst rounds));
-    cand = fst (median_iqr (List.map snd rounds));
-    pct; iqr;
-    verdict =
-      (if pct -. iqr > budget_pct then Over
-       else if pct +. iqr <= budget_pct then Within
-       else Unresolved) }
+  { base; base_iqr; cand; cand_iqr; pct; iqr }
+
+type verdict = Within | Over | Unresolved
+
+(* A paired overhead held to [budget_pct] with its spread beside it: over
+   budget only when median - IQR exceeds it, within it when median + IQR
+   does not, and unresolved at this noise level in between. Only [Over]
+   fails a gate. *)
+let verdict ~budget_pct o =
+  if o.pct -. o.iqr > budget_pct then Over
+  else if o.pct +. o.iqr <= budget_pct then Within
+  else Unresolved
 
 let verdict_text = function
   | Within -> "within budget"
@@ -255,10 +259,11 @@ let verdict_text = function
 
 let fault_gate cfg =
   let o =
-    overhead ~pairs:fault_fits ~budget_pct:fault_budget_pct
+    paired ~pairs:fault_fits
       (fun () -> fit cfg t_faults_none)
       (fun () -> fit cfg t_faults_inert)
   in
+  let v = verdict ~budget_pct:fault_budget_pct o in
   let json =
     Telemetry.Json.(
       Obj
@@ -269,9 +274,9 @@ let fault_gate cfg =
           ("overhead_disabled_pct", Float o.pct);
           ("overhead_disabled_iqr_pct", Float o.iqr);
           ("overhead_budget_pct", Float fault_budget_pct);
-          ("verdict", Str (verdict_text o.verdict)) ])
+          ("verdict", Str (verdict_text v)) ])
   in
-  (o, json)
+  (o, v, json)
 
 (* Exit 1 from [guard] unless [text] parses as JSON carrying every key
    path (as {!Telemetry.Json.path} reads them). *)
@@ -390,7 +395,7 @@ let load_smoke () =
      simulated world, same counts, same histograms — and must not cost
      more than the full collector it strips down. The claim is "inert",
      not "faster on every tiny run", so the budget is 25 % under the
-     alternating-pairs rule ({!overhead}). *)
+     alternating-pairs rule ({!paired}, {!verdict}). *)
   let light = { cfg with L.lightweight = true } in
   let masked = { (L.run light) with L.r_config = cfg } in
   if
@@ -404,33 +409,36 @@ let load_smoke () =
        observationally inert\n";
     exit 1);
   let run_seconds c () = (snd (L.run_timed c)).L.run_seconds in
-  let o =
-    overhead ~pairs:load_light_pairs ~budget_pct:load_light_budget_pct
-      (run_seconds cfg) (run_seconds light)
-  in
+  let o = paired ~pairs:load_light_pairs (run_seconds cfg) (run_seconds light) in
+  let v = verdict ~budget_pct:load_light_budget_pct o in
   Printf.printf
     "load smoke: suite ran (%d completed, tgs reduction %.1fx, fast-path \
      speedup %.2fx), schema has all %d key paths, reports identical; \
      lightweight vs full %+.1f%% median (IQR %.1f) over %d pairs: %s at %.0f%%\n"
     r.L.completed (L.tgs_reduction suite) (L.fast_path_speedup suite)
-    (List.length paths) o.pct o.iqr load_light_pairs (verdict_text o.verdict)
+    (List.length paths) o.pct o.iqr load_light_pairs (verdict_text v)
     load_light_budget_pct;
-  if o.verdict = Over then exit 1
+  if v = Over then exit 1
 
 (* --- recovery smoke: BENCH_recovery.json schema guard --- *)
 
 (* With --recovery-smoke, measure what durability costs where it matters:
    the per-mutation WAL overhead against a WAL-less twin, and the
-   checkpoint + WAL-replay recovery time as the log grows. The results
-   are persisted to BENCH_recovery.json and the schema checked here, so
-   a drift fails `dune runtest` instead of breaking downstream readers. *)
+   checkpoint + WAL-replay recovery time as the log grows. Every timing
+   carries its repeat count and spread: the two add paths are timed in
+   [recovery_pairs] alternating pairs ({!paired}) and each replay
+   [recovery_pairs] times, medians and IQRs recorded. Nothing here is
+   held to a budget. The results are persisted to BENCH_recovery.json and
+   the schema checked here, so a drift fails `dune runtest` instead of
+   breaking downstream readers. *)
 let recovery_json_path = "BENCH_recovery.json"
+let recovery_pairs = 11
 let num v = if Float.is_nan v then "null" else Printf.sprintf "%.6g" v
 
 let recovery_smoke () =
   let key = Util.Rng.bytes (Util.Rng.create 0x52454342L) 8 in
   let adds = 2000 in
-  let time_adds ~wal =
+  let time_adds ~wal () =
     let db = Kdb.create ~shards:16 () in
     if wal then Kdb.enable_durability db;
     let t0 = Sys.time () in
@@ -441,9 +449,7 @@ let recovery_smoke () =
     done;
     (Sys.time () -. t0) /. float_of_int adds *. 1e9
   in
-  let no_wal_ns = time_adds ~wal:false in
-  let wal_ns = time_adds ~wal:true in
-  let overhead_pct = (wal_ns -. no_wal_ns) /. no_wal_ns *. 100.0 in
+  let o = paired ~pairs:recovery_pairs (time_adds ~wal:false) (time_adds ~wal:true) in
   let recovery_row records =
     let db = Kdb.create ~shards:16 () in
     Kdb.enable_durability db;
@@ -453,20 +459,21 @@ let recovery_smoke () =
         ~key
     done;
     let checkpoint, wal = Option.get (Kdb.disk_image db) in
-    let best = ref infinity and applied = ref 0 in
-    for _ = 1 to 3 do
+    let applied = ref 0 in
+    let replay () =
       let t0 = Sys.time () in
       let r = Kdb.recover ~checkpoint ~wal in
       let dt = Sys.time () -. t0 in
-      if dt < !best then best := dt;
       applied := r.Kdb.applied;
-      assert (r.Kdb.discarded_bytes = 0)
-    done;
-    (records, !applied, !best *. 1e3)
+      assert (r.Kdb.discarded_bytes = 0);
+      dt *. 1e3
+    in
+    let ms, iqr = median_iqr (List.init recovery_pairs (fun _ -> replay ())) in
+    (records, !applied, ms, iqr)
   in
   let rows = List.map recovery_row [ 100; 1000; 5000 ] in
   List.iter
-    (fun (records, applied, _) ->
+    (fun (records, applied, _, _) ->
       if applied <> records then (
         Printf.eprintf "recovery smoke: %d WAL records but %d applied\n" records
           applied;
@@ -475,32 +482,44 @@ let recovery_smoke () =
   let oc = open_out recovery_json_path in
   Printf.fprintf oc
     "{\n\
-    \  \"wal_overhead\": { \"add_ns_no_wal\": %s, \"add_ns_wal\": %s, \
-     \"overhead_pct\": %s },\n\
+    \  \"wal_overhead\": { \"pairs\": %d, \"add_ns_no_wal\": %s, \
+     \"add_ns_no_wal_iqr\": %s, \"add_ns_wal\": %s, \"add_ns_wal_iqr\": %s, \
+     \"overhead_pct\": %s, \"overhead_iqr_pct\": %s },\n\
     \  \"recovery_time\": [\n%s\n\
     \  ]\n\
      }\n"
-    (num no_wal_ns) (num wal_ns) (num overhead_pct)
+    recovery_pairs (num o.base) (num o.base_iqr) (num o.cand) (num o.cand_iqr)
+    (num o.pct) (num o.iqr)
     (String.concat ",\n"
        (List.map
-          (fun (records, applied, ms) ->
+          (fun (records, applied, ms, iqr) ->
             Printf.sprintf
-              "    { \"wal_records\": %d, \"applied\": %d, \"replay_ms\": %s }"
-              records applied (num ms))
+              "    { \"wal_records\": %d, \"applied\": %d, \"repeats\": %d, \
+               \"replay_ms\": %s, \"replay_iqr_ms\": %s }"
+              records applied recovery_pairs (num ms) (num iqr))
           rows));
   close_out oc;
   (* Schema guard over what was actually written. *)
   check_schema "recovery smoke" recovery_json_path
     (In_channel.with_open_bin recovery_json_path In_channel.input_all)
-    [ "wal_overhead.add_ns_no_wal"; "wal_overhead.add_ns_wal";
-      "wal_overhead.overhead_pct"; "recovery_time.0.wal_records";
-      "recovery_time.0.applied"; "recovery_time.0.replay_ms" ];
+    ([ "wal_overhead.pairs"; "wal_overhead.add_ns_no_wal";
+       "wal_overhead.add_ns_no_wal_iqr"; "wal_overhead.add_ns_wal";
+       "wal_overhead.add_ns_wal_iqr"; "wal_overhead.overhead_pct";
+       "wal_overhead.overhead_iqr_pct" ]
+    @ List.concat_map
+        (fun i ->
+          List.map
+            (Printf.sprintf "recovery_time.%d.%s" i)
+            [ "wal_records"; "applied"; "repeats"; "replay_ms"; "replay_iqr_ms" ])
+        [ 0; 1; 2 ]);
   Printf.printf
-    "recovery smoke: add %.0f -> %.0f ns/mutation with WAL (%+.1f%%), replay \
-     of %d-record log %.2f ms; schema intact\n"
-    no_wal_ns wal_ns overhead_pct
-    (match List.rev rows with (r, _, _) :: _ -> r | [] -> 0)
-    (match List.rev rows with (_, _, ms) :: _ -> ms | [] -> 0.0)
+    "recovery smoke: add %.0f -> %.0f ns/mutation with WAL (%+.1f%% median, \
+     IQR %.1f, %d pairs), replay of %d-record log %.2f ms (median of %d); \
+     schema intact\n"
+    o.base o.cand o.pct o.iqr recovery_pairs
+    (match List.rev rows with (r, _, _, _) :: _ -> r | [] -> 0)
+    (match List.rev rows with (_, _, ms, _) :: _ -> ms | [] -> 0.0)
+    recovery_pairs
 
 (* --- transport smoke: UDP vs TCP-fallback latency, BENCH_transport.json --- *)
 
@@ -513,7 +532,7 @@ let recovery_smoke () =
    repeated at the same seed and its serialized row must be
    byte-identical. Finally the armed-but-never-firing MTU check must not
    be over a 1 % wall budget against the unconfigured network, in the
-   median of 21 alternating pairs less their IQR ({!overhead}), so the
+   median of 21 alternating pairs less their IQR ({!verdict}), so the
    MTU model stays free when unused. *)
 let transport_json_path = "BENCH_transport.json"
 let transport_inert_pairs = 21
@@ -680,13 +699,12 @@ let transport_smoke () =
     exit 1
   end;
   (* Inert-MTU gate: an MTU set above every packet is checked on every
-     send and never fires; under the alternating-pairs rule ({!overhead})
-     it must not cost more than 1 % wall over the unconfigured network. *)
+     send and never fires; under the alternating-pairs rule ({!paired},
+     {!verdict}) it must not cost more than 1 % wall over the
+     unconfigured network. *)
   let wall mtu () = (transport_workload ?mtu ~clients ~reads ()).tw_wall_s in
-  let o =
-    overhead ~pairs:transport_inert_pairs ~budget_pct:transport_inert_budget_pct
-      (wall None) (wall (Some 1_000_000))
-  in
+  let o = paired ~pairs:transport_inert_pairs (wall None) (wall (Some 1_000_000)) in
+  let v = verdict ~budget_pct:transport_inert_budget_pct o in
   let json =
     Printf.sprintf
       "{\n  \"udp\": %s,\n  \"tcp_fallback\": %s,\n  \"mtu\": %d,\n  \
@@ -695,7 +713,7 @@ let transport_smoke () =
        %s, \"verdict\": %S }\n}\n"
       (transport_row_json udp) (transport_row_json tcp) constrained_mtu
       (num o.base) (num o.cand) transport_inert_pairs (num o.pct) (num o.iqr)
-      (num transport_inert_budget_pct) (verdict_text o.verdict)
+      (num transport_inert_budget_pct) (verdict_text v)
   in
   let oc = open_out transport_json_path in
   output_string oc json;
@@ -719,8 +737,8 @@ let transport_smoke () =
      %d pairs: %s at %.0f%%\n"
     udp.tw_completed udp.tw_reads udp.tw_p50_ms tcp.tw_completed tcp.tw_reads
     tcp.tw_p50_ms tcp.tw_fallbacks o.pct o.iqr transport_inert_pairs
-    (verdict_text o.verdict) transport_inert_budget_pct;
-  if o.verdict = Over then exit 1
+    (verdict_text v) transport_inert_budget_pct;
+  if v = Over then exit 1
 
 (* --- perfbench digests (--digests SIZE BENCH_EXE EXPECTED_JSON) ---
 
@@ -897,7 +915,7 @@ let () =
     else Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None ()
   in
   let rows = fits cfg tests in
-  let faults, faults_json = fault_gate cfg in
+  let faults, faults_verdict, faults_json = fault_gate cfg in
   let faults_json = Telemetry.Json.to_string faults_json in
   if smoke then begin
     (* Schema guard for BENCH_faults.json: the gate's object, parsed back. *)
@@ -965,7 +983,7 @@ let () =
     close_out oc;
     Printf.printf "telemetry histograms:     %s\n"
       (Filename.concat (Sys.getcwd ()) telemetry_json_path);
-    if faults.verdict = Over then begin
+    if faults_verdict = Over then begin
       Printf.eprintf
         "fault-plane gate: inert plane costs %.2f%% (IQR %.2f) over fits, above the \
          %.1f%% budget\n"

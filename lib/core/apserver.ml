@@ -154,25 +154,29 @@ let fresh_parts t =
   in
   (server_part, seq_init)
 
+(* A negotiating profile needs the client's part; a peer that leaves it
+   out is refused like any other malformed exchange. *)
 let establish t ~cx ~(ticket : Messages.ticket) ~client_part ~server_part
     ~client_seq ~server_seq =
-  let key =
+  match
     Session.derived_key t.profile ~multi:ticket.Messages.session_key
       ~client_part ~server_part
-  in
-  (* A draw per session whose value is unused: it keeps the server's
-     random stream, and so every seeded run, as recorded. *)
-  ignore (Util.Rng.next_int64 t.rng);
-  let session =
-    Session.make ~profile:t.profile ~role:Session.Server_side
-      ~key ~own_addr:cx.cx_own ~peer_addr:cx.cx_src
-      ~send_seq:(Option.value server_seq ~default:0)
-      ~recv_seq:(Option.value client_seq ~default:0)
-  in
-  put_peer t (cx.cx_src, cx.cx_sport) (Established (session, ticket.Messages.client));
-  t.established <- t.established + 1;
-  Telemetry.Metrics.incr t.c_established;
-  session
+  with
+  | Error reason -> Error { Ap_check.code = Messages.err_bad_integrity; reason }
+  | Ok key ->
+      (* A draw per session whose value is unused: it keeps the server's
+         random stream, and so every seeded run, as recorded. *)
+      ignore (Util.Rng.next_int64 t.rng);
+      let session =
+        Session.make ~profile:t.profile ~role:Session.Server_side
+          ~key ~own_addr:cx.cx_own ~peer_addr:cx.cx_src
+          ~send_seq:(Option.value server_seq ~default:0)
+          ~recv_seq:(Option.value client_seq ~default:0)
+      in
+      put_peer t (cx.cx_src, cx.cx_sport) (Established (session, ticket.Messages.client));
+      t.established <- t.established + 1;
+      Telemetry.Metrics.incr t.c_established;
+      Ok ()
 
 (* --- Timestamp-authenticator path ---------------------------------- *)
 
@@ -193,22 +197,24 @@ let handle_ap_timestamp t ~cx ~skew (r : Messages.ap_req) =
           ~cache:t.cache r.r_authenticator
       with
       | Error rej -> reject t ~cx rej
-      | Ok auth ->
+      | Ok auth -> (
           let server_part, server_seq = fresh_parts t in
-          let (_ : Session.t) =
+          match
             establish t ~cx ~ticket ~client_part:auth.a_subkey_part ~server_part
               ~client_seq:auth.a_seq_init ~server_seq
-          in
-          let body =
-            if r.r_mutual || server_part <> None || server_seq <> None then
-              Messages.seal_msg t.profile t.rng ~key:ticket.Messages.session_key
-                ~tag:Messages.tag_ap_rep_body
-                (Messages.ap_rep_body_to_value
-                   { Messages.ar_timestamp = auth.a_timestamp +. 1.0;
-                     ar_subkey_part = server_part; ar_seq_init = server_seq })
-            else Bytes.empty
-          in
-          reply t ~cx Frames.ap_ok body)
+          with
+          | Error rej -> reject t ~cx rej
+          | Ok () ->
+              let body =
+                if r.r_mutual || server_part <> None || server_seq <> None then
+                  Messages.seal_msg t.profile t.rng ~key:ticket.Messages.session_key
+                    ~tag:Messages.tag_ap_rep_body
+                    (Messages.ap_rep_body_to_value
+                       { Messages.ar_timestamp = auth.a_timestamp +. 1.0;
+                         ar_subkey_part = server_part; ar_seq_init = server_seq })
+                else Bytes.empty
+              in
+              reply t ~cx Frames.ap_ok body))
 
 (* --- Challenge/response path --------------------------------------- *)
 
@@ -258,13 +264,14 @@ let handle_challenge_resp t ~cx pending payload =
             reject t ~cx
               { Ap_check.code = Messages.err_bad_integrity;
                 reason = "challenge response incorrect" }
-          else begin
-            ignore
-              (establish t ~cx ~ticket:pending.pend_ticket
-                 ~client_part:resp.cr_client_part ~server_part:pending.pend_server_part
-                 ~client_seq:resp.cr_seq_init ~server_seq:pending.pend_seq_init);
-            reply t ~cx Frames.ap_ok Bytes.empty
-          end)
+          else
+            match
+              establish t ~cx ~ticket:pending.pend_ticket
+                ~client_part:resp.cr_client_part ~server_part:pending.pend_server_part
+                ~client_seq:resp.cr_seq_init ~server_seq:pending.pend_seq_init
+            with
+            | Error rej -> reject t ~cx rej
+            | Ok () -> reply t ~cx Frames.ap_ok Bytes.empty)
 
 (* --- Established-session traffic ----------------------------------- *)
 

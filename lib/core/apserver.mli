@@ -79,6 +79,8 @@ val peer_state_words : t -> int
 (** Heap words those {!peer_state_size} entries hold: each one's table
     and eviction-queue cells, its endpoint, and its pending challenge or
     session (key, client principal, replay cache). The empty table, the
-    profile and the sessions' DES schedules, which the server and the
-    schedule memo hold anyway, are not counted. A measurement, not a hot
-    path: it walks everything the table reaches. *)
+    profile (which the server holds anyway) and the sessions' DES
+    schedules are not counted; the schedule memo shares a session's
+    33-word schedule only while its key is among the memo's recent
+    entries. A measurement, not a hot path: it walks everything the
+    table reaches. *)

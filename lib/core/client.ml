@@ -1002,25 +1002,23 @@ and ap_exchange t (creds : credentials) ?(mutual = true) ?deadline
         link.lk_send (Frames.wrap kind payload))
   in
   let finish_session ~link ~client_part ~server_part ~my_seq ~their_seq =
-    match
-      Session.derived_key t.profile ~multi:creds.session_key ~client_part
-        ~server_part
-    with
-    | key ->
-        (* A draw per session whose value is unused: it keeps the
-           client's random stream, and so every seeded run, as recorded. *)
-        ignore (Util.Rng.next_int64 t.rng);
-        let session =
-          Session.make ~profile:t.profile ~role:Session.Client_side ~key
-            ~own_addr:(Sim.Host.primary_ip t.host) ~peer_addr:dst
-            ~send_seq:(Option.value my_seq ~default:0)
-            ~recv_seq:(Option.value their_seq ~default:0)
-        in
-        (* The channel takes ownership of the link: success must not tear
-           it down with the exchange. *)
-        current := None;
-        Ok (make_channel t session ~link ~creds ~mutual ~dst ~dport)
-    | exception Invalid_argument e -> Error e
+    Session.derived_key t.profile ~multi:creds.session_key ~client_part
+      ~server_part
+    |> Result.map (fun key ->
+           (* A draw per session whose value is unused: it keeps the
+              client's random stream, and so every seeded run, as
+              recorded. *)
+           ignore (Util.Rng.next_int64 t.rng);
+           let session =
+             Session.make ~profile:t.profile ~role:Session.Client_side ~key
+               ~own_addr:(Sim.Host.primary_ip t.host) ~peer_addr:dst
+               ~send_seq:(Option.value my_seq ~default:0)
+               ~recv_seq:(Option.value their_seq ~default:0)
+           in
+           (* The channel takes ownership of the link: success must not
+              tear it down with the exchange. *)
+           current := None;
+           make_channel t session ~link ~creds ~mutual ~dst ~dport)
   in
   let rec attempt via =
     match t.profile.Profile.ap_auth with

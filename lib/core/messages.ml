@@ -162,6 +162,15 @@ let gopt f v =
 let vint i = Int (Int64.of_int i)
 let gint v = Int64.to_int (get_int v)
 
+(* A session key or a negotiation part: DES key material, so exactly 8
+   bytes. Any other length would only fail later, inside the key schedule
+   or the negotiation XOR, as an exception no caller expects from the
+   wire. *)
+let get_key v =
+  let b = get_raw v in
+  if Bytes.length b <> 8 then Wire.Codec.fail "key material: not 8 bytes";
+  b
+
 (* ------------------------------------------------------------------ *)
 (* Tickets                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -181,7 +190,7 @@ let ticket_of_value v =
   | [ srv; cl; addr; issued; life; key; fwd; dup; trans ] ->
       { server = Principal.of_value srv; client = Principal.of_value cl;
         addr = gopt gint addr; issued_at = gfloat issued; lifetime = gfloat life;
-        session_key = get_raw key; forwarded = gbool fwd; dup_skey = gbool dup;
+        session_key = get_key key; forwarded = gbool fwd; dup_skey = gbool dup;
         transited = List.map get_str (get_list trans) }
   | _ -> Wire.Codec.fail "ticket: wrong arity"
 
@@ -205,7 +214,7 @@ let authenticator_of_value v =
       { a_client = Principal.of_value cl; a_addr = gint addr; a_timestamp = gfloat ts;
         a_req_cksum = gopt get_raw rc; a_ticket_cksum = gopt get_raw tc;
         a_service = gopt Principal.of_value svc; a_seq_init = gopt gint seq;
-        a_subkey_part = gopt get_raw sub }
+        a_subkey_part = gopt get_key sub }
   | _ -> Wire.Codec.fail "authenticator: wrong arity"
 
 (* ------------------------------------------------------------------ *)
@@ -271,7 +280,7 @@ let rep_body_of_value ~tag kind v =
   let v = Wire.Encoding.expect_tag kind tag v in
   match get_list v with
   | [ key; n; srv; issued; life; tkt ] ->
-      { b_session_key = get_raw key; b_nonce = get_int n;
+      { b_session_key = get_key key; b_nonce = get_int n;
         b_server = Principal.of_value srv; b_issued_at = gfloat issued;
         b_lifetime = gfloat life; b_ticket = get_raw tkt }
   | _ -> Wire.Codec.fail "rep_body: wrong arity"
@@ -342,7 +351,7 @@ let ap_rep_body_of_value v =
   let v = match v with Tagged (t, inner) when t = tag_ap_rep_body -> inner | Tagged _ -> Wire.Codec.fail "not an ap_rep_body" | v -> v in
   match get_list v with
   | [ ts; sub; seq ] ->
-      { ar_timestamp = gfloat ts; ar_subkey_part = gopt get_raw sub; ar_seq_init = gopt gint seq }
+      { ar_timestamp = gfloat ts; ar_subkey_part = gopt get_key sub; ar_seq_init = gopt gint seq }
   | _ -> Wire.Codec.fail "ap_rep_body: wrong arity"
 
 let challenge_to_value c =
@@ -354,7 +363,7 @@ let challenge_of_value v =
   let v = match v with Tagged (t, inner) when t = tag_challenge -> inner | Tagged _ -> Wire.Codec.fail "not a challenge" | v -> v in
   match get_list v with
   | [ n; sp; seq ] ->
-      { c_nonce = get_int n; c_server_part = gopt get_raw sp; c_seq_init = gopt gint seq }
+      { c_nonce = get_int n; c_server_part = gopt get_key sp; c_seq_init = gopt gint seq }
   | _ -> Wire.Codec.fail "challenge: wrong arity"
 
 let challenge_resp_to_value c =
@@ -366,7 +375,7 @@ let challenge_resp_of_value v =
   let v = match v with Tagged (t, inner) when t = tag_challenge_resp -> inner | Tagged _ -> Wire.Codec.fail "not a challenge_resp" | v -> v in
   match get_list v with
   | [ n; cp; seq ] ->
-      { cr_nonce_f = get_int n; cr_client_part = gopt get_raw cp; cr_seq_init = gopt gint seq }
+      { cr_nonce_f = get_int n; cr_client_part = gopt get_key cp; cr_seq_init = gopt gint seq }
   | _ -> Wire.Codec.fail "challenge_resp: wrong arity"
 
 (* Deadline envelope: an optional wrapper a client may put around a KDC

@@ -159,7 +159,11 @@ val retry_after_of_text : string -> float option
 (** Parse the retry-after hint back out of an error text; [None] when the
     text carries no (or a malformed) hint. *)
 
-(** Serialization. [of_value] functions raise {!Wire.Codec.Decode_error}. *)
+(** Serialization. [of_value] functions raise {!Wire.Codec.Decode_error}
+    on malformed input, including a session key ([session_key],
+    [b_session_key]) or a negotiation part ([a_subkey_part],
+    [ar_subkey_part], [c_server_part], [cr_client_part]) that is not
+    8 bytes. *)
 
 val ticket_to_value : ticket -> Wire.Encoding.value
 val ticket_of_value : Wire.Encoding.value -> ticket

@@ -36,8 +36,9 @@ let make ~profile ~role ~key ~own_addr ~peer_addr ~send_seq ~recv_seq =
     send_iv; recv_iv; cache = Replay_cache.create ~horizon:600.0 () }
 
 let derived_key (profile : Profile.t) ~multi ~client_part ~server_part =
-  if not profile.negotiate_session_key then multi
+  if not profile.negotiate_session_key then Ok multi
   else
     match (client_part, server_part) with
-    | Some c, Some s -> Crypto.Prf.negotiate_session_key ~multi ~client_part:c ~server_part:s
-    | _ -> invalid_arg "Session.derived_key: negotiation parts missing"
+    | Some c, Some s ->
+        Ok (Crypto.Prf.negotiate_session_key ~multi ~client_part:c ~server_part:s)
+    | _ -> Error "negotiation parts missing"

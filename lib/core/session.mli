@@ -38,7 +38,13 @@ val make :
   t
 
 val derived_key :
-  Profile.t -> multi:bytes -> client_part:bytes option -> server_part:bytes option -> bytes
+  Profile.t ->
+  multi:bytes ->
+  client_part:bytes option ->
+  server_part:bytes option ->
+  (bytes, string) result
 (** The session key per profile: the multi-session key as-is, or the
-    negotiated XOR when the profile asks for it (both parts must then be
-    present). *)
+    negotiated XOR when the profile asks for it. A negotiating profile
+    with either part absent is an [Error]: the part comes from the peer,
+    so its absence is the peer's fault, not a local invariant. Parts
+    decoded by {!Messages} are 8 bytes, as the XOR requires. *)

@@ -177,8 +177,11 @@ let sp =
    Round [i]'s subkey is [sk.(2i)], the chunks of the even S-boxes (0, 2,
    4, 6), and [sk.(2i+1)], those of the odd ones, each 6-bit chunk at the
    offset of its box's window in the expanded half. Within one parity the
-   windows do not overlap, so one xor keys four boxes. *)
-type key = { sk : int array; raw : bytes }
+   windows do not overlap, so one xor keys four boxes. A key is these 32
+   words and nothing else (33 heap words with the header): the raw key is
+   not kept, so a schedule held by a session or the memo costs its
+   subkeys alone. *)
+type key = int array
 
 (* A 48-bit FIPS subkey (box [g]'s chunk in bits [47-6g .. 42-6g]) packed
    as the even word shifted down by four in bits 0..29 and the odd word in
@@ -218,13 +221,11 @@ let schedule k =
     sk.(2 * i) <- (!p land 0x3FFFFFFF) lsl 4;
     sk.((2 * i) + 1) <- !p lsr 30
   done;
-  { sk; raw = Bytes.copy k }
+  sk
 
-let key_bytes k = Bytes.copy k.raw
-
-let subkeys k =
+let subkeys sk =
   Array.init 16 (fun i ->
-      let chunk g = (k.sk.((2 * i) + (g land 1)) lsr (28 - (4 * g))) land 63 in
+      let chunk g = (sk.((2 * i) + (g land 1)) lsr (28 - (4 * g))) land 63 in
       let s = ref 0 in
       for g = 0 to 7 do
         s := (!s lsl 6) lor chunk g
@@ -284,10 +285,10 @@ let[@inline] fp st l r =
 
 (* Sixteen rounds materialize only the R chain (L_i = R_{i-1}); the
    pre-output block is R16 L16. Nothing is allocated. *)
-let encrypt_halves key st =
+let encrypt_halves sk st =
   incr blocks;
   ip st;
-  let sp = sp and sk = key.sk in
+  let sp = sp in
   let l = expand st.hi and r = expand st.lo in
   let r1 = round sp sk 0 l r in
   let r2 = round sp sk 1 r r1 in
@@ -307,10 +308,10 @@ let encrypt_halves key st =
   let r16 = round sp sk 15 r14 r15 in
   fp st (compress r16) (compress r15)
 
-let decrypt_halves key st =
+let decrypt_halves sk st =
   incr blocks;
   ip st;
-  let sp = sp and sk = key.sk in
+  let sp = sp in
   let l = expand st.hi and r = expand st.lo in
   let r1 = round sp sk 15 l r in
   let r2 = round sp sk 14 r r1 in
@@ -332,11 +333,11 @@ let decrypt_halves key st =
 
 (* Two independent blocks, round by round, so each round of one fills the
    other's wait on its table loads. *)
-let decrypt_pair key a b =
+let decrypt_pair sk a b =
   blocks := !blocks + 2;
   ip a;
   ip b;
-  let sp = sp and sk = key.sk in
+  let sp = sp in
   let al = expand a.hi and ar = expand a.lo in
   let bl = expand b.hi and br = expand b.lo in
   let a1 = round sp sk 15 al ar and b1 = round sp sk 15 bl br in
@@ -388,9 +389,9 @@ let decrypt_block key block = crypt_block decrypt_halves key block
 
 module Reference = struct
   (* The bit-by-bit cipher and schedule: a generic [permute] per component
-     per round, straight from the FIPS tables. It reads only a key's raw
-     bytes, never the kernel's tables or packed subkeys, so agreement with
-     it is evidence about the kernel. *)
+     per round, straight from the FIPS tables. It takes the raw 8-byte key,
+     never the kernel's tables or packed subkeys, so agreement with it is
+     evidence about the kernel. *)
 
   let schedule k =
     if Bytes.length k <> 8 then invalid_arg "Des.Reference.schedule: key must be 8 bytes";
@@ -420,7 +421,7 @@ module Reference = struct
 
   let crypt_block subkey_order key block =
     if Bytes.length block <> 8 then invalid_arg "Des: block must be 8 bytes";
-    let subkeys = schedule key.raw in
+    let subkeys = schedule key in
     let b = Bytes.get_int64_be block 0 in
     let ip = permute initial_permutation 64 b in
     let l = ref (Int64.shift_right_logical ip 32) in
@@ -491,53 +492,89 @@ let rec random_key rng =
   let k = fix_parity (Util.Rng.bytes rng 8) in
   if is_weak k then random_key rng else k
 
-(* --- schedule cache ------------------------------------------------------
+(* --- schedule memo -------------------------------------------------------
 
-   [schedule (fix_parity k)] costs two bit-by-bit permutes plus sixteen
-   rotate-and-permute rounds — far more than enciphering the short messages
-   Kerberos actually sends. Long-lived keys (principal keys, session keys,
-   the TGS key) are scheduled over and over at every sealing site, so a
-   small memo table keyed on the raw key bytes removes the work entirely.
-   The cache is semantically invisible: a hit returns a schedule equal to
-   what [schedule (fix_parity k)] would rebuild, and the toggle exists so
-   the equivalence tests and bench ablations can prove it. *)
+   A schedule costs a PC1 pass and sixteen rotate-and-PC2 rounds, more than
+   enciphering the short messages Kerberos sends, and long-lived keys
+   (principal keys, the TGS key, a ticket's session key) are scheduled at
+   every sealing site. So [schedule_cached] keeps recent schedules in one
+   fixed table: [memo_size] slots in [memo_sets] two-way sets, indexed
+   by a hash of [key_word k], the 56 bits that fix [schedule (fix_parity k)]
+   exactly. Within a set, way 0 holds the more recently used key: a hit in
+   way 1 swaps it forward, and a miss schedules the key into way 0 and
+   pushes way 0 into way 1, so the older way is what is overwritten.
 
+   Why 4,096 slots. A key whose life is one session (a hardened session's
+   negotiated key, a ticket key minted per request when there is no
+   credential cache) is never looked up again once its session ends, so
+   an unbounded memo only accumulates them: one that kept every key held
+   32,808 schedules (11.8 MiB) at the end of hardened_tcp. What the memo
+   must keep is the working set of keys that are reused: service keys,
+   the TGS key and the ticket keys of live credential caches. A sweep at
+   seed 4269 read peak heap (MiB) and schedules per request as follows;
+   keeping every key read 63.01 and 0.444 on first_wave, 44.05 and 2.076
+   on hardened_tcp.
+
+       slots    first_wave       hardened_tcp
+       1,024    61.86   1.07     31.28   2.23
+       2,048    60.35   0.80     31.86   2.12
+       4,096    60.98   0.60     31.92   2.09
+       8,192    60.13   0.50     33.92   2.08
+      16,384    60.32   0.46     35.42   2.08
+
+   A full table costs 35 words a slot. Each doubling past 4,096 adds
+   1.5-2 MiB to hardened_tcp's peak and saves about 0.1 schedules a
+   request or fewer; each halving below it adds 0.2-0.3 schedules a
+   request on first_wave. At 4,096, first_wave's 0.16 added schedules of
+   0.3-0.6 us each cost at most 0.1 us of a request of about 36 us.
+
+   The table is never dropped wholesale, holds no copy of a key (the word
+   is the key) and allocates nothing on a hit. It is semantically
+   invisible: a hit returns a schedule equal to what [schedule (fix_parity
+   k)] would rebuild, and the switch exists so the equivalence tests and
+   bench ablations can prove it. *)
+
+let memo_set_bits = 11
+let memo_sets = 1 lsl memo_set_bits
+let memo_size = 2 * memo_sets
+
+(* A key word is even (its bit 0 is byte 7's parity bit, cleared), so -1
+   marks an empty slot; its schedule slot then holds [no_key]. *)
+let no_key : key = [||]
+let memo_words = Array.make memo_size (-1)
+let memo_keys = Array.make memo_size no_key
 let cache_enabled = ref true
 
-(* Keyed by the raw 8 key bytes: a lookup hashes them as one int and
-   compares with [Bytes.equal], so a hit copies nothing and never goes
-   through polymorphic hashing. Only an insertion copies the key, which
-   keeps the entry safe from a caller reusing its buffer. *)
-module Key_table = Hashtbl.Make (struct
-  type t = bytes
-
-  let equal = Bytes.equal
-
-  let hash k =
-    let h = Int64.to_int (Bytes.get_int64_le k 0) * 0x2545F4914F6CDD1D in
-    (h lxor (h lsr 29)) land max_int
-end)
-
-let cache : key Key_table.t = Key_table.create 1024
-
-(* Beyond this the workload is churning through one-shot keys and memoizing
-   stops paying; dropping the table keeps memory bounded at ~
-   [max_cache_entries * (2 schedules + raw)] and correctness is unaffected. *)
-let max_cache_entries = 65_536
+(* Multiplicative hashing: the set is the product's top [memo_set_bits]
+   bits, which depend on every bit of the word, parity-bit holes
+   included. *)
+let[@inline] memo_set w = (w * 0x2545F4914F6CDD1D) lsr (Sys.int_size - memo_set_bits)
 
 let set_schedule_cache on =
   cache_enabled := on;
-  if not on then Key_table.reset cache
+  if not on then begin
+    Array.fill memo_words 0 memo_size (-1);
+    Array.fill memo_keys 0 memo_size no_key
+  end
 
 let schedule_cache_enabled () = !cache_enabled
 
+(* PC1 never reads the parity bits, so [schedule k] is already
+   [schedule (fix_parity k)]. [memo_set] is below [memo_sets], so the
+   unsafe accesses are in bounds. *)
 let schedule_cached k =
-  if (not !cache_enabled) || Bytes.length k <> 8 then schedule (fix_parity k)
+  if (not !cache_enabled) || Bytes.length k <> 8 then schedule k
   else
-    match Key_table.find_opt cache k with
-    | Some sk -> sk
-    | None ->
-        if Key_table.length cache >= max_cache_entries then Key_table.reset cache;
-        let sk = schedule (fix_parity k) in
-        Key_table.add cache (Bytes.copy k) sk;
-        sk
+    let w = key_word k in
+    let i = 2 * memo_set w in
+    if Array.unsafe_get memo_words i = w then Array.unsafe_get memo_keys i
+    else
+      let sk =
+        if Array.unsafe_get memo_words (i + 1) = w then Array.unsafe_get memo_keys (i + 1)
+        else schedule k
+      in
+      Array.unsafe_set memo_words (i + 1) (Array.unsafe_get memo_words i);
+      Array.unsafe_set memo_keys (i + 1) (Array.unsafe_get memo_keys i);
+      Array.unsafe_set memo_words i w;
+      Array.unsafe_set memo_keys i sk;
+      sk

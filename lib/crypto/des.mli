@@ -13,7 +13,8 @@
     bit-by-bit {!Reference}. *)
 
 type key
-(** A scheduled key: the 16 round subkeys, two words each. *)
+(** A scheduled key: the 16 round subkeys, two words each, and nothing
+    else (33 heap words); it keeps no copy of the key it came from. *)
 
 val block_size : int
 (** 8. *)
@@ -23,26 +24,27 @@ val schedule : bytes -> key
     byte) are ignored, as in the standard.
     @raise Invalid_argument if [k] is not 8 bytes. *)
 
-val key_bytes : key -> bytes
-(** The original 8-byte key material (with its parity bits untouched). *)
-
 val subkeys : key -> int array
 (** The 16 round subkeys as 48-bit FIPS values (S-box 1's chunk in the top
     six bits), in encryption order. Lets the tests compare the schedule
     with {!Reference.schedule}. *)
 
 val schedule_cached : bytes -> key
-(** [schedule_cached k] is [schedule (fix_parity k)], memoized on the raw
-    key bytes. Long-lived Kerberos keys are sealed under thousands of
-    times, and the schedule dominates short-message sealing cost, so the
-    hot paths route through this. Semantically identical to rescheduling
-    every time (the equivalence tests pin this); the memo table is bounded
-    and dropped wholesale when full. *)
+(** [schedule_cached k] is [schedule (fix_parity k)], memoized. Long-lived
+    Kerberos keys are sealed under thousands of times, and the schedule
+    dominates short-message sealing cost, so the hot paths route through
+    this. The memo is one fixed table of 4,096 schedules in 2,048 two-way
+    sets, keyed by the key's 56 non-parity bits (so parity-only variants
+    of a key share an entry) and kept most-recent-first within a set: a
+    miss overwrites the set's older entry, and the table is never dropped
+    wholesale. It holds no copy of any key and allocates nothing on a
+    hit. Semantically identical to rescheduling every time (the
+    equivalence tests pin this, under eviction too). *)
 
 val set_schedule_cache : bool -> unit
-(** Enable/disable the [schedule_cached] memo table (clears it when turning
-    off). On by default; the off position exists for equivalence tests and
-    bench ablations. *)
+(** Enable/disable the [schedule_cached] memo table (empties it when
+    turning off). On by default; the off position exists for equivalence
+    tests and bench ablations. *)
 
 val schedule_cache_enabled : unit -> bool
 
@@ -89,11 +91,14 @@ module Reference : sig
   (** The 16 round subkeys of an 8-byte key, computed bit by bit, in the
       layout of {!subkeys}. *)
 
-  val encrypt_block : key -> bytes -> bytes
-  val decrypt_block : key -> bytes -> bytes
+  val encrypt_block : bytes -> bytes -> bytes
+  (** [encrypt_block k b] enciphers the 8-byte block [b] under the raw
+      8-byte key [k]. *)
+
+  val decrypt_block : bytes -> bytes -> bytes
 end
 (** The bit-by-bit cipher and key schedule: one generic permutation per
-    FIPS table per round, from a key's raw bytes alone. It shares no
+    FIPS table per round, from the raw 8-byte key alone. It shares no
     tables and no subkeys with the kernel above, which makes it the oracle
     the property tests compare the kernel against. Roughly 30x slower per
     block, as it reschedules the key on every call; never used outside the

@@ -246,6 +246,91 @@ let e_addr () =
   Alcotest.(check bool) "hardened replay dies at the challenge" false
     rh.spoofed_source_accepted
 
+(* Key material from the wire: a session key or negotiation part of the
+   wrong length, or a missing part, is refused by the file server. Each
+   of these used to escape [Testbed.run] as an [Invalid_argument]. *)
+
+let file_server_refused (bed : Testbed.t) =
+  let ap = Services.Fileserver.apserver bed.file in
+  Alcotest.(check int) "no session established" 0 (Apserver.sessions_established ap);
+  Alcotest.(check bool) "refused as bad integrity" true
+    (List.exists
+       (fun (code, _) -> code = Messages.err_bad_integrity)
+       (Apserver.rejections ap))
+
+let send_to_file_server (bed : Testbed.t) ~sport kind body =
+  Sim.Adversary.spoof bed.adv ~src:(Testbed.attacker_addr bed) ~sport
+    ~dst:(Sim.Host.primary_ip bed.file_host) ~dport:bed.file_port
+    (Frames.wrap kind body)
+
+(* Any holder of a service key can mint a ticket; this one carries a
+   7-byte session key. *)
+let short_ticket_key () =
+  let bed = Testbed.make ~profile:v4 () in
+  let ticket =
+    { Messages.server = bed.file_principal; client = Principal.user ~realm:"ATHENA" "robin";
+      addr = Some (Testbed.attacker_addr bed); issued_at = Sim.Net.now bed.net;
+      lifetime = 3600.0; session_key = Bytes.make 7 'k'; forwarded = false;
+      dup_skey = false; transited = [] }
+  in
+  let ap =
+    { Messages.r_ticket =
+        Messages.seal_msg v4 bed.rng ~key:bed.file_key ~tag:Messages.tag_ticket
+          (Messages.ticket_to_value ticket);
+      r_authenticator = Bytes.make 16 'a'; r_mutual = false }
+  in
+  send_to_file_server bed ~sport:47000 Frames.ap_req
+    (Messages.encode_msg v4 ~tag:Messages.tag_ap_req (Messages.ap_req_to_value ap));
+  Testbed.run bed;
+  file_server_refused bed
+
+(* Robin, an insider holding a valid ticket, opens a hardened
+   challenge/response exchange by hand, reads the challenge off the tap
+   and answers it with [part] as the client's negotiation part. *)
+let answer_challenge_with part () =
+  let bed = Testbed.make ~profile:hardened () in
+  let sport = 47001 in
+  let answered = ref false in
+  Client.login bed.attacker ~password:bed.attacker_password (fun r ->
+      ignore (Testbed.expect "robin login" r);
+      Client.get_ticket bed.attacker ~service:bed.file_principal (fun r ->
+          let creds = Testbed.expect "robin ticket" r in
+          let key = creds.Client.session_key in
+          send_to_file_server bed ~sport Frames.ap_req
+            (Messages.encode_msg hardened ~tag:Messages.tag_ap_req
+               (Messages.ap_req_to_value
+                  { Messages.r_ticket = creds.ticket; r_authenticator = Bytes.empty;
+                    r_mutual = false }));
+          Sim.Engine.schedule_after bed.eng 0.5 (fun () ->
+              let challenge =
+                List.find_map
+                  (fun (p : Sim.Packet.t) ->
+                    match Frames.unwrap p.payload with
+                    | Some (kind, body)
+                      when kind = Frames.challenge && p.dport = sport ->
+                        Some body
+                    | _ -> None)
+                  (Sim.Adversary.captured bed.adv)
+              in
+              match challenge with
+              | None -> Alcotest.fail "no challenge on the tap"
+              | Some body ->
+                  let c =
+                    Messages.challenge_of_value
+                      (Testbed.expect "challenge"
+                         (Messages.open_msg hardened ~key ~tag:Messages.tag_challenge body))
+                  in
+                  answered := true;
+                  send_to_file_server bed ~sport Frames.challenge_resp
+                    (Messages.seal_msg hardened bed.rng ~key
+                       ~tag:Messages.tag_challenge_resp
+                       (Messages.challenge_resp_to_value
+                          { Messages.cr_nonce_f = Int64.add c.c_nonce 1L;
+                            cr_client_part = part; cr_seq_init = Some 1 })))));
+  Testbed.run bed;
+  Alcotest.(check bool) "challenge answered" true !answered;
+  file_server_refused bed
+
 let () =
   Alcotest.run "attacks"
     [ ("e1-replay", [ Alcotest.test_case "replay matrix" `Slow e1 ]);
@@ -265,4 +350,10 @@ let () =
       ("e16-cache-theft", [ Alcotest.test_case "cache theft" `Quick e16 ]);
       ("e17-host-key", [ Alcotest.test_case "srvtab theft" `Quick e17 ]);
       ("e18-paging", [ Alcotest.test_case "paging leak" `Quick e18 ]);
-      ("addr-binding", [ Alcotest.test_case "address binding probe" `Quick e_addr ]) ]
+      ("addr-binding", [ Alcotest.test_case "address binding probe" `Quick e_addr ]);
+      ( "wire-key-material",
+        [ Alcotest.test_case "v4: 7-byte ticket session key" `Quick short_ticket_key;
+          Alcotest.test_case "hardened: 7-byte client part" `Quick
+            (answer_challenge_with (Some (Bytes.make 7 'p')));
+          Alcotest.test_case "hardened: no client part" `Quick
+            (answer_challenge_with None) ] ) ]

@@ -62,6 +62,36 @@ let cache_transparent_load () =
   Alcotest.(check string) "whole-realm report identical" (report false)
     (report true)
 
+(* The memo under eviction: a stream of 12,288 keys drawn from a pool of
+   6,000, well past the table's 4,096 slots, with parity bits flipped at
+   random so parity-only variants of earlier keys recur. Every draw, hit
+   or miss, must return what the bit-by-bit reference schedules, and some
+   key must have been scheduled twice, so the stream did evict. *)
+let memo_exact_under_eviction =
+  QCheck.Test.make ~name:"memo exact under eviction" ~count:4 QCheck.int64 (fun seed ->
+      let rng = Util.Rng.create seed in
+      let pool = Array.init 6000 (fun _ -> Util.Rng.bytes rng 8) in
+      let distinct = Hashtbl.create 6000 in
+      (* Turning the memo off empties it; the stream runs with it on. *)
+      with_schedule_cache false (fun () ->
+          Crypto.Des.set_schedule_cache true;
+          let before = Crypto.Des.schedules_performed () in
+          let exact = ref true in
+          for _ = 1 to 12_288 do
+            let k = Bytes.copy (Util.Rng.pick rng pool) in
+            for i = 0 to 7 do
+              if Util.Rng.bool rng then
+                Bytes.set k i (Char.chr (Char.code (Bytes.get k i) lxor 1))
+            done;
+            Hashtbl.replace distinct (Crypto.Des.fix_parity k) ();
+            if
+              Crypto.Des.subkeys (Crypto.Des.schedule_cached k)
+              <> Crypto.Des.Reference.schedule (Crypto.Des.fix_parity k)
+            then exact := false
+          done;
+          !exact
+          && Crypto.Des.schedules_performed () - before > Hashtbl.length distinct))
+
 (* ------------------------------------------------------------------ *)
 (* Session: the key is scheduled once, not once per message            *)
 (* ------------------------------------------------------------------ *)
@@ -203,12 +233,35 @@ let server_words_per_session (profile : Kerberos.Profile.t) =
     (Apserver.peer_state_size ap);
   Apserver.peer_state_words ap
 
+(* How many of [n] distinct keys' memoized schedules outlive a full major
+   collection when nothing but the memo holds them. *)
+let memo_survivors n =
+  let rng = Util.Rng.create 0x5C4EDL in
+  let held = Weak.create n in
+  with_schedule_cache true (fun () ->
+      for i = 0 to n - 1 do
+        Weak.set held i (Some (Crypto.Des.schedule_cached (Util.Rng.bytes rng 8)))
+      done);
+  Gc.full_major ();
+  let alive = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check held i then incr alive
+  done;
+  !alive
+
 let footprint () =
   let under label words ceiling =
     Alcotest.(check bool)
       (Printf.sprintf "%s: %d words, ceiling %d" label words ceiling)
       true (words <= ceiling)
   in
+  (* A schedule is its 32 subkey words and a header: sessions and the memo
+     hold one per key. *)
+  under "one DES schedule" (Obj.reachable_words (Obj.repr (Crypto.Des.schedule key))) 33;
+  let survivors = memo_survivors 12_288 in
+  Alcotest.(check bool)
+    (Printf.sprintf "memo keeps %d of 12288 schedules, bound 4096" survivors)
+    true (survivors <= 4096);
   under "empty replay cache" (cache_words 0) 15;
   under "replay cache holding one 32-byte key" (cache_words 1) 28;
   List.iter
@@ -596,6 +649,7 @@ let () =
     [ ( "schedule-cache",
         [ Alcotest.test_case "seal transparent" `Quick cache_transparent_seal;
           Alcotest.test_case "load transparent" `Quick cache_transparent_load;
+          QCheck_alcotest.to_alcotest memo_exact_under_eviction;
           Alcotest.test_case "session schedules once" `Quick
             session_schedules_once;
           Alcotest.test_case "crypto per request" `Quick crypto_per_request;

@@ -208,6 +208,72 @@ let ragged_ciphertext_is_garbled () =
         [ 0; 1; 7; 9; 15; 63 ])
     sessions
 
+(* Every session key and negotiation part a decoder reads, at each length
+   from 0 to 16 but 8, in both encodings: the decoder must raise
+   [Decode_error] and nothing else. An accepted short key would reach the
+   key schedule or the negotiation XOR and abort the server there. *)
+let key_material_is_length_checked () =
+  let alice = Principal.user ~realm:"FUZZ" "alice" in
+  let fs = Principal.service ~realm:"FUZZ" "fileserv" ~host:"fs" in
+  let ticket session_key =
+    Messages.ticket_to_value
+      { Messages.server = fs; client = alice; addr = None; issued_at = 0.0;
+        lifetime = 3600.0; session_key; forwarded = false; dup_skey = false;
+        transited = [] }
+  in
+  let rep_body b_session_key =
+    Messages.rep_body_to_value ~tag:Messages.tag_rep_body
+      { Messages.b_session_key; b_nonce = 7L; b_server = fs; b_issued_at = 0.0;
+        b_lifetime = 3600.0; b_ticket = Bytes.make 24 't' }
+  in
+  let authenticator part =
+    Messages.authenticator_to_value
+      { Messages.a_client = alice; a_addr = quad 10 9 0 10; a_timestamp = 0.0;
+        a_req_cksum = None; a_ticket_cksum = None; a_service = None;
+        a_seq_init = None; a_subkey_part = Some part }
+  in
+  let ap_rep_body part =
+    Messages.ap_rep_body_to_value
+      { Messages.ar_timestamp = 1.0; ar_subkey_part = Some part; ar_seq_init = None }
+  in
+  let challenge part =
+    Messages.challenge_to_value
+      { Messages.c_nonce = 7L; c_server_part = Some part; c_seq_init = None }
+  in
+  let challenge_resp part =
+    Messages.challenge_resp_to_value
+      { Messages.cr_nonce_f = 8L; cr_client_part = Some part; cr_seq_init = None }
+  in
+  (* Each decoder as [kind -> value -> unit]; only the reply body's reads
+     the encoding. *)
+  let any f _ v = ignore (f v) in
+  let rep_body_of kind v =
+    ignore (Messages.rep_body_of_value ~tag:Messages.tag_rep_body kind v)
+  in
+  let fields =
+    [ ("ticket session_key", ticket, any Messages.ticket_of_value);
+      ("rep_body b_session_key", rep_body, rep_body_of);
+      ("authenticator a_subkey_part", authenticator, any Messages.authenticator_of_value);
+      ("ap_rep_body ar_subkey_part", ap_rep_body, any Messages.ap_rep_body_of_value);
+      ("challenge c_server_part", challenge, any Messages.challenge_of_value);
+      ("challenge_resp cr_client_part", challenge_resp, any Messages.challenge_resp_of_value) ]
+  in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun (name, to_value, of_value) ->
+          for len = 0 to 16 do
+            let what = Printf.sprintf "%s, %d bytes, %s" name len (Wire.Encoding.show_kind kind) in
+            let wire = Wire.Encoding.encode kind (to_value (Bytes.make len 'k')) in
+            match of_value kind (Wire.Encoding.decode kind wire) with
+            | () -> if len <> 8 then Alcotest.failf "%s: accepted" what
+            | exception Wire.Codec.Decode_error e ->
+                if len = 8 then Alcotest.failf "%s: refused (%s)" what e
+            | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+          done)
+        fields)
+    [ Wire.Encoding.V4_adhoc; Wire.Encoding.Der_typed ]
+
 let () =
   Alcotest.run "wire-fuzz"
     [ ( "fuzz",
@@ -218,4 +284,6 @@ let () =
           Alcotest.test_case "oversized input rejected" `Quick
             oversized_is_rejected_up_front;
           Alcotest.test_case "ragged ciphertext garbled" `Quick
-            ragged_ciphertext_is_garbled ] ) ]
+            ragged_ciphertext_is_garbled;
+          Alcotest.test_case "key material length-checked" `Quick
+            key_material_is_length_checked ] ) ]
