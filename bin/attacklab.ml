@@ -16,75 +16,13 @@ let profile_of_string = function
   | "hardened" -> Ok Profile.hardened
   | s -> Error (`Msg ("unknown profile " ^ s ^ " (v4|v5|hardened)"))
 
-type entry = {
-  key : string;
-  title : string;
-  run : Profile.t -> Attacks.Outcome.t;
-}
-
-let catalogue =
-  [ { key = "e1"; title = "live authenticator replay";
-      run = (fun p -> Attacks.Replay_auth.outcome (Attacks.Replay_auth.run ~profile:p ())) };
-    { key = "e2"; title = "time-service spoof + stale authenticator";
-      run = (fun p -> Attacks.Clock_spoof.outcome (Attacks.Clock_spoof.run ~profile:p ())) };
-    { key = "e2b"; title = "time/auth bootstrap circularity";
-      run = (fun p -> Attacks.Time_bootstrap.outcome (Attacks.Time_bootstrap.run ~profile:p ())) };
-    { key = "e3"; title = "offline password guessing (eavesdrop)";
-      run =
-        (fun p ->
-          Attacks.Password_guess.outcome
-            (Attacks.Password_guess.run ~n_users:10 ~dictionary_head:250 ~profile:p ())) };
-    { key = "e4"; title = "active AS_REP harvesting";
-      run =
-        (fun p ->
-          Attacks.Ticket_harvest.outcome
-            (Attacks.Ticket_harvest.run ~n_users:10 ~dictionary_head:250 ~profile:p ())) };
-    { key = "e5"; title = "trojaned login";
-      run = (fun p -> Attacks.Login_trojan.outcome (Attacks.Login_trojan.run ~profile:p ())) };
-    { key = "e6"; title = "CBC prefix chosen-plaintext on KRB_PRIV";
-      run = (fun p -> Attacks.Cpa_prefix.outcome (Attacks.Cpa_prefix.run ~profile:p ())) };
-    { key = "e6b"; title = "PCBC block-swap modification";
-      run = (fun p -> Attacks.Pcbc_swap.outcome (Attacks.Pcbc_swap.run ~profile:p ())) };
-    { key = "e7"; title = "cross-session replay";
-      run = (fun p -> Attacks.Cross_session.outcome (Attacks.Cross_session.run ~profile:p ())) };
-    { key = "e8a"; title = "post-auth connection hijack";
-      run = (fun p -> Attacks.Hijack.outcome (Attacks.Hijack.run ~profile:p ())) };
-    { key = "e8b"; title = "Morris ISN spoof + stolen authenticator";
-      run =
-        (fun p ->
-          Attacks.Morris_isn.outcome
-            (Attacks.Morris_isn.run ~isn:Sim.Tcpish.Predictable ~profile:p ())) };
-    { key = "e9"; title = "transit forgery / origin-less forwarding";
-      run = (fun p -> Attacks.Realm_spoof.outcome (Attacks.Realm_spoof.run ~profile:p ())) };
-    { key = "e10"; title = "CRC-32 cut-and-paste (ENC-TKT-IN-SKEY)";
-      run = (fun p -> Attacks.Cut_paste.outcome (Attacks.Cut_paste.run ~profile:p ())) };
-    { key = "e10b"; title = "ticket substitution in KDC replies";
-      run = (fun p -> Attacks.Ticket_sub.outcome (Attacks.Ticket_sub.run ~profile:p ())) };
-    { key = "e11"; title = "REUSE-SKEY redirect";
-      run = (fun p -> Attacks.Reuse_skey.outcome (Attacks.Reuse_skey.run ~profile:p ())) };
-    { key = "e12b"; title = "KRB_SAFE substitution";
-      run = (fun p -> Attacks.Safe_forge.outcome (Attacks.Safe_forge.run ~profile:p ())) };
-    { key = "e16"; title = "credential-cache theft";
-      run =
-        (fun p ->
-          Attacks.Cache_theft.outcome (Attacks.Cache_theft.run ~multi_user:true ~profile:p ())) };
-    { key = "e17"; title = "host srvtab key theft";
-      run =
-        (fun p ->
-          Attacks.Host_key_theft.outcome
-            (Attacks.Host_key_theft.run
-               ~use_encbox:(p.Profile.name = "hardened")
-               ~profile:p ())) };
-    { key = "e18"; title = "diskless paging key leak";
-      run =
-        (fun p ->
-          Attacks.Paging_leak.outcome
-            (Attacks.Paging_leak.run
-               ~pinned_memory:(p.Profile.name = "hardened")
-               ~profile:p ())) } ]
+(* The matrix's attacks, keyed by their lower-case ids (e1, e6b, ...). *)
+let key (a : Expframework.Matrix.attack) = String.lowercase_ascii a.id
 
 let list_cmd () =
-  List.iter (fun e -> Printf.printf "%-5s %s\n" e.key e.title) catalogue
+  List.iter
+    (fun (a : Expframework.Matrix.attack) -> Printf.printf "%-5s %s\n" (key a) a.title)
+    Expframework.Matrix.attacks
 
 let run_cmd name profile_name opsview =
   match profile_of_string profile_name with
@@ -92,15 +30,15 @@ let run_cmd name profile_name opsview =
       prerr_endline m;
       exit 2
   | Ok profile -> (
-      match List.find_opt (fun e -> e.key = name) catalogue with
+      match List.find_opt (fun a -> key a = name) Expframework.Matrix.attacks with
       | None ->
           Printf.eprintf "unknown attack %s (try `attacklab list`)\n" name;
           exit 2
-      | Some e ->
+      | Some a ->
           (* A collector of our own, so the report covers exactly this run. *)
           let tel = Telemetry.Collector.fresh_default () in
-          Printf.printf "%s vs %s:\n" e.title profile.Profile.name;
-          let o = e.run profile in
+          Printf.printf "%s vs %s:\n" a.title profile.Profile.name;
+          let o = a.run profile in
           Printf.printf "  %s — %s\n" (Attacks.Outcome.label o) (Attacks.Outcome.detail o);
           if opsview then
             Printf.printf "\nOperator view:\n%s"

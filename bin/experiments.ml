@@ -151,88 +151,86 @@ let print_opsview () =
     (fun () -> ignore (Attacks.Replay_auth.run ~profile:v4_cached ()));
   ignore (Telemetry.Collector.fresh_default ())
 
-(* The chaos runbook: each seed runs twice — once for the verdict, once to
-   prove the fault plane is deterministic (byte-identical trace dumps).
-   Exit nonzero on any safety violation or divergence, so CI can gate on
-   it. *)
-let print_chaos fault_seed seeds =
-  print_endline "== Chaos: quickstart workload under randomized fault schedules ==";
+(* The fault drills share one loop: [seeds] consecutive seeds from
+   [first], each printing its block and saying whether it held, then the
+   drill's closing [checks]. Exit nonzero on any failure, so CI can gate
+   on it. *)
+let drill ~title ~name ~held ?(checks = fun () -> true) first seeds run =
+  print_endline title;
   print_newline ();
   let failures = ref 0 in
   for i = 0 to seeds - 1 do
-    let seed = Int64.add fault_seed (Int64.of_int i) in
-    let r = Expframework.Chaos.run ~fault_seed:seed () in
-    let r2 = Expframework.Chaos.run ~fault_seed:seed () in
-    print_string (Expframework.Chaos.summary r);
-    let identical = String.equal r.Expframework.Chaos.trace r2.Expframework.Chaos.trace in
-    Printf.printf "  determinism: %s\n\n"
-      (if identical then
-         Printf.sprintf "re-run produced a byte-identical trace (%d bytes)"
-           (String.length r.Expframework.Chaos.trace)
-       else "RE-RUN DIVERGED");
-    if not identical then incr failures;
-    if Expframework.Chaos.safety_violations r <> [] then incr failures
+    if not (run (Int64.add first (Int64.of_int i))) then incr failures
   done;
+  if not (checks ()) then incr failures;
   ignore (Telemetry.Collector.fresh_default ());
-  if !failures = 0 then
-    Printf.printf "chaos: %d seed(s), all safety invariants held, all traces deterministic\n"
-      seeds
+  if !failures = 0 then Printf.printf "%s: %s\n" name held
   else begin
-    Printf.printf "chaos: FAILURES in %d seed(s)\n" !failures;
+    Printf.printf "%s: FAILURES in %d seed(s)\n" name !failures;
     exit 1
   end
 
-(* The session-fuzz runbook: generated operation schedules at randomized
-   MTUs, invariant-checked, with periodic determinism double-runs and a
-   mutation check proving the harness catches a planted bug. Exit
-   nonzero on any violation, so CI gates on it. *)
-let print_session_fuzz seed seeds schedules =
-  print_endline
-    "== Session fuzz: generated op schedules at randomized path MTUs ==";
-  print_newline ();
-  let failures = ref 0 in
-  for i = 0 to seeds - 1 do
-    let seed = Int64.add seed (Int64.of_int i) in
-    let c = Expframework.Session_fuzz.campaign ~schedules ~seed () in
-    print_string (Expframework.Session_fuzz.campaign_summary c);
-    if not (Expframework.Session_fuzz.ok c) then incr failures
-  done;
+let mutation_check () =
   let caught = Expframework.Session_fuzz.mutation_caught () in
   Printf.printf "  mutation check (replay cache off + duplicated AP datagrams): %s\n"
     (if caught then "caught" else "MISSED");
-  if not caught then incr failures;
-  ignore (Telemetry.Collector.fresh_default ());
-  if !failures = 0 then
-    Printf.printf
-      "session-fuzz: %d seed(s) x %d schedules, all invariants held\n" seeds
-      schedules
-  else begin
-    Printf.printf "session-fuzz: FAILURES in %d seed(s)\n" !failures;
-    exit 1
-  end
+  caught
+
+(* The chaos runbook: the chaos scheme at each fault seed, run twice to
+   prove the fault plane is deterministic (byte-identical trace dumps); a
+   failing seed is shrunk to the ops that matter. *)
+let print_chaos fault_seed seeds =
+  let open Expframework.Session_fuzz in
+  drill ~title:"== Chaos: quickstart workload under randomized fault schedules =="
+    ~name:"chaos"
+    ~held:
+      (Printf.sprintf "%d seed(s), all safety invariants held, all traces deterministic"
+         seeds)
+    ~checks:mutation_check fault_seed seeds
+    (fun seed ->
+      let sc = chaos seed in
+      let r = run_scheme sc in
+      let identical = String.equal r.r_trace (run_scheme sc).r_trace in
+      print_string (summary r);
+      Printf.printf "  determinism: %s\n"
+        (if identical then
+           Printf.sprintf "re-run produced a byte-identical trace (%d bytes)"
+             (String.length r.r_trace)
+         else "RE-RUN DIVERGED");
+      let held = violations r = [] in
+      if not held then Printf.printf "  shrunk: %s\n" (scheme_to_string (shrink sc));
+      print_newline ();
+      identical && held)
+
+(* The session-fuzz runbook: generated operation schedules at randomized
+   MTUs and weather, invariant-checked, with periodic determinism
+   double-runs and a mutation check proving the harness catches a planted
+   bug. A campaign that drew no chaos weather fails its floor. *)
+let print_session_fuzz seed seeds schedules =
+  let open Expframework.Session_fuzz in
+  drill ~title:"== Session fuzz: generated op schedules at randomized path MTUs =="
+    ~name:"session-fuzz"
+    ~held:(Printf.sprintf "%d seed(s) x %d schedules, all invariants held" seeds schedules)
+    ~checks:mutation_check seed seeds
+    (fun seed ->
+      let c = campaign ~schedules ~seed () in
+      print_string (campaign_summary c);
+      if c.c_weather = 0 then print_endline "  floor: no scheme ran under chaos weather";
+      ok c && c.c_weather > 0)
 
 (* The disaster-recovery drill: crash-equivalence against a golden twin,
    torn/bit-flipped WAL tails, anti-entropy reconciliation, graceful
-   degradation. Exit nonzero on any violated invariant, so CI gates on
-   it. *)
+   degradation. *)
 let print_recovery seed seeds =
-  print_endline "== Recovery: crash, torn logs, reconciliation, degradation ==";
-  print_newline ();
-  let failures = ref 0 in
-  for i = 0 to seeds - 1 do
-    let seed = Int64.add seed (Int64.of_int i) in
-    let r = Expframework.Recovery.run ~seed in
-    print_string (Expframework.Recovery.summary r);
-    print_newline ();
-    if Expframework.Recovery.violations r <> [] then incr failures
-  done;
-  ignore (Telemetry.Collector.fresh_default ());
-  if !failures = 0 then
-    Printf.printf "recovery: %d seed(s), all recovery invariants held\n" seeds
-  else begin
-    Printf.printf "recovery: FAILURES in %d seed(s)\n" !failures;
-    exit 1
-  end
+  drill ~title:"== Recovery: crash, torn logs, reconciliation, degradation =="
+    ~name:"recovery"
+    ~held:(Printf.sprintf "%d seed(s), all recovery invariants held" seeds)
+    seed seeds
+    (fun seed ->
+      let r = Expframework.Recovery.run ~seed in
+      print_string (Expframework.Recovery.summary r);
+      print_newline ();
+      Expframework.Recovery.violations r = [])
 
 (* The capacity-planning run: stand up an N-user realm behind a sharded
    KDC pool, drive open-loop traffic, and persist the ablation suite
@@ -679,40 +677,28 @@ open Cmdliner
 
 let cmd_of name doc f = Cmd.v (Cmd.info name ~doc) Term.(const f $ const ())
 
+(* The drills' shared options. *)
+let first_seed name doc =
+  Arg.(value & opt int64 1L & info [ name ] ~docv:"SEED" ~doc)
+
+let seeds_opt default =
+  Arg.(
+    value & opt int default
+    & info [ "seeds" ] ~docv:"N" ~doc:"Number of consecutive seeds to run.")
+
 let chaos_cmd =
-  let fault_seed =
-    Arg.(
-      value
-      & opt int64 1L
-      & info [ "fault-seed" ] ~docv:"SEED" ~doc:"First fault-schedule seed.")
-  in
-  let seeds =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "seeds" ] ~docv:"N" ~doc:"Number of consecutive seeds to run.")
-  in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
          "Run the quickstart workload under seeded fault injection and check \
           the safety invariants (each seed is run twice to prove trace \
           determinism; exits nonzero on violation)")
-    Term.(const print_chaos $ fault_seed $ seeds)
+    Term.(
+      const print_chaos
+      $ first_seed "fault-seed" "First fault-schedule seed."
+      $ seeds_opt 1)
 
 let recovery_cmd =
-  let seed =
-    Arg.(
-      value
-      & opt int64 1L
-      & info [ "seed" ] ~docv:"SEED" ~doc:"First drill seed.")
-  in
-  let seeds =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "seeds" ] ~docv:"N" ~doc:"Number of consecutive seeds to run.")
-  in
   Cmd.v
     (Cmd.info "recovery"
        ~doc:
@@ -720,21 +706,9 @@ let recovery_cmd =
           recovery checked byte-for-byte against an uncrashed twin, torn \
           and bit-flipped log tails, replica reconciliation, and client \
           degradation (exits nonzero on violation)")
-    Term.(const print_recovery $ seed $ seeds)
+    Term.(const print_recovery $ first_seed "seed" "First drill seed." $ seeds_opt 1)
 
 let session_fuzz_cmd =
-  let seed =
-    Arg.(
-      value
-      & opt int64 1L
-      & info [ "seed" ] ~docv:"SEED" ~doc:"First campaign seed.")
-  in
-  let seeds =
-    Arg.(
-      value
-      & opt int 2
-      & info [ "seeds" ] ~docv:"N" ~doc:"Number of consecutive seeds to run.")
-  in
   let schedules =
     Arg.(
       value
@@ -749,7 +723,10 @@ let session_fuzz_cmd =
           connect/login/read/crash/partition schedules at randomized path \
           MTUs, checked against the session invariants, with determinism \
           double-runs and a mutation check (exits nonzero on violation)")
-    Term.(const print_session_fuzz $ seed $ seeds $ schedules)
+    Term.(
+      const print_session_fuzz
+      $ first_seed "seed" "First campaign seed."
+      $ seeds_opt 2 $ schedules)
 
 let load_cmd =
   let opt_int name ~default ~doc =

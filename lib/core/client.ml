@@ -528,8 +528,11 @@ let seal_authenticator t (creds : credentials) auth =
   Messages.seal_msg t.profile t.rng ~key:creds.session_key
     ~tag:Messages.tag_authenticator (Messages.authenticator_to_value auth)
 
+(* [expired] is set when a TGS on the path answers with the
+   ticket-expired code: the TGT died by the KDC's clock. *)
 let rec get_ticket_via t ~(via : credentials) ?(options = Messages.no_options)
-    ?additional_ticket ?(authz_data = Bytes.empty) ~hops ~service ~k () =
+    ?additional_ticket ?(authz_data = Bytes.empty) ?(expired = ref false) ~hops
+    ~service ~k () =
   if hops > 4 then k (Error "too many cross-realm hops")
   else begin
     let tel, span, wrap_k = exchange_span t "client.tgs_exchange" in
@@ -570,7 +573,9 @@ let rec get_ticket_via t ~(via : credentials) ?(options = Messages.no_options)
             | Error e -> k (Error e)
             | Ok v -> (
                 match Messages.err_of_value v with
-                | { e_text; _ } -> k (Error ("TGS error: " ^ e_text))
+                | { e_code; e_text } ->
+                    if e_code = Messages.err_ticket_expired then expired := true;
+                    k (Error ("TGS error: " ^ e_text))
                 | exception Wire.Codec.Decode_error _ -> (
                     match Messages.as_rep_of_value v with
                     | exception Wire.Codec.Decode_error e -> k (Error e)
@@ -609,7 +614,7 @@ let rec get_ticket_via t ~(via : credentials) ?(options = Messages.no_options)
                                     (* Referral: we were handed a TGT for the
                                        next realm on the path. *)
                                     get_ticket_via t ~via:creds ~options
-                                      ?additional_ticket ~authz_data
+                                      ?additional_ticket ~authz_data ~expired
                                       ~hops:(hops + 1) ~service ~k ()
                                 end))))))
   end
@@ -620,10 +625,6 @@ let contains_substring ~sub s =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
-
-(* The TGS says the TGT died (server clocks may see the expiry before
-   ours does, and a mid-retry client can cross the boundary in flight). *)
-let is_expiry_error e = contains_substring ~sub:"expired" e
 
 (* Every KDC in the realm stayed silent — the failover walked the whole
    list and nobody answered. This is the one failure graceful degradation
@@ -697,9 +698,9 @@ let get_ticket_ex t ?options ?additional_ticket ?authz_data ~service k =
         | None -> k (Error e))
     | Error e -> k (Error e)
   in
-  let request via ~k =
+  let request ?expired via ~k =
     get_ticket_via t ~via ?options ?additional_ticket
-      ?authz_data:(Option.map Fun.id authz_data) ~hops:0 ~service
+      ?authz_data:(Option.map Fun.id authz_data) ?expired ~hops:0 ~service
       ~k:(fun r -> k (Result.map (fun c -> (c, From_kdc)) r))
       ()
   in
@@ -721,10 +722,13 @@ let get_ticket_ex t ?options ?additional_ticket ?authz_data ~service k =
         | Error e -> k (Error e)
         | Ok via -> request via ~k)
   | Some via ->
-      request via ~k:(fun r ->
+      (* The TGS may see the TGT expire before our clock does, and a
+         mid-retry client can cross the boundary in flight: on the TGS's
+         ticket-expired code, and only on it, one re-login retry. *)
+      let expired = ref false in
+      request ~expired via ~k:(fun r ->
           match r with
-          | Error e when is_expiry_error e && t.password <> None ->
-              (* Expired by the KDC's clock mid-flight: one re-login retry. *)
+          | Error e when !expired && t.password <> None ->
               relogin ~err:e (function
                 | Error e -> k (Error e)
                 | Ok via -> request via ~k)
@@ -746,6 +750,8 @@ type link = {
   lk_via : [ `Udp | `Tcp ];
   lk_send : bytes -> unit;
   mutable lk_recv : bytes -> unit;
+  mutable lk_down : unit -> unit;
+      (** the peer or the network tore the stream down under us *)
   lk_teardown : unit -> unit;
 }
 
@@ -761,6 +767,7 @@ let udp_link t ~dst ~dport =
     { lk_via = `Udp;
       lk_send = (fun raw -> Sim.Net.send t.net ~sport ~dst ~dport t.host raw);
       lk_recv = ignore;
+      lk_down = ignore;
       lk_teardown = (fun () -> Sim.Net.unlisten t.net t.host ~port:sport) }
   in
   Sim.Net.listen t.net t.host ~port:sport (fun pkt ->
@@ -768,9 +775,11 @@ let udp_link t ~dst ~dport =
   lk
 
 (* Frames sent before the handshake completes are parked and flushed from
-   [on_connected]; a reset that we did not cause ourselves surfaces as
-   [on_reset] so the caller can fail the exchange. *)
-let tcp_link t ~dst ~dport ~on_reset =
+   [on_connected]. A teardown we did not cause ourselves (a reset, the
+   peer's FIN, retransmission exhaustion) runs [lk_down]: [on_down] while
+   the exchange owns the link, then the handler of the channel that takes
+   it over. *)
+let tcp_link t ~dst ~dport ~on_down =
   let parked = Queue.create () in
   let up = ref None in
   let torn = ref false in
@@ -783,6 +792,7 @@ let tcp_link t ~dst ~dport ~on_reset =
           | Some conn -> Sim.Tcpish.send_message conn raw
           | None -> Queue.add raw parked);
       lk_recv = ignore;
+      lk_down = on_down;
       lk_teardown =
         (fun () ->
           torn := true;
@@ -800,7 +810,7 @@ let tcp_link t ~dst ~dport ~on_reset =
       ()
   in
   conn_ref := Some conn;
-  Sim.Tcpish.on_close conn (fun ~reset -> if reset && not !torn then on_reset ());
+  Sim.Tcpish.on_close conn (fun ~reset:_ -> if not !torn then lk.lk_down ());
   lk
 
 type channel = {
@@ -819,6 +829,7 @@ type channel = {
 }
 
 let session c = c.chan_session
+let closed_error = Error "channel closed"
 
 let rec make_channel t session ~link ~creds ~mutual ~dst ~dport =
   let chan =
@@ -830,7 +841,21 @@ let rec make_channel t session ~link ~creds ~mutual ~dst ~dport =
   attach_channel chan;
   chan
 
-and attach_channel chan = chan.chan_link.lk_recv <- channel_dispatch chan
+and attach_channel chan =
+  chan.chan_link.lk_recv <- channel_dispatch chan;
+  chan.chan_link.lk_down <- (fun () -> lose_channel chan closed_error)
+
+(* The channel is over: a call still waiting gets [err], exactly once,
+   and every later call gets [Error "channel closed"] at once instead of
+   reaching a dead link. *)
+and lose_channel chan err =
+  if not chan.chan_closed then begin
+    chan.chan_closed <- true;
+    let waiter = chan.chan_waiting in
+    chan.chan_waiting <- ignore;
+    chan.chan_pending <- None;
+    waiter err
+  end
 
 (* Replies on the channel link: priv/safe frames handed to the waiter;
    an explicit RESPONSE-TOO-BIG refusal on a datagram channel triggers
@@ -885,11 +910,7 @@ and upgrade_channel chan =
        t.host.Sim.Host.name);
   ap_exchange t chan.chan_creds ~mutual:chan.chan_mutual ~transport:`Tcp
     ~dst:chan.chan_dst ~dport:chan.chan_dport (function
-    | Error e ->
-        let waiter = chan.chan_waiting in
-        chan.chan_waiting <- ignore;
-        chan.chan_pending <- None;
-        waiter (Error ("TCP upgrade failed: " ^ e))
+    | Error e -> lose_channel chan (Error ("TCP upgrade failed: " ^ e))
     | Ok fresh when chan.chan_closed -> fresh.chan_link.lk_teardown ()
     | Ok fresh ->
         chan.chan_session <- fresh.chan_session;
@@ -966,7 +987,7 @@ and ap_exchange t (creds : credentials) ?(mutual = true) ?deadline
       match via with
       | `Udp -> udp_link t ~dst ~dport
       | `Tcp ->
-          tcp_link t ~dst ~dport ~on_reset:(fun () ->
+          tcp_link t ~dst ~dport ~on_down:(fun () ->
               if not !settled then finish (Error "AP connection reset"))
     in
     current := Some link;
@@ -1161,8 +1182,6 @@ let wait_on_channel chan ?deadline net ~k =
                end;
                k (Error "call timed out")))
 
-let closed_error = Error "channel closed"
-
 let call_priv t chan ?deadline data ~k =
   if chan.chan_closed then k closed_error
   else begin
@@ -1171,11 +1190,6 @@ let call_priv t chan ?deadline data ~k =
     let sealed = Krb_priv.seal chan.chan_session ~now:(now t) data in
     chan.chan_link.lk_send (Frames.wrap Frames.priv sealed)
   end
-
-let send_priv_oneway t chan data =
-  if chan.chan_closed then invalid_arg "Client.send_priv_oneway: channel closed";
-  let sealed = Krb_priv.seal chan.chan_session ~now:(now t) data in
-  chan.chan_link.lk_send (Frames.wrap Frames.priv sealed)
 
 let call_safe t chan ?deadline data ~k =
   if chan.chan_closed then k closed_error
@@ -1189,10 +1203,6 @@ let call_safe t chan ?deadline data ~k =
 (* Tear the link down first, so nothing the waiter does can reach it. *)
 let close chan =
   if not chan.chan_closed then begin
-    chan.chan_closed <- true;
     chan.chan_link.lk_teardown ();
-    let waiter = chan.chan_waiting in
-    chan.chan_waiting <- ignore;
-    chan.chan_pending <- None;
-    waiter closed_error
+    lose_channel chan closed_error
   end

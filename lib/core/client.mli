@@ -130,8 +130,12 @@ val get_ticket :
 (** Obtain a service ticket via the TGS, following cross-realm referrals
     (bounded hops). If the client was created with a [password], an
     expired (or missing) TGT triggers a re-login first — including once
-    on a TGS "ticket expired" error, for the client whose TGT dies while
-    a retry is in flight. *)
+    when a TGS answers with the ticket-expired code
+    ({!Messages.err_ticket_expired}), for the client whose TGT dies while
+    a retry is in flight. The re-login keys on that code, not on the
+    error's text: a KDC deadline that runs out ("KDC deadline expired
+    (timed out)") settles the request at the deadline with no AS
+    request. *)
 
 (** Where the credentials came from — {!get_ticket_ex} tags its result so
     a caller can tell a live KDC answer from graceful degradation. *)
@@ -205,15 +209,20 @@ val call_priv :
     reply disarms the deadline timer, releasing the continuation at once.
     A call that times out is forgotten: a later TCP upgrade of the
     channel does not resend it. On a {!close}d channel the continuation
-    gets [Error "channel closed"] at once. *)
+    gets [Error "channel closed"] at once.
 
-val send_priv_oneway : t -> channel -> bytes -> unit
-(** @raise Invalid_argument on a {!close}d channel. *)
+    A stream channel whose connection the peer or the network tears
+    down (a reset, forged or not; the peer's FIN; retransmission
+    exhaustion) is over: a call waiting on it gets
+    [Error "channel closed"], exactly once, and so does every later
+    [call_priv]/[call_safe], at once. So does a channel whose TCP upgrade
+    failed, after its waiting call got ["TCP upgrade failed: ..."]. *)
 
 val call_safe :
   t -> channel -> ?deadline:float -> bytes -> k:((bytes, string) result -> unit) -> unit
 (** As [call_priv] but integrity-only (KRB_SAFE): the request travels in
-    the clear with a sealed checksum. *)
+    the clear with a sealed checksum. A closed or lost channel answers
+    as for [call_priv]. *)
 
 val close : channel -> unit
 (** Tear the channel's link down: the datagram port stops listening (a

@@ -3,10 +3,11 @@ open Kerberos
 (* Property-based session fuzzing: generate whole operation schedules —
    logins, sealed reads (small and deliberately over-MTU), KDC and
    application-server crash/heal pairs, partitions, clock steps — run
-   them against the quickstart realm at a randomized path MTU, and check
-   the transport-plane invariants on every run. The op-scheme pattern
-   (generate a *program*, not a value; shrink by deleting ops) is the
-   standard way to fuzz stateful systems. *)
+   them against the quickstart realm at a randomized path MTU, under
+   optional noise or chaos weather, and check the session invariants on
+   every run. The op-scheme pattern (generate a *program*, not a value;
+   shrink by deleting ops) is the standard way to fuzz stateful systems.
+   The chaos drill is one named scheme, {!chaos}. *)
 
 (* --- Schemes -------------------------------------------------------- *)
 
@@ -32,6 +33,11 @@ type scheme = {
           garbage rather than a typed refusal and must take the
           Garbled-retry arm of the transport fallback. *)
   sc_noise : bool;  (** background loss / duplication / reordering *)
+  sc_weather : bool;
+      (** chaos weather: a {!Sim.Faults.random_schedule} drawn from
+          [sc_seed] — loss, duplication, reordering, corruption, jitter,
+          loss bursts — with the master KDC as its crash-or-partition
+          victim *)
   sc_ops : op list;
 }
 
@@ -51,10 +57,11 @@ let op_to_string = function
         (match mtu with None -> "none" | Some m -> string_of_int m)
 
 let scheme_to_string sc =
-  Printf.sprintf "seed=%Ld mtu=%s reply_mtu=%s noise=%b ops=[%s]" sc.sc_seed
+  Printf.sprintf "seed=%Ld mtu=%s reply_mtu=%s noise=%b weather=%b ops=[%s]"
+    sc.sc_seed
     (match sc.sc_mtu with None -> "none" | Some m -> string_of_int m)
     (match sc.sc_reply_mtu with None -> "none" | Some m -> string_of_int m)
-    sc.sc_noise
+    sc.sc_noise sc.sc_weather
     (String.concat "; " (List.map op_to_string sc.sc_ops))
 
 let gen_op rng =
@@ -98,7 +105,24 @@ let gen_scheme rng =
       (if Util.Rng.int rng 4 = 0 then Some (16 + Util.Rng.int rng 48)
        else None);
     sc_noise = Util.Rng.int rng 3 = 0;
+    sc_weather = Util.Rng.int rng 3 = 0;
     sc_ops = List.init n (fun _ -> gen_op rng) }
+
+(* The chaos drill as a scheme: chaos weather from the fault seed, one
+   small read per workstation 0.3 s apart, a clock step on workstation 0
+   inside the skew window, and the file server crashing at 6 s and
+   restarting at 8 s with its replay cache restored from disk. *)
+let chaos fault_seed =
+  let rng = Util.Rng.create fault_seed in
+  let delta = Util.Rng.float rng 120.0 -. 60.0 in
+  let step_at = 2.0 +. Util.Rng.float rng 10.0 in
+  { sc_seed = fault_seed; sc_mtu = None; sc_reply_mtu = None; sc_noise = false;
+    sc_weather = true;
+    sc_ops =
+      List.init n_clients (fun who ->
+          Read { who; at = 0.3 *. float_of_int who; big = false })
+      @ [ Clock_step { who = 0; at = step_at; delta };
+          Crash_ap { at = 6.0; back = 8.0 } ] }
 
 (* --- Running one scheme --------------------------------------------- *)
 
@@ -134,6 +158,9 @@ type report = {
           forced by repeated Garbled replies, not by a typed refusal *)
   r_truncated : int;  (** datagrams clipped by the MTU model *)
   r_packets : int;
+  r_faults : (string * int) list;  (** faults injected, by kind *)
+  r_aborted : string option;
+      (** the exception that escaped [Sim.Engine.run], if one did *)
   r_pending_after : int;
   r_open_spans : int;
   r_sim_seconds : float;
@@ -218,6 +245,14 @@ let run_scheme ?(mutate = false) sc =
     Sim.Host.primary_ip slave_host :: Sim.Host.primary_ip fs_host
     :: List.map Sim.Host.primary_ip ws
   in
+  (* Only the master may crash or be cut off: the slave keeps the realm
+     reachable, which is why Athena ran slaves. The draws continue the
+     key stream, so a scheme without weather keeps its keys. *)
+  if sc.sc_weather then
+    Sim.Faults.random_schedule plane ~rng
+      ~addrs:(Sim.Host.primary_ip master_host :: others)
+      ~crashable:[ Sim.Host.primary_ip master_host ]
+      ~horizon:40.0 ();
   let kdcs =
     [ ("FUZZ", Sim.Host.primary_ip master_host);
       ("FUZZ", Sim.Host.primary_ip slave_host) ]
@@ -288,7 +323,13 @@ let run_scheme ?(mutate = false) sc =
                             (fun data -> finish (Ok (Bytes.to_string data))))))))
     sc.sc_ops;
   Sim.Net.attach_faults net plane;
-  Sim.Engine.run eng;
+  (* An exception out of the engine is a finding, not a crash of the
+     campaign: it becomes a violation that {!shrink} can minimise. *)
+  let aborted =
+    match Sim.Engine.run eng with
+    | () -> None
+    | exception e -> Some (Printexc.to_string e)
+  in
   let counter name =
     Telemetry.Metrics.value
       (Telemetry.Metrics.counter (Telemetry.Collector.metrics tel) name)
@@ -312,6 +353,8 @@ let run_scheme ?(mutate = false) sc =
     r_trunc_fallbacks = counter "transport.fallback.truncation";
     r_truncated = counter "net.packets.truncated";
     r_packets = counter "net.packets.sent";
+    r_faults = Sim.Faults.counts plane;
+    r_aborted = aborted;
     r_pending_after = Sim.Engine.pending eng;
     r_open_spans = Telemetry.Collector.open_span_count tel;
     r_sim_seconds = Sim.Engine.now eng;
@@ -319,7 +362,7 @@ let run_scheme ?(mutate = false) sc =
 
 (* --- Invariants ----------------------------------------------------- *)
 
-let violations r =
+let invariant_violations r =
   let v = ref [] in
   let add fmt = Printf.ksprintf (fun s -> v := s :: !v) fmt in
   (* No authenticator is ever accepted twice, and no forged one at all:
@@ -347,6 +390,41 @@ let violations r =
     add "engine failed to drain: %d events pending" r.r_pending_after;
   if r.r_open_spans <> 0 then add "%d telemetry spans left open" r.r_open_spans;
   List.rev !v
+
+(* A run the engine aborted stopped mid-flight, so its reads, queue and
+   spans say nothing: the exception is its one violation. *)
+let violations r =
+  match r.r_aborted with
+  | Some e -> [ "simulation aborted: " ^ e ]
+  | None -> invariant_violations r
+
+let summary r =
+  let b = Buffer.create 1024 in
+  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
+  line "seed %Ld: %.1f simulated seconds, %d packets sent" r.r_scheme.sc_seed
+    r.r_sim_seconds r.r_packets;
+  line "  faults injected: %s"
+    (if r.r_faults = [] then "(none)"
+     else
+       String.concat ", "
+         (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) r.r_faults));
+  line "  fileserver: %d sessions from %d AP exchanges, %d replay hits"
+    r.r_sessions r.r_ap_attempts r.r_replay_hits;
+  List.iter
+    (fun rr ->
+      line "  %-26s %s"
+        (op_to_string (List.nth r.r_scheme.sc_ops rr.rr_op))
+        (match rr.rr_outcome with
+        | Some (Ok data) -> Printf.sprintf "ok (%d bytes)" (String.length data)
+        | Some (Error e) -> Printf.sprintf "error (%s)" e
+        | None -> "STALLED"))
+    r.r_reads;
+  (match violations r with
+  | [] -> line "  invariants: OK (0 violations)"
+  | vs ->
+      line "  invariants: %d VIOLATIONS" (List.length vs);
+      List.iter (fun v -> line "    - %s" v) vs);
+  Buffer.contents b
 
 let deterministic sc =
   let a = run_scheme sc in
@@ -378,7 +456,7 @@ let mutation_caught () =
      with a few reads and no other weather keeps the check fast. *)
   let sc =
     { sc_seed = 0xB16B00B5L; sc_mtu = None; sc_reply_mtu = None;
-      sc_noise = false;
+      sc_noise = false; sc_weather = false;
       sc_ops =
         [ Read { who = 0; at = 1.0; big = false };
           Read { who = 1; at = 2.0; big = false } ] }
@@ -390,6 +468,7 @@ let mutation_caught () =
 type campaign = {
   c_seed : int64;
   c_schedules : int;
+  c_weather : int;
   c_reads : int;
   c_read_oks : int;
   c_fallbacks : int;
@@ -403,12 +482,13 @@ type campaign = {
 let campaign ?(schedules = 100) ?(det_every = 25) ~seed () =
   let rng = Util.Rng.create seed in
   let reads = ref 0 and oks = ref 0 and fallbacks = ref 0 and trunc = ref 0 in
-  let trunc_fb = ref 0 in
+  let trunc_fb = ref 0 and weather = ref 0 in
   let det_checks = ref 0 and det_failures = ref 0 in
   let failures = ref [] in
   for i = 1 to schedules do
     let sc = gen_scheme rng in
     let r = run_scheme sc in
+    if sc.sc_weather then incr weather;
     reads := !reads + List.length r.r_reads;
     oks :=
       !oks
@@ -429,7 +509,8 @@ let campaign ?(schedules = 100) ?(det_every = 25) ~seed () =
       if not (deterministic sc) then incr det_failures
     end
   done;
-  { c_seed = seed; c_schedules = schedules; c_reads = !reads; c_read_oks = !oks;
+  { c_seed = seed; c_schedules = schedules; c_weather = !weather;
+    c_reads = !reads; c_read_oks = !oks;
     c_fallbacks = !fallbacks; c_trunc_fallbacks = !trunc_fb;
     c_truncated = !trunc; c_det_checks = !det_checks;
     c_det_failures = !det_failures; c_failures = List.rev !failures }
@@ -437,8 +518,8 @@ let campaign ?(schedules = 100) ?(det_every = 25) ~seed () =
 let campaign_summary c =
   let b = Buffer.create 512 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-  line "seed %Ld: %d schedules, %d reads (%d ok), %d transport fallbacks (%d via Garbled-retry), %d truncated datagrams"
-    c.c_seed c.c_schedules c.c_reads c.c_read_oks c.c_fallbacks
+  line "seed %Ld: %d schedules (%d under chaos weather), %d reads (%d ok), %d transport fallbacks (%d via Garbled-retry), %d truncated datagrams"
+    c.c_seed c.c_schedules c.c_weather c.c_reads c.c_read_oks c.c_fallbacks
     c.c_trunc_fallbacks c.c_truncated;
   line "  determinism double-runs: %d (%d mismatches)" c.c_det_checks
     c.c_det_failures;

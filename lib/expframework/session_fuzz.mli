@@ -1,11 +1,14 @@
-(** Property-based session fuzzing for the transport plane.
+(** Property-based session fuzzing, and the chaos drill as one of its
+    schemes.
 
     A {e scheme} is a generated program: a randomized path MTU, an
     optional {e asymmetric} reply-direction link MTU (server ->
     workstation only, banded low enough to clip even the
     RESPONSE-TOO-BIG refusal, so the Garbled-retry arm of the transport
-    fallback gets real coverage), optional background fault noise, and
-    5-25 operations — sealed reads (small, and deliberately larger than
+    fallback gets real coverage), optional background fault noise,
+    optional chaos weather (a seeded {!Sim.Faults.random_schedule} with
+    the master KDC as its crash-or-partition victim), and 5-25
+    operations — sealed reads (small, and deliberately larger than
     any MTU), KDC and application-server crash/heal pairs, partitions of
     the master KDC, workstation clock steps, and mid-run global MTU
     changes (shrink under an open channel, or lift the constraint so
@@ -20,7 +23,9 @@
       (datagram or stream fallback) carried it;
     - every client call terminates in a reply, a typed error, or a
       timeout — no continuation is left unsettled;
-    - the engine drains and no telemetry span leaks.
+    - the engine drains and no telemetry span leaks;
+    - no exception escapes the engine: one that does is reported as the
+      run's violation ("simulation aborted"), not raised.
 
     {!deterministic} re-runs a scheme and compares full telemetry traces
     byte-for-byte. {!shrink} minimizes a failing scheme by greedy op
@@ -41,10 +46,20 @@ type scheme = {
   sc_mtu : int option;
   sc_reply_mtu : int option;
   sc_noise : bool;
+  sc_weather : bool;  (** chaos weather, drawn from [sc_seed] *)
   sc_ops : op list;
 }
 
 val gen_scheme : Util.Rng.t -> scheme
+(** About a third of generated schemes carry noise, and independently
+    about a third carry chaos weather. *)
+
+val chaos : int64 -> scheme
+(** The chaos drill: chaos weather from the fault seed, one small read
+    per workstation 0.3 s apart, a clock step on workstation 0 inside
+    the skew window, and the file server crashing at 6 s and restarting
+    at 8 s with its replay cache restored from disk. *)
+
 val scheme_to_string : scheme -> string
 
 type read_report = {
@@ -63,6 +78,9 @@ type report = {
   r_trunc_fallbacks : int;
   r_truncated : int;
   r_packets : int;
+  r_faults : (string * int) list;  (** faults injected, by kind *)
+  r_aborted : string option;
+      (** the exception that escaped the engine, if one did *)
   r_pending_after : int;
   r_open_spans : int;
   r_sim_seconds : float;
@@ -75,6 +93,10 @@ val run_scheme : ?mutate:bool -> scheme -> report
 val violations : report -> string list
 (** Empty iff every invariant held. *)
 
+val summary : report -> string
+(** Multi-line transcript block for one run: faults injected, the file
+    server's sessions, each read's outcome and the verdict. *)
+
 val deterministic : scheme -> bool
 val shrink : scheme -> scheme
 val mutation_caught : unit -> bool
@@ -82,6 +104,7 @@ val mutation_caught : unit -> bool
 type campaign = {
   c_seed : int64;
   c_schedules : int;
+  c_weather : int;  (** schemes that ran under chaos weather *)
   c_reads : int;
   c_read_oks : int;
   c_fallbacks : int;

@@ -97,6 +97,7 @@ let local c = (c.local_addr, c.local_port)
 let bytes_received c = c.received
 let bytes_sent c = c.sent
 let established c = c.established
+let closed c = c.closed
 
 let bump c name =
   Telemetry.Metrics.incr

@@ -82,6 +82,9 @@ val on_close : conn -> (reset:bool -> unit) -> unit
 
 val established : conn -> bool
 
+val closed : conn -> bool
+(** True once a FIN or RST was sent or received: {!send} then raises. *)
+
 val peer : conn -> Addr.t * int
 (** The address the connection {e appears} to come from — what an
     address-checking server trusts. *)

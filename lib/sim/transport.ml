@@ -50,7 +50,10 @@ let serve net host ~port ?too_big handler =
           ~dport:pkt.Packet.sport host resp
       in
       handler ~peer pkt.Packet.payload ~reply);
-  (* Stream endpoint: same handler, message-framed, no size limit. *)
+  (* Stream endpoint: same handler, message-framed, no size limit. A
+     reply the handler holds (a queued KDC request) may find its
+     connection already torn down by the caller's budget or a reset:
+     it is dropped and counted. *)
   Tcpish.listen net host ~port:(tcp_port port)
     ~on_accept:(fun conn ->
       let addr, pport = Tcpish.peer conn in
@@ -59,7 +62,9 @@ let serve net host ~port ?too_big handler =
           p_via = `Tcp }
       in
       Tcpish.on_message conn (fun msg ->
-          handler ~peer msg ~reply:(fun resp -> Tcpish.send_message conn resp)))
+          handler ~peer msg ~reply:(fun resp ->
+              if Tcpish.closed conn then bump net "transport.tcp.replies_dropped"
+              else Tcpish.send_message conn resp)))
     ();
   { s_net = net; s_host = host; s_port = port; s_live = true }
 

@@ -10,7 +10,8 @@
     [transport.fallback.request_too_big], plus [transport.truncated]
     (garbled datagram replies observed), [transport.udp.calls/replies],
     [transport.tcp.calls/replies], and server-side
-    [transport.responses_too_big]. Every call is one ["transport.call"]
+    [transport.responses_too_big] and [transport.tcp.replies_dropped].
+    Every call is one ["transport.call"]
     span with outcome [ok]/[timeout]/[reset]. *)
 
 val tcp_port : int -> int
@@ -43,7 +44,10 @@ val serve :
     [port], framed stream messages on [tcp_port port]. A datagram reply
     that would exceed the return-path MTU is replaced by [too_big ~mtu]
     (when given) — the refusal must itself fit the MTU. Stream replies
-    are never size-limited. *)
+    are never size-limited. A stream reply whose connection is already
+    torn down (the caller's budget aborted it, or a reset arrived while
+    the handler held the request) is dropped and counted in
+    [transport.tcp.replies_dropped]. *)
 
 val shutdown : server -> unit
 (** Remove both listeners (e.g. on crash). In-flight stream connections

@@ -5,7 +5,9 @@
    by the hardened decoders, counted), and the quickstart workload forced
    through the RESPONSE-TOO-BIG -> framed-TCP fallback end to end —
    byte-identically across two runs at one seed, and without resending a
-   call whose deadline already fired. *)
+   call whose deadline already fired. A stream that dies under a call
+   fails the call, and a reply held past its connection is dropped:
+   neither aborts the simulation. *)
 
 open Kerberos
 
@@ -315,6 +317,126 @@ let deadline_spent_before_fallback () =
     (counter tel "transport.tcp.calls")
 
 (* ------------------------------------------------------------------ *)
+(* A stream that dies under a channel                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The v5-draft3 testbed's victim with a channel to the file server
+   pinned to the stream, opened and idle. *)
+let victim_stream_channel () =
+  let bed = Attacks.Testbed.make ~profile:Profile.v5_draft3 () in
+  Attacks.Testbed.login_victim bed;
+  let chan = ref None in
+  Client.get_ticket bed.Attacks.Testbed.victim
+    ~service:bed.Attacks.Testbed.file_principal (fun r ->
+      Client.ap_exchange bed.Attacks.Testbed.victim
+        (Attacks.Testbed.expect "file ticket" r)
+        ~transport:`Tcp
+        ~dst:(Sim.Host.primary_ip bed.Attacks.Testbed.file_host)
+        ~dport:bed.Attacks.Testbed.file_port (fun r ->
+          chan := Some (Attacks.Testbed.expect "AP over the stream" r)));
+  Attacks.Testbed.run bed;
+  match !chan with
+  | Some chan -> (bed, chan)
+  | None -> Alcotest.fail "the stream channel never opened"
+
+(* One RST from the file server's stream port to the victim's, any
+   sequence number: Tcpish checks none on a reset, so any host that can
+   address the port can do this (and so can a bit flip). *)
+let forge_reset bed =
+  let victim = Attacks.Testbed.victim_addr bed in
+  let fs = Sim.Host.primary_ip bed.Attacks.Testbed.file_host in
+  let fs_stream = Sim.Transport.tcp_port bed.Attacks.Testbed.file_port in
+  let victim_port =
+    match
+      Sim.Adversary.capture_matching bed.Attacks.Testbed.adv (fun p ->
+          Sim.Addr.equal p.Sim.Packet.src victim && p.Sim.Packet.dport = fs_stream)
+    with
+    | p :: _ -> p.Sim.Packet.sport
+    | [] -> Alcotest.fail "no stream from the victim on the wire"
+  in
+  Sim.Adversary.spoof bed.Attacks.Testbed.adv ~src:fs ~sport:fs_stream
+    ~dst:victim ~dport:victim_port
+    (Sim.Tcpish.encode_segment
+       { Sim.Tcpish.syn = false; ack = false; fin = false; rst = true;
+         seq = 0; ackno = 0; body = Bytes.empty })
+
+let read_on bed chan got =
+  Client.call_priv bed.Attacks.Testbed.victim chan (Bytes.of_string "READ /x")
+    ~k:(fun r -> got := Some r)
+
+let check_closed what got =
+  match !got with
+  | Some (Error "channel closed") -> ()
+  | Some (Error e) -> Alcotest.failf "%s: expected channel closed, got %s" what e
+  | Some (Ok _) -> Alcotest.failf "%s: a reply on a reset stream" what
+  | None -> Alcotest.failf "%s: the call never settled" what
+
+(* A reset lands on an idle channel: the next call gets an error at
+   once instead of sending on the dead connection. *)
+let reset_then_call () =
+  let bed, chan = victim_stream_channel () in
+  forge_reset bed;
+  Attacks.Testbed.run bed;
+  let got = ref None in
+  read_on bed chan got;
+  check_closed "call after the reset" got;
+  let again = ref None in
+  read_on bed chan again;
+  check_closed "second call after the reset" again
+
+(* The reset lands while a call with no deadline waits: the call fails
+   instead of waiting forever. *)
+let reset_under_waiting_call () =
+  let bed, chan = victim_stream_channel () in
+  let got = ref None in
+  read_on bed chan got;
+  forge_reset bed;
+  Attacks.Testbed.run bed;
+  check_closed "waiting call" got;
+  Alcotest.(check int) "engine drained" 0
+    (Sim.Engine.pending bed.Attacks.Testbed.eng)
+
+(* A KDC that takes 3 s per request, on a path whose MTU pushes the AS
+   request onto the stream: the client's 2 s stream budget aborts the
+   connection, and the KDC's answer at 3 s finds it torn down. The reply
+   is dropped and counted; the simulation runs on. *)
+let held_kdc_reply_dropped () =
+  let tel, eng, net, ws, kdc_host = mk_net () in
+  Sim.Net.set_mtu net (Some 40);
+  let profile = Profile.v5_draft3 in
+  let rng = Util.Rng.create 0x4E1DL in
+  let db = Kdb.create () in
+  Kdb.add_service db (Principal.tgs ~realm:"HELD") ~key:(Crypto.Des.random_key rng);
+  let user = Principal.user ~realm:"HELD" "u" in
+  Kdb.add_user db user ~password:"pw.u";
+  let kdc =
+    Kdc.create
+      ~admission:{ Kdc.default_admission with base_service_time = 3.0 }
+      ~realm:"HELD" ~profile ~lifetime:28800.0 db
+  in
+  Kdc.install net kdc_host kdc ();
+  let c =
+    Client.create net ws ~profile
+      ~kdcs:[ ("HELD", Sim.Host.primary_ip kdc_host) ]
+      user
+  in
+  let got = ref None in
+  Client.login c ~password:"pw.u" (fun r -> got := Some (Sim.Engine.now eng, r));
+  Sim.Engine.run eng;
+  (match !got with
+  | Some (at, Error "KDC timeout") ->
+      Alcotest.(check bool)
+        (Printf.sprintf "settled by the stream budget (%.3fs)" at)
+        true
+        (at >= 2.0 && at < 2.1)
+  | Some (_, Error e) -> Alcotest.failf "expected KDC timeout, got %s" e
+  | Some (_, Ok _) -> Alcotest.fail "a 3 s KDC answered inside a 2 s budget"
+  | None -> Alcotest.fail "login never settled");
+  Alcotest.(check int) "the late reply was dropped and counted" 1
+    (counter tel "transport.tcp.replies_dropped");
+  Alcotest.(check int) "engine drained" 0 (Sim.Engine.pending eng)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "transport"
@@ -335,4 +457,11 @@ let () =
           Alcotest.test_case "byte-identical at one seed" `Quick
             fallback_deterministic;
           Alcotest.test_case "timed-out call not resent on upgrade" `Quick
-            timed_out_call_not_resent ] ) ]
+            timed_out_call_not_resent ] );
+      ( "dead stream",
+        [ Alcotest.test_case "forged reset fails the next call" `Quick
+            reset_then_call;
+          Alcotest.test_case "forged reset fails a waiting call" `Quick
+            reset_under_waiting_call;
+          Alcotest.test_case "held KDC reply dropped, not raised" `Quick
+            held_kdc_reply_dropped ] ) ]
