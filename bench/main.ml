@@ -747,11 +747,25 @@ let transport_smoke () =
    benchmark's own binary: each report's digest, completed and error
    counts must be the recorded ones. The 102 toy-size runs take seconds
    and are a runtest rule; the 102 full-size ones take about ten minutes
-   on two cores and are run by hand. *)
+   on two cores and are run by hand. Every run uses a private copy of
+   BENCH_EXE, made before the first and removed at exit, so a build that
+   replaces the binary meanwhile cannot mix two trees in one check. *)
 let digests size exe expected =
   let module J = Telemetry.Json in
   let read path = In_channel.with_open_bin path In_channel.input_all in
   let parse path = Result.to_option (J.of_string (read path)) in
+  let exe =
+    let image = read exe in
+    let dir = Filename.temp_dir "perfbench" "" in
+    let copy = Filename.concat dir "bench.exe" in
+    at_exit (fun () ->
+        if Sys.file_exists copy then Sys.remove copy;
+        Sys.rmdir dir);
+    Out_channel.with_open_gen
+      [ Open_wronly; Open_creat; Open_excl; Open_binary ] 0o700 copy (fun oc ->
+        Out_channel.output_string oc image);
+    copy
+  in
   let out = Filename.temp_file "perfbench" ".json" in
   let runs = ref 0 and bad = ref 0 in
   let members = function J.Obj kvs -> kvs | _ -> [] in

@@ -27,8 +27,9 @@ type t = {
   ccache : bool;
   kdc_rotation : bool;
   mutable rotation : int;  (** next starting index into the KDC list *)
-  svc_creds : (string, credentials) Hashtbl.t;
-      (** in-memory view of the /tmp/tkt<uid> service-ticket entries *)
+  mutable svc_creds : (string * credentials) list;
+      (** in-memory view of the /tmp/tkt<uid> service-ticket entries: one
+          per service name asked for, newest first, scanned in turn *)
   mutable ccache_hits : int;
   mutable ccache_misses : int;
   mutable degraded : int;
@@ -40,7 +41,8 @@ type t = {
   mutable budget_tokens : float;
   breaker_threshold : int option;  (** consecutive failures before trip *)
   breaker_cooldown : float;
-  breakers : (Sim.Addr.t, breaker) Hashtbl.t;
+  mutable breakers : (Sim.Addr.t * breaker) list;
+      (** one per KDC called, and only under [breaker_threshold] *)
   honor_retry_after : bool;
   kdc_deadline : float option;
       (** overall per-exchange patience, stamped into the request *)
@@ -62,6 +64,13 @@ let create ?(seed = 0x434c49L) ?password ?(kdc_timeout = 1.0) ?(kdc_retries = 0)
   | _ -> ());
   if breaker_cooldown < 0.0 then
     invalid_arg "Client.create: negative breaker_cooldown";
+  let positive_finite name x =
+    if not (Float.is_finite x && x > 0.0) then
+      invalid_arg
+        ("Client.create: " ^ name ^ " must be a positive finite number")
+  in
+  positive_finite "kdc_timeout" kdc_timeout;
+  Option.iter (positive_finite "kdc_deadline") kdc_deadline;
   (* The deadline envelope is a [Tagged] wrapper, and V4's encoding drops
      tags: the KDC would read the envelope as a malformed request. *)
   (match (kdc_deadline, profile.Profile.encoding) with
@@ -70,12 +79,12 @@ let create ?(seed = 0x434c49L) ?password ?(kdc_timeout = 1.0) ?(kdc_retries = 0)
   | _ -> ());
   { net; host; profile; kdcs; me; rng = Util.Rng.create seed; password;
     kdc_timeout; kdc_retries; ccache; kdc_rotation; rotation = 0;
-    svc_creds = Hashtbl.create 8; ccache_hits = 0; ccache_misses = 0;
+    svc_creds = []; ccache_hits = 0; ccache_misses = 0;
     degraded = 0; tgt_creds = None;
     retry_budget;
     budget_tokens =
       (match retry_budget with Some b -> float_of_int b | None -> 0.0);
-    breaker_threshold; breaker_cooldown; breakers = Hashtbl.create 4;
+    breaker_threshold; breaker_cooldown; breakers = [];
     honor_retry_after; kdc_deadline;
     busy_received = 0; breaker_trips = 0; budget_exhausted = 0 }
 
@@ -155,29 +164,32 @@ let budget_refill t =
   | Some cap ->
       t.budget_tokens <- Float.min (float_of_int cap) (t.budget_tokens +. 1.0)
 
-(* --- Per-KDC circuit breaker. *)
+(* --- Per-KDC circuit breaker: [None] for a client without one. *)
 
 let breaker_for t addr =
-  match Hashtbl.find_opt t.breakers addr with
-  | Some b -> b
-  | None ->
-      let b = { br_fails = 0; br_open_until = 0.0 } in
-      Hashtbl.add t.breakers addr b;
-      b
-
-let breaker_blocks t b =
   match t.breaker_threshold with
-  | None -> false
-  | Some _ -> now t < b.br_open_until
+  | None -> None
+  | Some _ -> (
+      match List.find_opt (fun (a, _) -> Sim.Addr.equal a addr) t.breakers with
+      | Some (_, b) -> Some b
+      | None ->
+          let b = { br_fails = 0; br_open_until = 0.0 } in
+          t.breakers <- (addr, b) :: t.breakers;
+          Some b)
 
-let breaker_success b =
-  b.br_fails <- 0;
-  b.br_open_until <- 0.0
+let breaker_blocks t = function
+  | None -> false
+  | Some b -> now t < b.br_open_until
+
+let breaker_success = function
+  | None -> ()
+  | Some b ->
+      b.br_fails <- 0;
+      b.br_open_until <- 0.0
 
 let breaker_failure t b =
-  match t.breaker_threshold with
-  | None -> ()
-  | Some threshold ->
+  match (b, t.breaker_threshold) with
+  | Some b, Some threshold ->
       (* A failed half-open probe re-trips without counting back up. *)
       let half_open = b.br_open_until > 0.0 && now t >= b.br_open_until in
       b.br_fails <- b.br_fails + 1;
@@ -185,6 +197,7 @@ let breaker_failure t b =
         b.br_open_until <- now t +. t.breaker_cooldown;
         t.breaker_trips <- t.breaker_trips + 1
       end
+  | _ -> ()
 
 (* Decode a KDC datagram just far enough to recognize KRB_ERR_BUSY and
    extract its retry-after hint. *)
@@ -316,7 +329,7 @@ let cache_creds t label c =
 
 let logout t =
   t.tgt_creds <- None;
-  Hashtbl.reset t.svc_creds;
+  t.svc_creds <- [];
   Sim.Host.cache_wipe t.host
 
 let ccache_hits t = t.ccache_hits
@@ -647,10 +660,10 @@ let get_ticket_ex t ?options ?additional_ticket ?authz_data ~service k =
   let cached =
     if not (t.ccache && plain) then None
     else
-      match Hashtbl.find_opt t.svc_creds sname with
+      match List.assoc_opt sname t.svc_creds with
       | Some c when not (tgt_expired t c) -> Some c
       | Some _ ->
-          Hashtbl.remove t.svc_creds sname;
+          t.svc_creds <- List.remove_assoc sname t.svc_creds;
           None
       | None -> None
   in
@@ -667,7 +680,7 @@ let get_ticket_ex t ?options ?additional_ticket ?authz_data ~service k =
            requests (it is what degradation falls back on); parked in the
            stealable host cache only under [ccache], as before. *)
         if plain then begin
-          Hashtbl.replace t.svc_creds sname c;
+          t.svc_creds <- (sname, c) :: List.remove_assoc sname t.svc_creds;
           if t.ccache then cache_creds t ("svc:" ^ sname) c
         end;
         k (Ok (c, src))
@@ -679,7 +692,7 @@ let get_ticket_ex t ?options ?additional_ticket ?authz_data ~service k =
         let fallback =
           if not plain then None
           else
-            match Hashtbl.find_opt t.svc_creds sname with
+            match List.assoc_opt sname t.svc_creds with
             | Some c when not (tgt_expired t c) -> Some c
             | _ -> None
         in
@@ -831,6 +844,13 @@ type channel = {
 let session c = c.chan_session
 let closed_error = Error "channel closed"
 
+(* A deadline counts seconds from now. Zero times out at once; a negative
+   or NaN one would reach the engine as an instant in the past. *)
+let check_deadline fn = function
+  | Some d when Float.is_nan d || d < 0.0 ->
+      invalid_arg (fn ^ ": deadline must not be negative or NaN")
+  | _ -> ()
+
 let rec make_channel t session ~link ~creds ~mutual ~dst ~dport =
   let chan =
     { chan_session = session; chan_link = link; chan_dst = dst;
@@ -929,6 +949,7 @@ and upgrade_channel chan =
 
 and ap_exchange t (creds : credentials) ?(mutual = true) ?deadline
     ?(transport = `Auto) ~dst ~dport k =
+  check_deadline "Client.ap_exchange" deadline;
   (* Counts every exchange this library starts — including the internal
      re-exchange a channel's TCP upgrade performs — so an invariant of
      the form "sessions established <= honest exchanges started" can be
@@ -1183,6 +1204,7 @@ let wait_on_channel chan ?deadline net ~k =
                k (Error "call timed out")))
 
 let call_priv t chan ?deadline data ~k =
+  check_deadline "Client.call_priv" deadline;
   if chan.chan_closed then k closed_error
   else begin
     wait_on_channel chan ?deadline t.net ~k;
@@ -1192,6 +1214,7 @@ let call_priv t chan ?deadline data ~k =
   end
 
 let call_safe t chan ?deadline data ~k =
+  check_deadline "Client.call_safe" deadline;
   if chan.chan_closed then k closed_error
   else begin
     wait_on_channel chan ?deadline t.net ~k;

@@ -81,10 +81,11 @@ val create :
     an admission-controlled KDC can shed the queued copy once the caller
     has given up, and no failover/busy-wait step starts past it.
 
-    @raise Invalid_argument if [kdc_deadline] is given under a profile
-    whose encoding carries no tags (V4's ad hoc encoding): the envelope
-    would reach the KDC as a malformed request and every exchange would
-    fail. *)
+    @raise Invalid_argument if [kdc_timeout] or [kdc_deadline] is not a
+    positive finite number, naming it; or if [kdc_deadline] is given
+    under a profile whose encoding carries no tags (V4's ad hoc
+    encoding): the envelope would reach the KDC as a malformed request
+    and every exchange would fail. *)
 
 val principal : t -> Principal.t
 val host : t -> Sim.Host.t
@@ -135,7 +136,17 @@ val get_ticket :
     a retry is in flight. The re-login keys on that code, not on the
     error's text: a KDC deadline that runs out ("KDC deadline expired
     (timed out)") settles the request at the deadline with no AS
-    request. *)
+    request.
+
+    How long the caller waits: [kdc_deadline] bounds each AS or TGS
+    exchange on its own, not the request. Every referral hop is an
+    exchange, and so are the re-login and the TGS retry after a
+    ticket-expired answer. So one [get_ticket] can take up to three
+    deadlines (TGS, re-login, TGS again) plus one for every referral hop
+    either TGS attempt follows.
+    Without [kdc_deadline] each exchange is bounded by the failover walk
+    instead: [kdc_timeout] with backoff over [kdc_retries] at each KDC of
+    the realm, plus any honored retry-after waits. *)
 
 (** Where the credentials came from — {!get_ticket_ex} tags its result so
     a caller can tell a live KDC answer from graceful degradation. *)
@@ -199,7 +210,10 @@ val ap_exchange :
     pin the link. A datagram channel that later hits the refusal on a
     sealed call re-establishes itself over TCP and resends the call,
     invisibly to the caller (counted in
-    [transport.fallback.response_too_big]). *)
+    [transport.fallback.response_too_big]).
+
+    @raise Invalid_argument if [deadline] is negative or NaN. Zero is a
+    deadline that has already run out. *)
 
 val call_priv :
   t -> channel -> ?deadline:float -> bytes -> k:((bytes, string) result -> unit) -> unit
@@ -216,13 +230,17 @@ val call_priv :
     exhaustion) is over: a call waiting on it gets
     [Error "channel closed"], exactly once, and so does every later
     [call_priv]/[call_safe], at once. So does a channel whose TCP upgrade
-    failed, after its waiting call got ["TCP upgrade failed: ..."]. *)
+    failed, after its waiting call got ["TCP upgrade failed: ..."].
+
+    @raise Invalid_argument if [deadline] is negative or NaN, before
+    anything is sent. *)
 
 val call_safe :
   t -> channel -> ?deadline:float -> bytes -> k:((bytes, string) result -> unit) -> unit
 (** As [call_priv] but integrity-only (KRB_SAFE): the request travels in
     the clear with a sealed checksum. A closed or lost channel answers
-    as for [call_priv]. *)
+    as for [call_priv], and a negative or NaN [deadline] is refused the
+    same way. *)
 
 val close : channel -> unit
 (** Tear the channel's link down: the datagram port stops listening (a

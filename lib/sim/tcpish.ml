@@ -81,7 +81,8 @@ type conn = {
   mutable sent : int;
   mutable received : int;
   unacked : segment Queue.t;  (** in sequence order, head oldest *)
-  ooo : (int, bytes) Hashtbl.t;  (** out-of-order bodies keyed by seq *)
+  mutable ooo : (int, bytes) Hashtbl.t option;
+      (** out-of-order bodies keyed by seq, from the first one on *)
   mutable dup_acks : int;
   mutable rto : float;
   mutable retries : int;
@@ -128,7 +129,7 @@ let teardown c ~reset =
     Option.iter Engine.disarm c.timer;
     c.timer <- None;
     Queue.clear c.unacked;
-    Hashtbl.reset c.ooo;
+    c.ooo <- None;
     c.detach ();
     c.close_cb ~reset
   end
@@ -266,11 +267,14 @@ let close c =
 (* Deliver the in-order prefix: the segment that just landed, then any
    buffered successors it unblocks. *)
 let rec drain_in_order c =
-  match Hashtbl.find_opt c.ooo c.rcv_nxt with
-  | Some body ->
-      Hashtbl.remove c.ooo c.rcv_nxt;
-      advance c body
+  match c.ooo with
   | None -> ()
+  | Some ooo -> (
+      match Hashtbl.find_opt ooo c.rcv_nxt with
+      | Some body ->
+          Hashtbl.remove ooo c.rcv_nxt;
+          advance c body
+      | None -> ())
 
 and advance c body =
   c.rcv_nxt <- c.rcv_nxt +% Bytes.length body;
@@ -303,11 +307,19 @@ let handle_established c seg =
           (* A gap: buffer for reassembly and duplicate-ack so the sender
              retransmits the missing prefix instead of the bytes vanishing
              without trace. *)
+          let ooo =
+            match c.ooo with
+            | Some ooo -> ooo
+            | None ->
+                let ooo = Hashtbl.create 8 in
+                c.ooo <- Some ooo;
+                ooo
+          in
           if
-            (not (Hashtbl.mem c.ooo seg.seq))
-            && Hashtbl.length c.ooo < max_ooo_segments
+            (not (Hashtbl.mem ooo seg.seq))
+            && Hashtbl.length ooo < max_ooo_segments
           then begin
-            Hashtbl.replace c.ooo seg.seq seg.body;
+            Hashtbl.replace ooo seg.seq seg.body;
             bump c "tcpish.ooo_buffered"
           end;
           send_ack c
@@ -384,7 +396,7 @@ let make_conn net host ~local_addr ~local_port ~peer_addr ~peer_port ~isn =
     snd_nxt = isn; snd_una = isn; rcv_nxt = 0; established = false;
     closed = false; detached = false; data_cb = ignore;
     close_cb = (fun ~reset:_ -> ()); sent = 0; received = 0;
-    unacked = Queue.create (); ooo = Hashtbl.create 8; dup_acks = 0;
+    unacked = Queue.create (); ooo = None; dup_acks = 0;
     rto = base_rto; retries = 0; timer = None; detach = ignore;
     fbuf = Buffer.create 64; msg_cb = None }
 

@@ -244,23 +244,67 @@ type request =
       (* a ticket for a zipf-drawn service, and nothing more *)
   | Login  (* an AS exchange *)
 
-let login w c (u : Passwords.user) =
-  Client.login c ~password:u.password (function
-    | Ok _ -> ()
-    | Error _ -> failed w)
+(* Each operation ends in [settled], once, whatever its outcome. *)
+let login w c ~password ~settled =
+  Client.login c ~password (fun r ->
+      if Result.is_error r then failed w;
+      settled ())
 
-let echo w c (principal, _, addr) payload =
+let echo w c (principal, _, addr) payload ~settled =
+  let fail () =
+    failed w;
+    settled ()
+  in
   Client.get_ticket c ~service:principal (function
-    | Error _ -> failed w
+    | Error _ -> fail ()
     | Ok creds ->
         Client.ap_exchange c creds ~dst:addr ~dport:600 (function
-          | Error _ -> failed w
+          | Error _ -> fail ()
           | Ok chan ->
               Client.call_priv c chan (Bytes.of_string payload) ~k:(fun r ->
                   Client.close chan;
-                  match r with
+                  (match r with
                   | Error _ -> failed w
-                  | Ok _ -> w.completed <- w.completed + 1)))
+                  | Ok _ -> w.completed <- w.completed + 1);
+                  settled ())))
+
+(* Client [j] of a wave until it is counted, with what it still owes:
+   one while requests remain to fire, plus one per operation in flight. *)
+type slot = Counted | Owing of { client : Client.t; mutable owed : int }
+
+(* What a wave's callers read of its clients: their counters, summed. *)
+type tally = {
+  mutable hits : int;  (* credential-cache hits *)
+  mutable misses : int;
+  mutable busy : int;  (* KRB_ERR_BUSY answers received *)
+  mutable trips : int;  (* circuit breakers opened *)
+  mutable exhausted : int;  (* steps refused by a dry retry budget *)
+  slots : slot array;
+}
+
+let count t j =
+  match t.slots.(j) with
+  | Counted -> ()
+  | Owing { client = c; _ } ->
+      t.slots.(j) <- Counted;
+      t.hits <- t.hits + Client.ccache_hits c;
+      t.misses <- t.misses + Client.ccache_misses c;
+      t.busy <- t.busy + Client.busy_received c;
+      t.trips <- t.trips + Client.breaker_trips c;
+      t.exhausted <- t.exhausted + Client.budget_exhausted c
+
+let owe t j ~by =
+  match t.slots.(j) with
+  | Counted -> ()
+  | Owing r ->
+      r.owed <- r.owed + by;
+      if r.owed = 0 then count t j
+
+(* The tally once the engine has run dry: a client with an operation that
+   never settled is counted now. *)
+let counted t =
+  Array.iteri (fun j _ -> count t j) t.slots;
+  t
 
 (* One wave of open-loop clients; the defaults are the configured calm
    load. Client [j] is user [first + j] on host [prefix ^ j] and starts at
@@ -272,65 +316,83 @@ let echo w c (principal, _, addr) payload =
    without holding clients*requests closures in the heap at once), and
    the starts go in as one bulk {!Sim.Engine.schedule_batch}, the list
    dropped at once. Per client it draws the client's seed, the request
-   generator if the requests draw services, then the start. A client
-   keeps nothing but its [fire] closure alive between requests: at 20,000
-   clients, one more closure each is a MiB of peak heap. *)
+   generator if the requests draw services, then the start.
+
+   What a client keeps, and for how long. Between requests, only its
+   [fire] closure holds it. Once its last request has fired and every
+   operation it started has settled, its counters go into the wave's
+   tally and the wave lets go of it: nothing then holds the client, its
+   wallet or its TGT. Its host stays attached to the network, with the
+   ticket file ([Sim.Host] cache) its logins wrote, as a workstation's
+   /tmp/tkt outlives the program that fetched the tickets. At 20,000
+   clients each word a client keeps costs 0.15 MiB. *)
 let wave w ?(make = client w) ?(first = 0) ?(prefix = "c")
     ?(clients = w.cfg.active_clients) ?(at = 0.0) ?(jitter = w.cfg.ramp)
     ?(think = w.cfg.think_time) ?(requests = w.cfg.requests_per_client)
     request =
+  let tally =
+    { hits = 0; misses = 0; busy = 0; trips = 0; exhausted = 0;
+      slots = Array.make clients Counted }
+  in
   let starts = ref [] in
   let logins = match request with Login -> true | _ -> false in
   let lead = if logins then 0.0 else 1.0 in
-  let cs =
-    Array.init clients (fun j ->
-        let i = first + j in
-        let u = user_of w.cfg i in
-        let host =
-          Sim.Host.create ~name:(Printf.sprintf "%s%05d" prefix j)
-            ~ips:[ client_addr i ] ()
-        in
-        Sim.Net.attach w.net host;
-        let c =
-          make ~seed:(Util.Rng.next_int64 w.rng) ~password:u.Passwords.password
-            host (Principal.user ~realm u.Passwords.name)
-        in
-        (* Only zipf draws need a generator; the others never read it. *)
-        let crng =
-          match request with
-          | Echo (_, None) | Ticket _ -> Util.Rng.split w.rng
-          | Echo (_, Some _) | Login -> w.rng
-        in
-        let start = at +. Util.Rng.float w.rng jitter in
-        let rec fire j () =
-          (match request with
-          | Echo (payload, Some s) -> echo w c w.services.(s) payload
-          | Echo (payload, None) -> echo w c w.services.(w.pick crng) payload
-          | Ticket k ->
-              let principal, _, _ = w.services.(w.pick crng) in
-              Client.get_ticket_ex c ~service:principal k
-          | Login -> login w c u);
-          if j + 1 < requests then
-            Sim.Engine.schedule w.engine
-              ~at:(start +. lead +. (float_of_int (j + 1) *. think))
-              (fire (j + 1))
-        in
-        starts :=
-          ( start,
-            if logins then fire 0
-            else fun () ->
-              login w c u;
-              Sim.Engine.schedule w.engine ~at:(start +. lead) (fire 0) )
-          :: !starts;
-        c)
-  in
+  for j = 0 to clients - 1 do
+    let i = first + j in
+    let u = user_of w.cfg i in
+    let host =
+      Sim.Host.create ~name:(Printf.sprintf "%s%05d" prefix j)
+        ~ips:[ client_addr i ] ()
+    in
+    Sim.Net.attach w.net host;
+    let password = u.Passwords.password in
+    let c =
+      make ~seed:(Util.Rng.next_int64 w.rng) ~password host
+        (Principal.user ~realm u.Passwords.name)
+    in
+    tally.slots.(j) <- Owing { client = c; owed = 1 };
+    (* Only zipf draws need a generator; the others never read it. *)
+    let crng =
+      match request with
+      | Echo (_, None) | Ticket _ -> Util.Rng.split w.rng
+      | Echo (_, Some _) | Login -> w.rng
+    in
+    let start = at +. Util.Rng.float w.rng jitter in
+    (* Step [k] of the client: its login at [-1], then request [k]. *)
+    let rec fire k () =
+      owe tally j ~by:1;
+      let settled () = owe tally j ~by:(-1) in
+      if k < 0 then begin
+        login w c ~password ~settled;
+        Sim.Engine.schedule w.engine ~at:(start +. lead) (fire 0)
+      end
+      else begin
+        (match request with
+        | Echo (payload, Some s) -> echo w c w.services.(s) payload ~settled
+        | Echo (payload, None) ->
+            echo w c w.services.(w.pick crng) payload ~settled
+        | Ticket on_ticket ->
+            let principal, _, _ = w.services.(w.pick crng) in
+            Client.get_ticket_ex c ~service:principal (fun r ->
+                on_ticket r;
+                settled ())
+        | Login -> login w c ~password ~settled);
+        if k + 1 < requests then
+          Sim.Engine.schedule w.engine
+            ~at:(start +. lead +. (float_of_int (k + 1) *. think))
+            (fire (k + 1))
+        else owe tally j ~by:(-1)
+      end
+    in
+    starts := (start, fire (if logins then 0 else -1)) :: !starts
+  done;
   Sim.Engine.schedule_batch w.engine (List.rev !starts);
-  cs
+  tally
 
 let run_timed ?on_world cfg =
   let t0 = Sys.time () in
   let w = build cfg in
-  let clients = wave w (Echo ("PING", None)) in
+  let tally = wave w (Echo ("PING", None)) in
   (* The attack plane, if any, schedules itself into the same engine now —
      after the benign world is fully built (splitting the generator here
      perturbs nothing: the benign run draws no more from [rng]). *)
@@ -352,15 +414,14 @@ let run_timed ?on_world cfg =
   let m = Telemetry.Collector.metrics w.tel in
   let hist name = Telemetry.Metrics.histogram m name in
   let count name = Telemetry.Metrics.hist_count (hist name) in
-  let hits = Array.fold_left (fun a c -> a + Client.ccache_hits c) 0 clients in
-  let misses = Array.fold_left (fun a c -> a + Client.ccache_misses c) 0 clients in
+  let tally = counted tally in
   let sim_seconds = Sim.Engine.now w.engine in
   let events = Sim.Engine.executed w.engine in
   ( { r_config = cfg; sim_seconds; completed = w.completed; errors = w.errors;
       as_requests = count "span.kdc.as_req.seconds";
       tgs_requests = count "span.kdc.tgs_req.seconds";
       ap_exchanges = count "span.client.ap_exchange.seconds";
-      ccache_hits = hits; ccache_misses = misses;
+      ccache_hits = tally.hits; ccache_misses = tally.misses;
       as_latency = percentiles_of_hist (hist "span.kdc.as_req.seconds");
       tgs_latency = percentiles_of_hist (hist "span.client.tgs_exchange.seconds");
       ap_latency = percentiles_of_hist (hist "span.client.ap_exchange.seconds");
@@ -699,7 +760,7 @@ let run_viral_one v ~label ~replicas ~spike =
         r)
   in
   (* The calm background: the same open-loop clients as {!run_timed}. *)
-  ignore (wave w (Echo ("PING", None)) : Client.t array);
+  ignore (wave w (Echo ("PING", None)) : tally);
   (* The viral wave: cache-less clients, all aimed at one service, open
      loop at a much hotter think time. Cache-less is the realistic shape —
      a service suddenly popular is popular with *new* clients, who all
@@ -710,7 +771,7 @@ let run_viral_one v ~label ~replicas ~spike =
          ~prefix:"v" ~clients:v.v_spike_clients ~at:v.v_spike_at ~jitter:1.0
          ~think:v.v_spike_think ~requests:v.v_spike_requests
          (Echo ("VIRAL", Some v.v_spike_service))
-        : Client.t array);
+        : tally);
   let base_end =
     cfg.ramp +. 1.0
     +. (float_of_int cfg.requests_per_client *. cfg.think_time)
@@ -1085,14 +1146,15 @@ let run_overload_one o ~label ~spike ~hygiene =
      expensive in the brownout sense. *)
   let storm =
     if spike then
-      wave w ~make ~first:cfg.active_clients ~prefix:"s"
-        ~clients:o.o_spike_clients ~at:o.o_spike_at ~jitter:0.5
-        ~think:o.o_spike_think ~requests:o.o_spike_requests Login
-    else [||]
+      [ wave w ~make ~first:cfg.active_clients ~prefix:"s"
+          ~clients:o.o_spike_clients ~at:o.o_spike_at ~jitter:0.5
+          ~think:o.o_spike_think ~requests:o.o_spike_requests Login ]
+    else []
   in
   Sim.Engine.run w.engine;
   let ksum f = List.fold_left (fun a k -> a + f k) 0 w.kdcs in
-  let csum f = Array.fold_left (fun a c -> a + f c) 0 (Array.append calm storm) in
+  let tallies = List.map counted (calm :: storm) in
+  let csum f = List.fold_left (fun a t -> a + f t) 0 tallies in
   let arrived = ksum Kdc.admission_arrived in
   let processed = ksum Kdc.admission_processed in
   let busy_rejections = ksum Kdc.busy_rejections in
@@ -1138,9 +1200,9 @@ let run_overload_one o ~label ~spike ~hygiene =
     or_goodput_final = final;
     or_recovery_s = recovery;
     or_windows = Array.to_list windows;
-    or_busy_received = csum Client.busy_received;
-    or_breaker_trips = csum Client.breaker_trips;
-    or_budget_exhausted = csum Client.budget_exhausted;
+    or_busy_received = csum (fun t -> t.busy);
+    or_breaker_trips = csum (fun t -> t.trips);
+    or_budget_exhausted = csum (fun t -> t.exhausted);
     or_arrived = arrived;
     or_processed = processed;
     or_busy_rejections = busy_rejections;

@@ -549,6 +549,78 @@ let deadline_is_not_tgt_expiry () =
   Alcotest.(check int) "one TGS request per KDC tried, no AS request" 2
     !kdc_packets
 
+(* A timeout or deadline the engine cannot honour is refused where the
+   caller hands it over, with an [Invalid_argument] naming it, instead of
+   surfacing later as the engine's "event in the past" or "NaN time" (or,
+   for a NaN [kdc_deadline], as no deadline at all). A zero deadline is
+   one that has already run out. *)
+let timeouts_checked_at_the_boundary () =
+  let refused what ~naming f =
+    match f () with
+    | _ -> Alcotest.failf "%s was accepted" what
+    | exception Invalid_argument msg ->
+        List.iter
+          (fun affix ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %S names %s" what msg affix)
+              true
+              (Astring.String.is_infix ~affix msg))
+          naming
+  in
+  let bed = Attacks.Testbed.make ~profile:Profile.v5_draft3 () in
+  let me = Client.principal bed.Attacks.Testbed.victim in
+  let create ?kdc_timeout ?kdc_deadline () =
+    Client.create ?kdc_timeout ?kdc_deadline bed.Attacks.Testbed.net
+      bed.Attacks.Testbed.victim_ws ~profile:bed.Attacks.Testbed.profile
+      ~kdcs:[ (me.Principal.realm, Attacks.Testbed.kdc_addr bed) ]
+      me
+  in
+  List.iter
+    (fun x ->
+      refused (Printf.sprintf "kdc_timeout %g" x) ~naming:[ "kdc_timeout" ]
+        (fun () -> create ~kdc_timeout:x ());
+      refused (Printf.sprintf "kdc_deadline %g" x) ~naming:[ "kdc_deadline" ]
+        (fun () -> create ~kdc_deadline:x ()))
+    [ -1.0; 0.0; Float.nan; Float.infinity ];
+  Attacks.Testbed.login_victim bed;
+  let c = bed.Attacks.Testbed.victim in
+  let dst = Sim.Host.primary_ip bed.Attacks.Testbed.file_host in
+  let dport = bed.Attacks.Testbed.file_port in
+  let opened = ref None in
+  Client.get_ticket c ~service:bed.Attacks.Testbed.file_principal (fun r ->
+      let creds = Attacks.Testbed.expect "file ticket" r in
+      Client.ap_exchange c creds ~dst ~dport (fun r ->
+          opened := Some (creds, Attacks.Testbed.expect "AP exchange" r)));
+  Attacks.Testbed.run bed;
+  let creds, chan =
+    match !opened with
+    | Some x -> x
+    | None -> Alcotest.fail "the channel never opened"
+  in
+  let never _ = Alcotest.fail "a refused call settled" in
+  List.iter
+    (fun d ->
+      let what fn = Printf.sprintf "%s ~deadline:%g" fn d in
+      refused (what "ap_exchange") ~naming:[ "Client.ap_exchange"; "deadline" ]
+        (fun () -> Client.ap_exchange c creds ~deadline:d ~dst ~dport never);
+      refused (what "call_priv") ~naming:[ "Client.call_priv"; "deadline" ]
+        (fun () ->
+          Client.call_priv c chan ~deadline:d (Bytes.of_string "READ /f0") ~k:never);
+      refused (what "call_safe") ~naming:[ "Client.call_safe"; "deadline" ]
+        (fun () ->
+          Client.call_safe c chan ~deadline:d (Bytes.of_string "READ /f0") ~k:never))
+    [ -1.0; Float.nan ];
+  let got = ref [] in
+  Client.call_priv c chan ~deadline:0.0 (Bytes.of_string "READ /f0") ~k:(fun r ->
+      got := ("zero", r) :: !got;
+      Client.call_priv c chan (Bytes.of_string "READ /f0") ~k:(fun r ->
+          got := ("after", r) :: !got));
+  Attacks.Testbed.run bed;
+  match List.rev !got with
+  | [ ("zero", Error e); ("after", Ok _) ] ->
+      Alcotest.(check string) "a zero deadline has run out" "call timed out" e
+  | _ -> Alcotest.fail "expected a timed-out call, then an answered one"
+
 (* The paper's operational gap, both ways: a server restarting with a
    volatile replay cache re-admits a captured authenticator still inside
    the skew window; a persistent cache rejects it. *)
@@ -718,6 +790,8 @@ let suite_recovery =
     Alcotest.test_case "re-login on TGT expiry" `Quick relogin_on_tgt_expiry;
     Alcotest.test_case "a KDC deadline is not a TGT expiry" `Quick
       deadline_is_not_tgt_expiry;
+    Alcotest.test_case "timeouts checked at the boundary" `Quick
+      timeouts_checked_at_the_boundary;
     Alcotest.test_case "volatile restart admits replay" `Quick
       volatile_restart_admits_replay;
     Alcotest.test_case "persistent restart rejects replay" `Quick

@@ -253,6 +253,24 @@ let loadgen_leaves_no_listeners () =
   | Some net ->
       Alcotest.(check int) "listeners after the run" !before (Sim.Net.listener_count net)
 
+(* A wave counts its clients' cache hits and misses as each client
+   finishes, and the rest once the engine runs dry. With every echo
+   server down, each AP exchange waits forever (the echo sets no
+   deadline), so no client ever finishes; each ticket request still
+   reached a KDC or the cache first, and must be counted. *)
+let loadgen_counts_unsettled_clients () =
+  let r, _ =
+    Workloads.Loadgen.run_timed small_cfg ~on_world:(fun w _ ->
+        let plane = Sim.Faults.create () in
+        Array.iter
+          (fun (_, _, addr) -> Sim.Faults.crash_host plane addr ())
+          w.Workloads.Attack_mix.w_services;
+        Sim.Net.attach_faults w.Workloads.Attack_mix.w_net plane)
+  in
+  Alcotest.(check int) "no request completed" 0 r.Workloads.Loadgen.completed;
+  Alcotest.(check int) "hits + misses = cacheable requests" (12 * 10)
+    (r.Workloads.Loadgen.ccache_hits + r.Workloads.Loadgen.ccache_misses)
+
 let loadgen_rejects_nonsense () =
   let raises cfg =
     match Workloads.Loadgen.run cfg with
@@ -279,4 +297,6 @@ let () =
        [ Alcotest.test_case "deterministic" `Quick loadgen_deterministic;
          Alcotest.test_case "report shape" `Quick loadgen_report_shape;
          Alcotest.test_case "no listeners left behind" `Quick loadgen_leaves_no_listeners;
+         Alcotest.test_case "unsettled clients counted" `Quick
+           loadgen_counts_unsettled_clients;
          Alcotest.test_case "config validation" `Quick loadgen_rejects_nonsense ]) ]

@@ -4,7 +4,8 @@
    no matter how many messages it seals; the engine's event queue, bulk
    inserts and disarmed timers included, must fire events in (time, seq)
    order; a settled call must let go of its closures before its guard
-   timer's instant; and a lazily materialized realm must serve
+   timer's instant, and a load generator of the clients it has finished
+   with; and a lazily materialized realm must serve
    byte-identical traffic to an eagerly registered one. *)
 
 let realm = "ATHENA"
@@ -249,6 +250,21 @@ let memo_survivors n =
   done;
   !alive
 
+(* What [Client.create] allocates beyond what it is handed: the network,
+   host, profile, KDC list, principal and password. The tuple's own seven
+   words are taken back out. *)
+let client_own_words () =
+  let net = Sim.Net.create (Sim.Engine.create ()) in
+  let host = Sim.Host.create ~name:"ws" ~ips:[ Sim.Addr.of_quad 10 9 0 1 ] () in
+  Sim.Net.attach net host;
+  let profile = Kerberos.Profile.v4 in
+  let kdcs = [ (realm, Sim.Addr.of_quad 10 9 0 2) ] in
+  let me = Kerberos.Principal.user ~realm "pat" in
+  let password = String.make 12 'p' in
+  let c = Kerberos.Client.create ~password net host ~profile ~kdcs me in
+  Obj.reachable_words (Obj.repr c)
+  - (Obj.reachable_words (Obj.repr (net, host, profile, kdcs, me, password)) - 7)
+
 let footprint () =
   let under label words ceiling =
     Alcotest.(check bool)
@@ -262,6 +278,7 @@ let footprint () =
   Alcotest.(check bool)
     (Printf.sprintf "memo keeps %d of 12288 schedules, bound 4096" survivors)
     true (survivors <= 4096);
+  under "a plain client's own words" (client_own_words ()) 41;
   under "empty replay cache" (cache_words 0) 15;
   under "replay cache holding one 32-byte key" (cache_words 1) 28;
   List.iter
@@ -549,6 +566,41 @@ let channel_then_call_priv (bed : Attacks.Testbed.t) creds slot settled =
     ~dst:(Sim.Host.primary_ip bed.file_host) ~dport:bed.file_port (fun r ->
       call_priv bed (Attacks.Testbed.expect "ap" r) slot settled)
 
+(* A toy login storm: the live words the run gains per client, from the
+   end of set-up to an event long after the last request settled, each
+   read after a full major collection. A finished client's record,
+   wallet, TGT and generator are free by then; its host, ticket file and
+   the AP server's session for it stay. With the schedule memo off, the
+   process-wide memo's growth is not counted as client state. The ceiling
+   is the reading when the wave stopped holding its clients (110 words)
+   plus about 6 %; a wave that held them read 256. *)
+let finished_clients_release what () =
+  let module L = Workloads.Loadgen in
+  let cfg =
+    { L.default with
+      L.users = 2_000; shards = 8; kdcs = 4; services = 10; active_clients = 200;
+      requests_per_client = 1; seed = 4269L; lightweight = true }
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let at_setup = ref 0 and at_end = ref 0 in
+  let report, _ =
+    with_schedule_cache false (fun () ->
+        L.run_timed cfg ~on_world:(fun wd _ ->
+            at_setup := live ();
+            Sim.Engine.schedule wd.Workloads.Attack_mix.w_engine ~at:600.0
+              (fun () -> at_end := live ())))
+  in
+  Alcotest.(check int) (what ^ ": every request completed") 200
+    report.L.completed;
+  let per_client = float_of_int (!at_end - !at_setup) /. 200.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.1f live words gained per client, ceiling 117" what
+       per_client)
+    true (per_client <= 117.0)
+
 let release_cases =
   [ ("Rpc.call", rpc_releases);
     ( "Transport.call, datagram leg",
@@ -559,7 +611,8 @@ let release_cases =
       transport_releases ~mtu:(Some 100) ~linger:0.05 ~before:0.225 );
     ("closed Tcpish connection", tcpish_releases);
     ("Client.ap_exchange ~deadline", client_releases ap_exchange);
-    ("Client.call_priv ~deadline", client_releases channel_then_call_priv) ]
+    ("Client.call_priv ~deadline", client_releases channel_then_call_priv);
+    ("finished Loadgen clients", finished_clients_release) ]
 
 (* ------------------------------------------------------------------ *)
 (* Lazy materialization: same realm, same bytes, fewer registrations   *)
