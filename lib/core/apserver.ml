@@ -101,6 +101,10 @@ let put_peer t key state =
     | Some oldest -> Sim.Endpoint.Table.remove t.peers oldest
   done
 
+(* The network delivers only frames whose ends pack, so this never
+   raises. *)
+let peer_of cx = Sim.Endpoint.make cx.cx_src cx.cx_sport
+
 let reply _t ~cx kind payload = cx.cx_reply (Frames.wrap kind payload)
 
 (* Mark how the current frame ended; replays additionally feed the
@@ -173,7 +177,7 @@ let establish t ~cx ~(ticket : Messages.ticket) ~client_part ~server_part
           ~send_seq:(Option.value server_seq ~default:0)
           ~recv_seq:(Option.value client_seq ~default:0)
       in
-      put_peer t (cx.cx_src, cx.cx_sport) (Established (session, ticket.Messages.client));
+      put_peer t (peer_of cx) (Established (session, ticket.Messages.client));
       t.established <- t.established + 1;
       Telemetry.Metrics.incr t.c_established;
       Ok ()
@@ -238,7 +242,7 @@ let handle_ap_challenge t ~cx (r : Messages.ap_req) =
         { pend_ticket = ticket; pend_nonce = nonce; pend_server_part = server_part;
           pend_seq_init = server_seq }
       in
-      put_peer t (cx.cx_src, cx.cx_sport) (Awaiting_response pending);
+      put_peer t (peer_of cx) (Awaiting_response pending);
       let body =
         Messages.seal_msg t.profile t.rng ~key:ticket.Messages.session_key
           ~tag:Messages.tag_challenge
@@ -322,7 +326,7 @@ let handle_frame t ~cx raw =
   match Frames.unwrap raw with
   | None -> ()
   | Some (kind, payload) -> (
-      let peer = (cx.cx_src, cx.cx_sport) in
+      let peer = peer_of cx in
       (* One span per recognized frame, nested under the packet span;
          replies sent inside the handler nest under it in turn. The
          failure paths record the outcome via [flag_outcome]. *)

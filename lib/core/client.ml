@@ -844,11 +844,12 @@ type channel = {
 let session c = c.chan_session
 let closed_error = Error "channel closed"
 
-(* A deadline counts seconds from now. Zero times out at once; a negative
-   or NaN one would reach the engine as an instant in the past. *)
+(* A deadline counts seconds from now. Zero times out at once; a negative,
+   NaN or infinite one would reach the engine as an instant it refuses.
+   No deadline at all is the way to wait without bound. *)
 let check_deadline fn = function
-  | Some d when Float.is_nan d || d < 0.0 ->
-      invalid_arg (fn ^ ": deadline must not be negative or NaN")
+  | Some d when Float.is_nan d || d < 0.0 || d = Float.infinity ->
+      invalid_arg (fn ^ ": deadline must be finite and not negative")
   | _ -> ()
 
 let rec make_channel t session ~link ~creds ~mutual ~dst ~dport =

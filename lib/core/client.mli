@@ -212,8 +212,9 @@ val ap_exchange :
     invisibly to the caller (counted in
     [transport.fallback.response_too_big]).
 
-    @raise Invalid_argument if [deadline] is negative or NaN. Zero is a
-    deadline that has already run out. *)
+    @raise Invalid_argument if [deadline] is negative, NaN or infinite
+    (to wait forever, give none). Zero is a deadline that has already
+    run out. *)
 
 val call_priv :
   t -> channel -> ?deadline:float -> bytes -> k:((bytes, string) result -> unit) -> unit
@@ -232,15 +233,15 @@ val call_priv :
     [call_priv]/[call_safe], at once. So does a channel whose TCP upgrade
     failed, after its waiting call got ["TCP upgrade failed: ..."].
 
-    @raise Invalid_argument if [deadline] is negative or NaN, before
-    anything is sent. *)
+    @raise Invalid_argument if [deadline] is negative, NaN or infinite,
+    before anything is sent. *)
 
 val call_safe :
   t -> channel -> ?deadline:float -> bytes -> k:((bytes, string) result -> unit) -> unit
 (** As [call_priv] but integrity-only (KRB_SAFE): the request travels in
     the clear with a sealed checksum. A closed or lost channel answers
-    as for [call_priv], and a negative or NaN [deadline] is refused the
-    same way. *)
+    as for [call_priv], and a negative, NaN or infinite [deadline] is
+    refused the same way. *)
 
 val close : channel -> unit
 (** Tear the channel's link down: the datagram port stops listening (a

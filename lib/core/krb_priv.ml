@@ -46,27 +46,27 @@ let decrypt_cbc k ~iv ct =
 
 (* Stamp field: timestamp or sequence number, by profile. *)
 let stamp_value (s : Session.t) ~now =
-  match s.profile.Profile.priv_replay with
-  | Profile.Priv_timestamp -> Int64.bits_of_float now
-  | Profile.Priv_sequence ->
-      let v = Int64.of_int s.send_seq in
-      s.send_seq <- s.send_seq + 1;
+  match s.stamps with
+  | Session.Timestamps _ -> Int64.bits_of_float now
+  | Session.Sequence q ->
+      let v = Int64.of_int q.send_seq in
+      q.send_seq <- q.send_seq + 1;
       v
 
 let check_stamp (s : Session.t) ~now stamp ~replay_key =
-  match s.profile.Profile.priv_replay with
-  | Profile.Priv_timestamp ->
+  match s.stamps with
+  | Session.Timestamps cache ->
       let ts = Int64.float_of_bits stamp in
       let dt = Float.abs (now -. ts) in
       if dt > skew then Error (Stale dt)
-      else if Replay_cache.check_and_insert s.cache ~now replay_key = Replay_cache.Replayed
+      else if Replay_cache.check_and_insert cache ~now replay_key = Replay_cache.Replayed
       then Error Replay
       else Ok ()
-  | Profile.Priv_sequence ->
+  | Session.Sequence q ->
       let got = Int64.to_int stamp in
-      if got <> s.recv_seq then Error (Out_of_sequence { expected = s.recv_seq; got })
+      if got <> q.recv_seq then Error (Out_of_sequence { expected = q.recv_seq; got })
       else begin
-        s.recv_seq <- s.recv_seq + 1;
+        q.recv_seq <- q.recv_seq + 1;
         Ok ()
       end
 

@@ -30,11 +30,11 @@ let seal_cksum (s : Session.t) raw =
   buf
 
 let stamp_of (s : Session.t) ~now =
-  match s.profile.Profile.priv_replay with
-  | Profile.Priv_timestamp -> Int64.bits_of_float now
-  | Profile.Priv_sequence ->
-      let v = Int64.of_int s.send_seq in
-      s.send_seq <- s.send_seq + 1;
+  match s.stamps with
+  | Session.Timestamps _ -> Int64.bits_of_float now
+  | Session.Sequence q ->
+      let v = Int64.of_int q.send_seq in
+      q.send_seq <- q.send_seq + 1;
       v
 
 let seal (s : Session.t) ~now data =
@@ -66,18 +66,18 @@ let open_ (s : Session.t) ~now msg =
       in
       if not (Util.Bytesutil.equal sealed (seal_cksum s expect)) then Error Bad_checksum
       else begin
-        match s.profile.Profile.priv_replay with
-        | Profile.Priv_timestamp ->
+        match s.stamps with
+        | Session.Timestamps cache ->
             let ts = Int64.float_of_bits stamp in
             let dt = Float.abs (now -. ts) in
             if dt > skew then Error (Stale dt)
-            else if Replay_cache.check_and_insert s.cache ~now msg = Replay_cache.Replayed
+            else if Replay_cache.check_and_insert cache ~now msg = Replay_cache.Replayed
             then Error Replay
             else Ok data
-        | Profile.Priv_sequence ->
-            if Int64.to_int stamp <> s.recv_seq then Error Out_of_sequence
+        | Session.Sequence q ->
+            if Int64.to_int stamp <> q.recv_seq then Error Out_of_sequence
             else begin
-              s.recv_seq <- s.recv_seq + 1;
+              q.recv_seq <- q.recv_seq + 1;
               Ok data
             end
       end

@@ -133,7 +133,10 @@ let retry_after_of_text s =
     else if String.sub s i mlen = marker then begin
       let j = ref (i + mlen) in
       while !j < n && digit s.[!j] do incr j done;
-      float_of_string_opt (String.sub s (i + mlen) (!j - (i + mlen)))
+      (* A long enough run of digits parses to infinity. *)
+      match float_of_string_opt (String.sub s (i + mlen) (!j - (i + mlen))) with
+      | Some f when Float.is_finite f -> Some f
+      | _ -> None
     end
     else find (i + 1)
   in

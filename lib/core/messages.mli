@@ -157,7 +157,8 @@ val busy_text : retry_after:float -> string
 
 val retry_after_of_text : string -> float option
 (** Parse the retry-after hint back out of an error text; [None] when the
-    text carries no (or a malformed) hint. *)
+    text carries no hint, a malformed one, or one too long to be finite
+    (the text is unauthenticated, and an infinite wait is no hint). *)
 
 (** Serialization. [of_value] functions raise {!Wire.Codec.Decode_error}
     on malformed input, including a session key ([session_key],

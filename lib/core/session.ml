@@ -1,5 +1,9 @@
 type role = Client_side | Server_side
 
+type stamps =
+  | Timestamps of Replay_cache.t
+  | Sequence of { mutable send_seq : int; mutable recv_seq : int }
+
 type t = {
   profile : Profile.t;
   key : bytes;
@@ -7,11 +11,9 @@ type t = {
   role : role;
   own_addr : Sim.Addr.t;
   peer_addr : Sim.Addr.t;
-  mutable send_seq : int;
-  mutable recv_seq : int;
+  stamps : stamps;
   mutable send_iv : bytes;
   mutable recv_iv : bytes;
-  cache : Replay_cache.t;
 }
 
 (* Directional initial IVs both sides can compute: E_k(direction byte,
@@ -22,7 +24,8 @@ let initial_iv ~sched direction =
   Bytes.set block 0 direction;
   Crypto.Des.encrypt_block sched block
 
-(* Only [Cbc_iv_chain] reads the IVs, so only it pays their two blocks. *)
+(* Only [Cbc_iv_chain] reads the IVs, so only it pays their two blocks,
+   and only [Priv_timestamp] reads a replay cache, so only it owns one. *)
 let make ~profile ~role ~key ~own_addr ~peer_addr ~send_seq ~recv_seq =
   let sched = Crypto.Des.schedule_cached key in
   let send_iv, recv_iv =
@@ -32,8 +35,12 @@ let make ~profile ~role ~key ~own_addr ~peer_addr ~send_seq ~recv_seq =
         let c2s = initial_iv ~sched 'C' and s2c = initial_iv ~sched 'S' in
         match role with Client_side -> (c2s, s2c) | Server_side -> (s2c, c2s))
   in
-  { profile; key; sched; role; own_addr; peer_addr; send_seq; recv_seq;
-    send_iv; recv_iv; cache = Replay_cache.create ~horizon:600.0 () }
+  let stamps =
+    match profile.Profile.priv_replay with
+    | Profile.Priv_timestamp -> Timestamps (Replay_cache.create ~horizon:600.0 ())
+    | Profile.Priv_sequence -> Sequence { send_seq; recv_seq }
+  in
+  { profile; key; sched; role; own_addr; peer_addr; stamps; send_iv; recv_iv }
 
 let derived_key (profile : Profile.t) ~multi ~client_part ~server_part =
   if not profile.negotiate_session_key then Ok multi

@@ -9,6 +9,18 @@
 
 type role = Client_side | Server_side
 
+(** What stops a replayed KRB_PRIV or KRB_SAFE, per
+    [Profile.priv_replay]. Each message is checked by one of them, never
+    both, so a session holds only the one its profile reads. *)
+type stamps =
+  | Timestamps of Replay_cache.t
+      (** [Priv_timestamp]: a message inside the skew window is refused
+          if this per-session cache has seen its ciphertext. Only this
+          mode has a replay cache. *)
+  | Sequence of { mutable send_seq : int; mutable recv_seq : int }
+      (** [Priv_sequence]: the next number to send and to accept. A
+          sequence number needs no cache. *)
+
 type t = {
   profile : Profile.t;
   key : bytes;  (** multi-session or negotiated, per profile *)
@@ -19,12 +31,10 @@ type t = {
   role : role;
   own_addr : Sim.Addr.t;
   peer_addr : Sim.Addr.t;
-  mutable send_seq : int;
-  mutable recv_seq : int;
+  stamps : stamps;
   mutable send_iv : bytes;
       (** evolving IV, [Cbc_iv_chain] only; empty under the other modes *)
   mutable recv_iv : bytes;
-  cache : Replay_cache.t;  (** per-session cache of priv timestamps *)
 }
 
 val make :
@@ -36,6 +46,8 @@ val make :
   send_seq:int ->
   recv_seq:int ->
   t
+(** [send_seq] and [recv_seq] seed [Sequence]; under [Priv_timestamp]
+    they are not read. *)
 
 val derived_key :
   Profile.t ->

@@ -95,8 +95,11 @@ let sift_down t i =
   seqs.(!i) <- sq;
   fns.(!i) <- fn
 
+(* +infinity would be queued and, once reached, leave the clock there;
+   -infinity is in the past. *)
 let check_time t ~caller at =
   if Float.is_nan at then invalid_arg (caller ^ ": NaN time");
+  if at = Float.infinity then invalid_arg (caller ^ ": infinite time");
   if at < t.clock then invalid_arg (caller ^ ": event in the past")
 
 (* Append at the end of the live prefix without restoring heap order. *)

@@ -17,7 +17,8 @@ val attach_telemetry : t -> Telemetry.Collector.t -> unit
 val attached_telemetry : t -> Telemetry.Collector.t list
 
 val schedule : t -> at:float -> (unit -> unit) -> unit
-(** @raise Invalid_argument if [at] is NaN or in the past. *)
+(** @raise Invalid_argument if [at] is NaN, infinite or in the past: the
+    clock must never reach an instant no later event can follow. *)
 
 val schedule_after : t -> float -> (unit -> unit) -> unit
 
@@ -32,7 +33,7 @@ val arm : t -> at:float -> (unit -> unit) -> timer
     {!disarm} it. The action runs at most once; the timer keeps only a
     small record of its own in the queue, so the action's closure is
     released as soon as it runs or is disarmed.
-    @raise Invalid_argument if [at] is NaN or in the past. *)
+    @raise Invalid_argument if [at] is NaN, infinite or in the past. *)
 
 val arm_after : t -> float -> (unit -> unit) -> timer
 
@@ -48,8 +49,8 @@ val schedule_batch : t -> (float * (unit -> unit)) list -> unit
     {!schedule} calls would (sequence numbers are taken in list order),
     but the heap is re-heapified once instead of sifting per event —
     O(n + m) for a batch of m. The loadgen ramp uses this.
-    @raise Invalid_argument if any time is NaN or in the past; nothing
-    is queued then. *)
+    @raise Invalid_argument if any time is NaN, infinite or in the past;
+    nothing is queued then. *)
 
 val step : t -> bool
 (** Fire the next event: the earliest time, and among equal times the

@@ -17,7 +17,7 @@ type t = {
   latency : float;
   rng : Util.Rng.t;
   tel : Telemetry.Collector.t;
-  hosts : (Addr.t, Host.t) Hashtbl.t;
+  addrs : (Addr.t, unit) Hashtbl.t;  (** attached, for the clash check *)
   ports : (Packet.t -> unit) Endpoint.Table.t;
   mutable taps : (Packet.t -> unit) list;
   mutable interceptor : (Packet.t -> decision) option;
@@ -52,7 +52,7 @@ let create ?(latency = 0.005) ?(seed = 1L) ?telemetry eng =
   Telemetry.Collector.set_clock tel (fun () -> Engine.now eng);
   Engine.attach_telemetry eng tel;
   let m = Telemetry.Collector.metrics tel in
-  { eng; latency; rng = Util.Rng.create seed; tel; hosts = Hashtbl.create 16;
+  { eng; latency; rng = Util.Rng.create seed; tel; addrs = Hashtbl.create 16;
     ports = Endpoint.Table.create 64; taps = []; interceptor = None; faults = None;
     next_uid = 0; next_port = 33000;
     default_mtu = None; link_mtus = Hashtbl.create 8; mtu_active = false;
@@ -91,25 +91,40 @@ let events t =
 
 let event_count t = t.ev_seen
 
+(* Only the addresses are kept: the network holds no host, so a host
+   lives as long as its owner holds it. *)
 let attach t host =
   List.iter
     (fun ip ->
-      if Hashtbl.mem t.hosts ip then
+      if Hashtbl.mem t.addrs ip then
         invalid_arg (Printf.sprintf "Net.attach: address %s already in use" (Addr.to_string ip));
-      Hashtbl.replace t.hosts ip host)
+      Hashtbl.replace t.addrs ip ())
     host.Host.ips
-
-let host_of_addr t addr = Hashtbl.find_opt t.hosts addr
 
 let local_time t host = Host.local_time host ~real:(now t)
 
+(* Where a caller hands the network an address and port. *)
+let check_endpoint ~caller addr port =
+  if not (Endpoint.packable addr port) then
+    invalid_arg
+      (Printf.sprintf "%s: %s port %d cannot be packed into an endpoint" caller
+         (Addr.to_string addr) port)
+
 let listen t host ~port fn =
-  List.iter (fun ip -> Endpoint.Table.replace t.ports (ip, port) fn) host.Host.ips
+  List.iter (fun ip -> check_endpoint ~caller:"Net.listen" ip port) host.Host.ips;
+  List.iter
+    (fun ip -> Endpoint.Table.replace t.ports (Endpoint.make ip port) fn)
+    host.Host.ips
 
 let unlisten t host ~port =
-  List.iter (fun ip -> Endpoint.Table.remove t.ports (ip, port)) host.Host.ips
+  List.iter
+    (fun ip ->
+      if Endpoint.packable ip port then
+        Endpoint.Table.remove t.ports (Endpoint.make ip port))
+    host.Host.ips
 
-let listening t addr ~port = Endpoint.Table.mem t.ports (addr, port)
+let listening t addr ~port =
+  Endpoint.packable addr port && Endpoint.Table.mem t.ports (Endpoint.make addr port)
 let listener_count t = Endpoint.Table.length t.ports
 
 let ephemeral_port t =
@@ -208,14 +223,20 @@ let truncate_for_path t pkt =
 let deliver ?(extra = 0.0) t span pkt =
   let pkt = truncate_for_path t pkt in
   Engine.schedule_after t.eng (t.latency +. extra) (fun () ->
-      match Endpoint.Table.find_opt t.ports (pkt.Packet.dst, pkt.Packet.dport) with
-      | Some fn ->
-          if not (Telemetry.Collector.lightweight t.tel) then
-            record t (Delivered (now t, pkt));
-          Telemetry.Metrics.incr t.c_delivered;
-          Telemetry.Collector.with_context t.tel span (fun () -> fn pkt);
-          Telemetry.Collector.span_finish t.tel ~outcome:"ok" span
-      | None -> drop_packet t span pkt "no listener")
+      let { Packet.src; sport; dst; dport; _ } = pkt in
+      (* Only a replacement from the interceptor can still carry an
+         endpoint that does not pack; the receiver never sees it. *)
+      if not (Endpoint.packable src sport && Endpoint.packable dst dport) then
+        drop_packet t span pkt "unpackable endpoint"
+      else
+        match Endpoint.Table.find_opt t.ports (Endpoint.make dst dport) with
+        | Some fn ->
+            if not (Telemetry.Collector.lightweight t.tel) then
+              record t (Delivered (now t, pkt));
+            Telemetry.Metrics.incr t.c_delivered;
+            Telemetry.Collector.with_context t.tel span (fun () -> fn pkt);
+            Telemetry.Collector.span_finish t.tel ~outcome:"ok" span
+        | None -> drop_packet t span pkt "no listener")
 
 (* The fault plane sits between the adversary and the wire: a packet the
    interceptor lets through (or substitutes) still has to survive the
@@ -274,10 +295,14 @@ let send t ?src ~sport ~dst ~dport host payload =
   let src = match src with None -> Host.primary_ip host | Some s -> s in
   if not (List.exists (Addr.equal src) host.Host.ips) then
     invalid_arg "Net.send: source address not owned by sending host";
+  check_endpoint ~caller:"Net.send" src sport;
+  check_endpoint ~caller:"Net.send" dst dport;
   t.next_uid <- t.next_uid + 1;
   transmit t { Packet.src; sport; dst; dport; payload; uid = t.next_uid }
 
 let inject t pkt =
+  check_endpoint ~caller:"Net.inject" pkt.Packet.src pkt.Packet.sport;
+  check_endpoint ~caller:"Net.inject" pkt.Packet.dst pkt.Packet.dport;
   t.next_uid <- t.next_uid + 1;
   let pkt = { pkt with Packet.uid = t.next_uid } in
   record t (Sent (now t, pkt));

@@ -31,15 +31,21 @@ val now : t -> float
 val rng : t -> Util.Rng.t
 
 val attach : t -> Host.t -> unit
-(** Register a host's addresses for delivery.
+(** Register a host's addresses, so that no other host can take them.
+    The network records the addresses only, never the host: a host lives
+    as long as its owner (a client, a server, a scenario) holds it, and
+    the listeners it registered. A load generator's finished workstation
+    and its ticket file are freed with the client that used them.
     @raise Invalid_argument on address clashes. *)
-
-val host_of_addr : t -> Addr.t -> Host.t option
 
 val local_time : t -> Host.t -> float
 (** The host's own clock reading, offset/drift included. *)
 
 val listen : t -> Host.t -> port:int -> (Packet.t -> unit) -> unit
+(** Register a handler at [port] on every address of the host.
+    @raise Invalid_argument if an address and [port] do not pack into an
+    {!Endpoint.t} (a port outside [0 .. Endpoint.max_port]). *)
+
 val unlisten : t -> Host.t -> port:int -> unit
 
 val listening : t -> Addr.t -> port:int -> bool
@@ -86,12 +92,17 @@ val send : t -> ?src:Addr.t -> sport:int -> dst:Addr.t -> dport:int -> Host.t ->
     arrive after the network latency. Unroutable packets are dropped
     silently — traced, and counted under both [net.packets.dropped] and a
     per-reason [net.dropped.<reason>] counter (spaces slugged to dashes,
-    e.g. [net.dropped.no-listener]). *)
+    e.g. [net.dropped.no-listener]).
+    @raise Invalid_argument if either end does not pack into an
+    {!Endpoint.t}. A replacement packet from the interceptor that does
+    not is dropped at delivery ([net.dropped.unpackable-endpoint]). *)
 
 val inject : t -> Packet.t -> unit
 (** Adversarial transmission: arbitrary source, bypasses the interceptor
     {e and} the fault plane — the adversary is not subject to the weather,
-    so replay/spoof experiments stay exact under chaos schedules. *)
+    so replay/spoof experiments stay exact under chaos schedules.
+    @raise Invalid_argument if either end does not pack into an
+    {!Endpoint.t}. *)
 
 val add_tap : t -> (Packet.t -> unit) -> unit
 val set_interceptor : t -> (Packet.t -> decision) -> unit

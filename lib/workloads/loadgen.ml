@@ -301,9 +301,16 @@ let owe t j ~by =
       if r.owed = 0 then count t j
 
 (* The tally once the engine has run dry: a client with an operation that
-   never settled is counted now. *)
-let counted t =
-  Array.iteri (fun j _ -> count t j) t.slots;
+   never settled is counted now, and each such operation is an error (an
+   echo to a down server sets no deadline, so nothing else settles it). *)
+let counted w t =
+  Array.iteri
+    (fun j slot ->
+      (match slot with
+      | Owing { owed; _ } -> w.errors <- w.errors + owed
+      | Counted -> ());
+      count t j)
+    t.slots;
   t
 
 (* One wave of open-loop clients; the defaults are the configured calm
@@ -322,10 +329,10 @@ let counted t =
    [fire] closure holds it. Once its last request has fired and every
    operation it started has settled, its counters go into the wave's
    tally and the wave lets go of it: nothing then holds the client, its
-   wallet or its TGT. Its host stays attached to the network, with the
-   ticket file ([Sim.Host] cache) its logins wrote, as a workstation's
-   /tmp/tkt outlives the program that fetched the tickets. At 20,000
-   clients each word a client keeps costs 0.15 MiB. *)
+   wallet, its TGT or its host with the ticket file ([Sim.Host] cache)
+   its logins wrote. The network keeps only the host's address, so that
+   no later host takes it. At 20,000 clients each word a client keeps
+   costs 0.15 MiB. *)
 let wave w ?(make = client w) ?(first = 0) ?(prefix = "c")
     ?(clients = w.cfg.active_clients) ?(at = 0.0) ?(jitter = w.cfg.ramp)
     ?(think = w.cfg.think_time) ?(requests = w.cfg.requests_per_client)
@@ -414,7 +421,7 @@ let run_timed ?on_world cfg =
   let m = Telemetry.Collector.metrics w.tel in
   let hist name = Telemetry.Metrics.histogram m name in
   let count name = Telemetry.Metrics.hist_count (hist name) in
-  let tally = counted tally in
+  let tally = counted w tally in
   let sim_seconds = Sim.Engine.now w.engine in
   let events = Sim.Engine.executed w.engine in
   ( { r_config = cfg; sim_seconds; completed = w.completed; errors = w.errors;
@@ -760,18 +767,19 @@ let run_viral_one v ~label ~replicas ~spike =
         r)
   in
   (* The calm background: the same open-loop clients as {!run_timed}. *)
-  ignore (wave w (Echo ("PING", None)) : tally);
+  let calm = wave w (Echo ("PING", None)) in
   (* The viral wave: cache-less clients, all aimed at one service, open
      loop at a much hotter think time. Cache-less is the realistic shape —
      a service suddenly popular is popular with *new* clients, who all
      need tickets. *)
-  if spike then
-    ignore
-      (wave w ~make:(client ~ccache:false w) ~first:cfg.active_clients
-         ~prefix:"v" ~clients:v.v_spike_clients ~at:v.v_spike_at ~jitter:1.0
-         ~think:v.v_spike_think ~requests:v.v_spike_requests
-         (Echo ("VIRAL", Some v.v_spike_service))
-        : tally);
+  let viral =
+    if spike then
+      [ wave w ~make:(client ~ccache:false w) ~first:cfg.active_clients
+          ~prefix:"v" ~clients:v.v_spike_clients ~at:v.v_spike_at ~jitter:1.0
+          ~think:v.v_spike_think ~requests:v.v_spike_requests
+          (Echo ("VIRAL", Some v.v_spike_service)) ]
+    else []
+  in
   let base_end =
     cfg.ramp +. 1.0
     +. (float_of_int cfg.requests_per_client *. cfg.think_time)
@@ -832,6 +840,7 @@ let run_viral_one v ~label ~replicas ~spike =
           ignore (Kdb.replica_rejoin r0 : int))
   | _ -> ());
   Sim.Engine.run w.engine;
+  List.iter (fun t -> ignore (counted w t : tally)) (calm :: viral);
   (* Quiesce: one final shipping round, then convergence is digest +
      version-vector equality on every subscribed shard. *)
   shipped := !shipped + Replication.ship_all router;
@@ -1153,7 +1162,7 @@ let run_overload_one o ~label ~spike ~hygiene =
   in
   Sim.Engine.run w.engine;
   let ksum f = List.fold_left (fun a k -> a + f k) 0 w.kdcs in
-  let tallies = List.map counted (calm :: storm) in
+  let tallies = List.map (counted w) (calm :: storm) in
   let csum f = List.fold_left (fun a t -> a + f t) 0 tallies in
   let arrived = ksum Kdc.admission_arrived in
   let processed = ksum Kdc.admission_processed in

@@ -551,9 +551,11 @@ let deadline_is_not_tgt_expiry () =
 
 (* A timeout or deadline the engine cannot honour is refused where the
    caller hands it over, with an [Invalid_argument] naming it, instead of
-   surfacing later as the engine's "event in the past" or "NaN time" (or,
-   for a NaN [kdc_deadline], as no deadline at all). A zero deadline is
-   one that has already run out. *)
+   surfacing later as the engine's "event in the past", "NaN time" or
+   "infinite time" (or, for a NaN [kdc_deadline], as no deadline at all).
+   An infinite AP or call deadline used to be queued at +infinity: the
+   call timed out there and left the engine's clock at infinity. A zero
+   deadline is one that has already run out. *)
 let timeouts_checked_at_the_boundary () =
   let refused what ~naming f =
     match f () with
@@ -609,7 +611,7 @@ let timeouts_checked_at_the_boundary () =
       refused (what "call_safe") ~naming:[ "Client.call_safe"; "deadline" ]
         (fun () ->
           Client.call_safe c chan ~deadline:d (Bytes.of_string "READ /f0") ~k:never))
-    [ -1.0; Float.nan ];
+    [ -1.0; Float.nan; Float.infinity ];
   let got = ref [] in
   Client.call_priv c chan ~deadline:0.0 (Bytes.of_string "READ /f0") ~k:(fun r ->
       got := ("zero", r) :: !got;

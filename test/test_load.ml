@@ -257,7 +257,9 @@ let loadgen_leaves_no_listeners () =
    finishes, and the rest once the engine runs dry. With every echo
    server down, each AP exchange waits forever (the echo sets no
    deadline), so no client ever finishes; each ticket request still
-   reached a KDC or the cache first, and must be counted. *)
+   reached a KDC or the cache first, and must be counted. A request that
+   never settled is an error: every attempted request is reported as
+   one or the other. *)
 let loadgen_counts_unsettled_clients () =
   let r, _ =
     Workloads.Loadgen.run_timed small_cfg ~on_world:(fun w _ ->
@@ -269,7 +271,9 @@ let loadgen_counts_unsettled_clients () =
   in
   Alcotest.(check int) "no request completed" 0 r.Workloads.Loadgen.completed;
   Alcotest.(check int) "hits + misses = cacheable requests" (12 * 10)
-    (r.Workloads.Loadgen.ccache_hits + r.Workloads.Loadgen.ccache_misses)
+    (r.Workloads.Loadgen.ccache_hits + r.Workloads.Loadgen.ccache_misses);
+  Alcotest.(check int) "completed + errors = attempted" (12 * 10)
+    (r.Workloads.Loadgen.completed + r.Workloads.Loadgen.errors)
 
 let loadgen_rejects_nonsense () =
   let raises cfg =

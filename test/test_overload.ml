@@ -472,6 +472,50 @@ let honored_hint_then_refill () =
     (Kdc.busy_rejections b.kdc);
   check_no_silent_drops b
 
+(* The retry-after hint rides an unauthenticated error text. A forged
+   BUSY whose hint is 400 nines parses to infinity; honoured, it would
+   park the retry at +infinity, and the engine's clock with it. A hint
+   that is not finite is no hint: the client waits its default, a tenth
+   of [kdc_timeout]. *)
+let endless_hint_is_no_hint () =
+  let eng = Sim.Engine.create () in
+  let net = Sim.Net.create eng in
+  let forger = Sim.Host.create ~name:"kdc" ~ips:[ quad 10 0 0 1 ] () in
+  Sim.Net.attach net forger;
+  let profile = Profile.v5_draft3 in
+  let busy =
+    Wire.Encoding.encode profile.Profile.encoding
+      (Messages.err_to_value
+         { Messages.e_code = Messages.err_busy;
+           e_text = "server busy; retry-after=" ^ String.make 400 '9' })
+  in
+  Sim.Net.listen net forger ~port:Kdc.default_port (fun pkt ->
+      Sim.Net.send net ~sport:Kdc.default_port ~dst:pkt.Sim.Packet.src
+        ~dport:pkt.Sim.Packet.sport forger busy);
+  let wsh = Sim.Host.create ~name:"ws" ~ips:[ quad 10 0 1 1 ] () in
+  Sim.Net.attach net wsh;
+  let c =
+    Client.create ~seed:601L ~kdc_timeout:1.0 ~kdc_retries:0 ~retry_budget:2
+      ~honor_retry_after:true net wsh ~profile
+      ~kdcs:[ (realm, Sim.Host.primary_ip forger) ]
+      (Principal.user ~realm "u0")
+  in
+  let result = ref None in
+  Client.login c ~password:"pw0" (fun r -> result := Some (Sim.Engine.now eng, r));
+  Sim.Engine.run eng;
+  (match !result with
+  | Some (at, Error e) ->
+      Alcotest.(check bool) (Printf.sprintf "the busy error surfaces (%S)" e) true
+        (is_busy_error e);
+      (* Three round trips of 10 ms and two default waits of 0.1 s. *)
+      Alcotest.(check (float 1e-9)) "settled after the default waits" 0.23 at
+  | Some (_, Ok _) -> Alcotest.fail "a forged BUSY issued a ticket"
+  | None -> Alcotest.fail "login never settled");
+  Alcotest.(check int) "three answers, two budgeted waits" 3
+    (Client.busy_received c);
+  Alcotest.(check bool) "the clock stays finite" true
+    (Float.is_finite (Sim.Engine.now eng))
+
 (* [~kdc_deadline] under every profile. The envelope is a tagged wrapper
    and V4's encoding drops tags, so a V4 client would fail every exchange
    ("tgs_req: wrong arity"): [create] refuses the combination instead.
@@ -563,6 +607,8 @@ let () =
             budget_exhaustion_stops_failover;
           Alcotest.test_case "honored retry-after then refill" `Quick
             honored_hint_then_refill;
+          Alcotest.test_case "an endless retry-after is no hint" `Quick
+            endless_hint_is_no_hint;
           Alcotest.test_case "deadline under every profile" `Quick
             deadline_under_every_profile;
           Alcotest.test_case "deadline clamps the failover hop" `Quick

@@ -4,9 +4,10 @@
    no matter how many messages it seals; the engine's event queue, bulk
    inserts and disarmed timers included, must fire events in (time, seq)
    order; a settled call must let go of its closures before its guard
-   timer's instant, and a load generator of the clients it has finished
-   with; and a lazily materialized realm must serve
-   byte-identical traffic to an eagerly registered one. *)
+   timer's instant, a load generator of the clients it has finished
+   with, and a network of the hosts attached to it; and a lazily
+   materialized realm must serve byte-identical traffic to an eagerly
+   registered one. *)
 
 let realm = "ATHENA"
 
@@ -97,15 +98,15 @@ let memo_exact_under_eviction =
 (* Session: the key is scheduled once, not once per message            *)
 (* ------------------------------------------------------------------ *)
 
-let session role =
+let session ?(profile = Kerberos.Profile.v4) role =
   let a = Sim.Addr.of_quad 10 0 0 1 and b = Sim.Addr.of_quad 10 0 0 2 in
   let own, peer =
     match role with
     | Kerberos.Session.Client_side -> (a, b)
     | Kerberos.Session.Server_side -> (b, a)
   in
-  Kerberos.Session.make ~profile:Kerberos.Profile.v4 ~role ~key ~own_addr:own
-    ~peer_addr:peer ~send_seq:0 ~recv_seq:0
+  Kerberos.Session.make ~profile ~role ~key ~own_addr:own ~peer_addr:peer
+    ~send_seq:0 ~recv_seq:0
 
 let session_schedules_once () =
   (* With the cache off, every [Des.schedule_cached] call would show up in
@@ -200,8 +201,8 @@ let crypto_per_request () =
    included), under ceilings set at the readings taken when the cache
    became one heap of parallel arrays plus an index sized to its entries.
    A session's KRB_PRIV cache holds one 32-byte ciphertext per call, and
-   every session owns a cache, so these words are paid once per session
-   a server keeps. *)
+   every timestamped session owns a cache, so these words are paid once
+   per such session a server keeps. *)
 let cache_words entries =
   let c = Kerberos.Replay_cache.create ~horizon:600.0 () in
   for i = 1 to entries do
@@ -285,8 +286,37 @@ let footprint () =
     (fun ((profile : Kerberos.Profile.t), ceiling) ->
       under (profile.name ^ ": server words per session")
         (server_words_per_session profile) ceiling)
-    [ (Kerberos.Profile.v4, 69); (Kerberos.Profile.v5_draft3, 68);
-      (Kerberos.Profile.hardened, 62) ]
+    [ (Kerberos.Profile.v4, 66); (Kerberos.Profile.v5_draft3, 65);
+      (Kerberos.Profile.hardened, 42) ]
+
+(* Only [Priv_timestamp] reads a replay cache, so a session under
+   sequence numbers (the hardened profile) holds none. What a hardened
+   session owns beyond its profile and schedule (record, key, sequence
+   numbers and two IVs) is held at its reading; with an empty cache it
+   read 33 words. *)
+let sequence_session_holds_no_cache () =
+  let open Kerberos in
+  List.iter
+    (fun (profile : Profile.t) ->
+      let s = session ~profile Session.Server_side in
+      let cached =
+        match s.Session.stamps with
+        | Session.Timestamps _ -> true
+        | Session.Sequence _ -> false
+      in
+      Alcotest.(check bool)
+        (profile.name ^ ": a replay cache only under timestamps")
+        (profile.priv_replay = Profile.Priv_timestamp)
+        cached)
+    [ Profile.v4; Profile.v5_draft3; Profile.hardened ];
+  let s = session ~profile:Profile.hardened Session.Server_side in
+  let own =
+    Obj.reachable_words (Obj.repr s)
+    - Obj.reachable_words (Obj.repr (s.Session.profile, s.Session.sched))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "hardened: %d words of its own, ceiling 19" own)
+    true (own <= 19)
 
 (* ------------------------------------------------------------------ *)
 (* Engine: (time, seq) order                                            *)
@@ -566,14 +596,35 @@ let channel_then_call_priv (bed : Attacks.Testbed.t) creds slot settled =
     ~dst:(Sim.Host.primary_ip bed.file_host) ~dport:bed.file_port (fun r ->
       call_priv bed (Attacks.Testbed.expect "ap" r) slot settled)
 
+(* The network records a host's addresses, not the host: once its owner
+   drops it, the host and its ticket file are garbage, and its address
+   stays taken. *)
+let[@inline never] attach_and_drop net slot =
+  let host = Sim.Host.create ~name:"ws" ~ips:[ Sim.Addr.of_quad 10 9 0 3 ] () in
+  Sim.Host.cache_put host "tkt" (Bytes.make 64 't');
+  Sim.Net.attach net host;
+  Weak.set slot 0 (Some host)
+
+let dropped_host_released what () =
+  let _, net, _, _ = udp_pair () in
+  let slot = Weak.create 1 in
+  attach_and_drop net slot;
+  Gc.full_major ();
+  Alcotest.(check bool) (what ^ ": host collected") false (Weak.check slot 0);
+  let again = Sim.Host.create ~name:"ws2" ~ips:[ Sim.Addr.of_quad 10 9 0 3 ] () in
+  Alcotest.check_raises (what ^ ": its address stays taken")
+    (Invalid_argument "Net.attach: address 10.9.0.3 already in use") (fun () ->
+      Sim.Net.attach net again)
+
 (* A toy login storm: the live words the run gains per client, from the
    end of set-up to an event long after the last request settled, each
    read after a full major collection. A finished client's record,
-   wallet, TGT and generator are free by then; its host, ticket file and
-   the AP server's session for it stay. With the schedule memo off, the
+   wallet, TGT, generator, host and ticket file are free by then; the AP
+   server's session for it stays. With the schedule memo off, the
    process-wide memo's growth is not counted as client state. The ceiling
-   is the reading when the wave stopped holding its clients (110 words)
-   plus about 6 %; a wave that held them read 256. *)
+   is the reading when the network stopped holding hosts (26.8 words)
+   plus about 6 %; a network that held them read 110, and a wave that
+   also held its clients 256. *)
 let finished_clients_release what () =
   let module L = Workloads.Loadgen in
   let cfg =
@@ -597,9 +648,9 @@ let finished_clients_release what () =
     report.L.completed;
   let per_client = float_of_int (!at_end - !at_setup) /. 200.0 in
   Alcotest.(check bool)
-    (Printf.sprintf "%s: %.1f live words gained per client, ceiling 117" what
+    (Printf.sprintf "%s: %.1f live words gained per client, ceiling 29" what
        per_client)
-    true (per_client <= 117.0)
+    true (per_client <= 29.0)
 
 let release_cases =
   [ ("Rpc.call", rpc_releases);
@@ -612,7 +663,8 @@ let release_cases =
     ("closed Tcpish connection", tcpish_releases);
     ("Client.ap_exchange ~deadline", client_releases ap_exchange);
     ("Client.call_priv ~deadline", client_releases channel_then_call_priv);
-    ("finished Loadgen clients", finished_clients_release) ]
+    ("finished Loadgen clients", finished_clients_release);
+    ("attached host, dropped by its owner", dropped_host_released) ]
 
 (* ------------------------------------------------------------------ *)
 (* Lazy materialization: same realm, same bytes, fewer registrations   *)
@@ -706,7 +758,9 @@ let () =
           Alcotest.test_case "session schedules once" `Quick
             session_schedules_once;
           Alcotest.test_case "crypto per request" `Quick crypto_per_request;
-          Alcotest.test_case "footprint" `Quick footprint ] );
+          Alcotest.test_case "footprint" `Quick footprint;
+          Alcotest.test_case "a sequence-numbered session holds no cache" `Quick
+            sequence_session_holds_no_cache ] );
       ( "engine",
         [ QCheck_alcotest.to_alcotest engine_matches_model;
           Alcotest.test_case "disarm releases the closure" `Quick

@@ -268,8 +268,28 @@ let engine_rejects_nan () =
   Alcotest.(check (list (float 0.0))) "order" [ 0.5; 1.0 ] (List.rev !log);
   Alcotest.(check (float 0.0)) "clock" 1.0 (Engine.now eng)
 
+(* +infinity would be queued and, once reached, leave the clock there:
+   no later event could follow it. -infinity is in the past. *)
+let engine_rejects_infinity () =
+  let eng = Engine.create () in
+  let refused what msg f = Alcotest.check_raises what (Invalid_argument msg) f in
+  refused "schedule" "Engine.schedule: infinite time" (fun () ->
+      Engine.schedule eng ~at:Float.infinity ignore);
+  refused "schedule_after" "Engine.schedule: infinite time" (fun () ->
+      Engine.schedule_after eng Float.infinity ignore);
+  refused "arm" "Engine.schedule: infinite time" (fun () ->
+      ignore (Engine.arm eng ~at:Float.infinity ignore : Engine.timer));
+  refused "schedule_batch" "Engine.schedule_batch: infinite time" (fun () ->
+      Engine.schedule_batch eng [ (1.0, ignore); (Float.infinity, ignore) ]);
+  refused "minus infinity" "Engine.schedule: event in the past" (fun () ->
+      Engine.schedule eng ~at:Float.neg_infinity ignore);
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending eng);
+  Engine.run eng;
+  Alcotest.(check (float 0.0)) "clock" 0.0 (Engine.now eng)
+
 let suite_engine =
   [ Alcotest.test_case "NaN times rejected" `Quick engine_rejects_nan;
+    Alcotest.test_case "infinite times rejected" `Quick engine_rejects_infinity;
     Alcotest.test_case "event ordering" `Quick engine_ordering;
     Alcotest.test_case "cascading events" `Quick engine_cascade;
     Alcotest.test_case "run_until" `Quick engine_run_until;
@@ -301,6 +321,61 @@ let net_source_forgery_rejected () =
   Alcotest.check_raises "honest hosts cannot forge" (Invalid_argument "Net.send: source address not owned by sending host")
     (fun () ->
       Net.send net ~src:(Host.primary_ip b) ~sport:1 ~dst:(Host.primary_ip b) ~dport:1 a Bytes.empty)
+
+(* An endpoint is the address above a 30-bit port. A port past that
+   bound, or below zero, is refused where a caller hands it to the
+   network; the largest one still delivers; and a replacement packet from
+   the interceptor that carries one is dropped, never raised out of the
+   engine. *)
+let net_unpackable_ports () =
+  let eng, net, a, b = mk_net () in
+  let dst = Host.primary_ip b in
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s was accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun port ->
+      let what op = Printf.sprintf "%s at port %d" op port in
+      refused (what "listen") (fun () -> Net.listen net b ~port ignore);
+      refused (what "send to") (fun () ->
+          Net.send net ~sport:5000 ~dst ~dport:port a Bytes.empty);
+      refused (what "send from") (fun () ->
+          Net.send net ~sport:port ~dst ~dport:100 a Bytes.empty);
+      refused (what "inject to") (fun () ->
+          Net.inject net
+            { Packet.src = Host.primary_ip a; sport = 7; dst; dport = port;
+              payload = Bytes.empty; uid = 0 });
+      refused (what "inject from") (fun () ->
+          Net.inject net
+            { Packet.src = Host.primary_ip a; sport = port; dst; dport = 100;
+              payload = Bytes.empty; uid = 0 }))
+    [ Endpoint.max_port + 1; -1; max_int ];
+  Alcotest.(check int) "nothing listens, nothing sent" 0
+    (Net.listener_count net + Net.event_count net);
+  let got = ref [] in
+  Net.listen net b ~port:Endpoint.max_port (fun pkt ->
+      got := Bytes.to_string pkt.Packet.payload :: !got);
+  Net.set_interceptor net (fun pkt ->
+      if Bytes.to_string pkt.Packet.payload = "swap" then
+        Net.Replace
+          [ { pkt with Packet.dport = Endpoint.max_port + 1 };
+            { pkt with Packet.sport = -1 } ]
+      else Net.Deliver);
+  List.iter
+    (fun s ->
+      Net.send net ~sport:Endpoint.max_port ~dst ~dport:Endpoint.max_port a
+        (Bytes.of_string s))
+    [ "top"; "swap" ];
+  Engine.run eng;
+  Alcotest.(check (list string)) "delivered at the largest port" [ "top" ] !got;
+  let unpackable =
+    List.filter
+      (function Net.Dropped (_, _, "unpackable endpoint") -> true | _ -> false)
+      (Net.events net)
+  in
+  Alcotest.(check int) "both replacements dropped" 2 (List.length unpackable)
 
 let net_interceptor () =
   let eng, net, a, b = mk_net () in
@@ -516,6 +591,7 @@ let suite_net =
     Alcotest.test_case "delivery" `Quick net_delivery;
     Alcotest.test_case "source forgery rejected for honest hosts" `Quick net_source_forgery_rejected;
     Alcotest.test_case "interceptor" `Quick net_interceptor;
+    Alcotest.test_case "unpackable ports refused" `Quick net_unpackable_ports;
     Alcotest.test_case "adversary spoof" `Quick net_adversary_spoof;
     Alcotest.test_case "tap capture" `Quick net_tap_capture;
     Alcotest.test_case "rpc roundtrip" `Quick rpc_roundtrip;
