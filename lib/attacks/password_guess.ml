@@ -25,10 +25,7 @@ let try_crack ~profile ~candidates ?challenge ?dh_key ~sealed () =
     (fun pw ->
       let base = Crypto.Str2key.derive pw in
       let respond r =
-        Crypto.Des.fix_parity
-          (Crypto.Des.encrypt_block
-             (Crypto.Des.schedule (Crypto.Des.fix_parity base))
-             r)
+        Crypto.Des.fix_parity (Crypto.Des.encrypt_block (Crypto.Des.schedule base) r)
       in
       let key =
         match (challenge, dh_key) with

@@ -81,6 +81,6 @@ val peer_state_words : t -> int
     session (key, client principal, replay cache). The empty table, the
     profile (which the server holds anyway) and the sessions' DES
     schedules are not counted; the schedule memo shares a session's
-    33-word schedule only while its key is among the memo's recent
+    17-word schedule only while its key is among the memo's recent
     entries. A measurement, not a hot path: it walks everything the
     table reaches. *)

@@ -9,11 +9,12 @@
      ([expand]) for all sixteen rounds. E only copies bits, so it commutes
      with the xor that joins the halves, and the SP table stores its
      entries in the same form: no round re-expands anything.
-   - A round subkey is two words, one holding the even S-boxes' 6-bit
-     chunks and one the odd boxes', each chunk at the offset of its box's
-     E window. A round is then two xors, eight lookups into one 512-entry
-     table and an or-tree three levels deep, inlined into straight-line
-     encrypt and decrypt bodies.
+   - A round subkey is one word holding all eight S-boxes' 6-bit chunks,
+     laid out so that the word keys the odd boxes as it is and the even
+     boxes shifted down once. A round is then one shift, off the chain,
+     two xors, eight lookups into one 512-entry table and an or-tree
+     three levels deep, inlined into straight-line encrypt and decrypt
+     bodies.
    - Decryption has its own body that reads the subkeys backwards, and a
      two-block form ([decrypt_pair]) for the modes whose decryption has no
      chain, so two blocks' rounds overlap in the pipeline.
@@ -174,21 +175,25 @@ let sp =
 
 (* --- key schedule ------------------------------------------------------
 
-   Round [i]'s subkey is [sk.(2i)], the chunks of the even S-boxes (0, 2,
-   4, 6), and [sk.(2i+1)], those of the odd ones, each 6-bit chunk at the
-   offset of its box's window in the expanded half. Within one parity the
-   windows do not overlap, so one xor keys four boxes. A key is these 32
-   words and nothing else (33 heap words with the header): the raw key is
+   Round [i]'s subkey is [sk.(i)], one word holding the 6-bit chunk of
+   every S-box [g] at [28 - 4g], the offset of its window in the expanded
+   half, plus 28 when [g] is even: the odd boxes' at 24, 16, 8 and 0, the
+   even boxes' at 56, 48, 40 and 32. Within one parity the windows do not
+   overlap, so one xor keys four boxes: the word itself keys the odd
+   boxes, whose lookups mask off every bit above their windows, and the
+   word shifted down by 28 keys the even boxes. That shift brings the odd
+   chunks' top two bits into bits 0-1, which no even window reads, and
+   leaves the word below 2^34, like an expanded half. A key is these 16
+   words and nothing else (17 heap words with the header): the raw key is
    not kept, so a schedule held by a session or the memo costs its
    subkeys alone. *)
 type key = int array
 
-(* A 48-bit FIPS subkey (box [g]'s chunk in bits [47-6g .. 42-6g]) packed
-   as the even word shifted down by four in bits 0..29 and the odd word in
-   bits 30..59; in both, the chunks sit at offsets 24, 16, 8 and 0. *)
+(* A 48-bit FIPS subkey (box [g]'s chunk in bits [47-6g .. 42-6g]) in the
+   packed layout above. *)
 let pack_subkey k =
-  let at g = ((k lsr (42 - (6 * g))) land 63) lsl (24 - (8 * (g / 2))) in
-  at 0 lor at 2 lor at 4 lor at 6 lor ((at 1 lor at 3 lor at 5 lor at 7) lsl 30)
+  let at g = ((k lsr (42 - (6 * g))) land 63) lsl (28 - (4 * g)) in
+  ((at 0 lor at 2 lor at 4 lor at 6) lsl 28) lor at 1 lor at 3 lor at 5 lor at 7
 
 (* PC1 and PC2 only copy bits, so each is the or of per-byte parts.
    [by_byte ~bytes f] tabulates [f] on every [bytes]-byte input with one
@@ -209,7 +214,7 @@ let schedule k =
     cd := !cd lor Array.unsafe_get pc1_bytes ((b lsl 8) lor Char.code (Bytes.unsafe_get k b))
   done;
   let c = ref (!cd lsr 28) and d = ref (!cd land 0xFFFFFFF) in
-  let sk = Array.make 32 0 in
+  let sk = Array.make 16 0 in
   for i = 0 to 15 do
     c := rotl28 !c rotations.(i);
     d := rotl28 !d rotations.(i);
@@ -218,14 +223,13 @@ let schedule k =
     for b = 0 to 6 do
       p := !p lor Array.unsafe_get pc2_bytes ((b lsl 8) lor ((cd lsr (48 - (8 * b))) land 255))
     done;
-    sk.(2 * i) <- (!p land 0x3FFFFFFF) lsl 4;
-    sk.((2 * i) + 1) <- !p lsr 30
+    sk.(i) <- !p
   done;
   sk
 
 let subkeys sk =
   Array.init 16 (fun i ->
-      let chunk g = (sk.((2 * i) + (g land 1)) lsr (28 - (4 * g))) land 63 in
+      let chunk g = (sk.(i) lsr (28 - (4 * g) + (28 * (1 - (g land 1))))) land 63 in
       let s = ref 0 in
       for g = 0 to 7 do
         s := (!s lsl 6) lor chunk g
@@ -235,12 +239,14 @@ let subkeys sk =
 (* --- the block kernel --------------------------------------------------- *)
 
 (* Round [i] on expanded halves: the next right half, [l] xor f([r], K_i).
-   [r] and the subkey words are 34 bits wide, so the top window needs no
-   mask and every index stays inside its box's 64 entries: the unsafe gets
-   are in bounds by construction. *)
+   The subkey's shift does not read [r], so it overlaps the previous
+   round. [r] and the shifted subkey are 34 bits wide, so the top window
+   needs no mask and every index stays inside its box's 64 entries: the
+   unsafe gets are in bounds by construction. *)
 let[@inline] round sp sk i l r =
-  let e = r lxor Array.unsafe_get sk (2 * i) in
-  let o = r lxor Array.unsafe_get sk ((2 * i) + 1) in
+  let k = Array.unsafe_get sk i in
+  let e = r lxor (k lsr 28) in
+  let o = r lxor k in
   l
   lxor ((Array.unsafe_get sp (e lsr 28)
          lor Array.unsafe_get sp (64 + ((o lsr 24) land 63))
@@ -508,25 +514,29 @@ let rec random_key rng =
    negotiated key, a ticket key minted per request when there is no
    credential cache) is never looked up again once its session ends, so
    an unbounded memo only accumulates them: one that kept every key held
-   32,808 schedules (11.8 MiB) at the end of hardened_tcp. What the memo
-   must keep is the working set of keys that are reused: service keys,
-   the TGS key and the ticket keys of live credential caches. A sweep at
-   seed 4269 read peak heap (MiB) and schedules per request as follows;
-   keeping every key read 63.01 and 0.444 on first_wave, 44.05 and 2.076
-   on hardened_tcp.
+   32,808 schedules (11.8 MiB, at 47 words an entry) at the end of
+   hardened_tcp. What the memo must keep is the working set of keys that
+   are reused: service keys, the TGS key and the ticket keys of live
+   credential caches. A sweep at
+   seed 4269, one untraced run per size, read peak heap (MiB) and
+   schedules per request as follows; keeping every key read 0.444 and
+   2.076 schedules a request when the table was first sized.
 
        slots    first_wave       hardened_tcp
-       1,024    61.86   1.07     31.28   2.23
-       2,048    60.35   0.80     31.86   2.12
-       4,096    60.98   0.60     31.92   2.09
-       8,192    60.13   0.50     33.92   2.08
-      16,384    60.32   0.46     35.42   2.08
+       1,024    46.02   1.07     22.28   2.25
+       2,048    44.93   0.80     22.26   2.13
+       4,096    45.22   0.60     22.86   2.09
+       8,192    44.22   0.50     23.67   2.08
+      16,384    44.60   0.46     25.23   2.08
 
-   A full table costs 35 words a slot. Each doubling past 4,096 adds
-   1.5-2 MiB to hardened_tcp's peak and saves about 0.1 schedules a
-   request or fewer; each halving below it adds 0.2-0.3 schedules a
-   request on first_wave. At 4,096, first_wave's 0.16 added schedules of
-   0.3-0.6 us each cost at most 0.1 us of a request of about 36 us.
+   A full table costs 19 words a slot: the 17-word schedule and its two
+   index words. Each doubling past 4,096 adds 0.8-1.6 MiB to
+   hardened_tcp's peak and saves about 0.1 schedules a request or fewer;
+   each halving below it adds 0.2-0.3 schedules a request on first_wave.
+   first_wave's peak moves by up to 1 MiB from one size to the next with
+   no trend, which is the collector's pacing rather than the table. At
+   4,096, first_wave's 0.16 added schedules of 0.3-0.6 us each cost at
+   most 0.1 us of a request of about 36 us.
 
    The table is never dropped wholesale, holds no copy of a key (the word
    is the key) and allocates nothing on a hit. It is semantically

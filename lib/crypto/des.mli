@@ -4,17 +4,19 @@
     Blocks and keys are 8 bytes. The kernel is built around the chain of
     dependent steps from one round to the next: both Feistel halves stay in
     an already-expanded 34-bit form for all sixteen rounds, each round
-    subkey is two words (even and odd S-boxes), and a round is two xors,
-    eight lookups into one fused S-box/P table and an or-tree, inlined into
-    unrolled encrypt and decrypt bodies. Independent blocks can be
+    subkey is one word (it keys the odd S-boxes as it is and the even ones
+    shifted once, off the round-to-round chain), and a round is two xors,
+    eight lookups into one fused S-box/P table and an or-tree, inlined
+    into unrolled encrypt and decrypt bodies. Independent blocks can be
     deciphered two at a time ({!decrypt_pair}). The key schedule applies
     PC1 and PC2 one key byte at a time from tables. The test suite checks
     all of it against the NBS known-answer vectors and against the
     bit-by-bit {!Reference}. *)
 
 type key
-(** A scheduled key: the 16 round subkeys, two words each, and nothing
-    else (33 heap words); it keeps no copy of the key it came from. *)
+(** A scheduled key: the 16 round subkeys, one word each, and nothing
+    else (17 heap words, one per round and a header); it keeps no copy of
+    the key it came from. *)
 
 val block_size : int
 (** 8. *)

@@ -101,7 +101,7 @@ let encrypt_block t ~with_key ~require:wanted data =
       violation t "encrypt_block: login/master keys have no generic operations"
   | _ -> ());
   let key = require t with_key wanted "encrypt_block" in
-  Crypto.Des.encrypt_block (Crypto.Des.schedule (Crypto.Des.fix_parity key)) data
+  Crypto.Des.encrypt_block (Crypto.Des.schedule key) data
 
 let audit t = List.rev t.log
 let handles_live t = Hashtbl.length t.slots

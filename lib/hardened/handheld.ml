@@ -1,8 +1,7 @@
 (* The key lives only inside this record; no accessor exposes it. *)
 type t = { schedule : Crypto.Des.key; mutable uses : int }
 
-let of_key key =
-  { schedule = Crypto.Des.schedule (Crypto.Des.fix_parity key); uses = 0 }
+let of_key key = { schedule = Crypto.Des.schedule key; uses = 0 }
 
 let enroll ~password = of_key (Crypto.Str2key.derive password)
 

@@ -344,6 +344,30 @@ let schedule_weak_keys () =
       Alcotest.(check bool) (to_hex k ^ " schedule") true (schedule_matches_reference k))
     weak_and_semi_weak
 
+(* The weak and semi-weak keys' C and D halves are all zeros, all ones or
+   alternating, so their packed round words reach both ends of the range:
+   every chunk bit clear, and every chunk bit set. Random keys almost never
+   do, and the ends are where a wrong offset or shift in the packing
+   shows. The case above checks these keys' schedules; here every mode
+   over three blocks, out of place and in place, must match the
+   reference. *)
+let weak_keys_every_mode () =
+  let pt = hex "0123456789abcdeffedcba9876543210a5a5a5a55a5a5a5a" in
+  List.iter
+    (fun raw ->
+      List.iter
+        (fun (name, into, reference) ->
+          let expect = reference pt in
+          let out = Bytes.create 24 in
+          into ~src:pt ~dst:out;
+          let buf = Bytes.copy pt in
+          into ~src:buf ~dst:buf;
+          Alcotest.(check string) (to_hex raw ^ " " ^ name) (to_hex expect) (to_hex out);
+          Alcotest.(check string) (to_hex raw ^ " " ^ name ^ " in place") (to_hex expect)
+            (to_hex buf))
+        (modes_with_reference raw ~iv))
+    weak_and_semi_weak
+
 let check_buf name expect got =
   Alcotest.(check bool) name true (Bytes.equal expect got)
 
@@ -408,7 +432,8 @@ let suite_equiv =
     QCheck_alcotest.to_alcotest modes_match_reference_prop;
     Alcotest.test_case "one block count per block" `Quick blocks_counted_once_each;
     QCheck_alcotest.to_alcotest schedule_equiv_prop;
-    Alcotest.test_case "weak and semi-weak key schedules" `Quick schedule_weak_keys ]
+    Alcotest.test_case "weak and semi-weak key schedules" `Quick schedule_weak_keys;
+    Alcotest.test_case "weak and semi-weak keys in every mode" `Quick weak_keys_every_mode ]
 
 (* ------------------------------------------------------------------ *)
 (* CRC-32                                                              *)

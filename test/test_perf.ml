@@ -251,6 +251,22 @@ let memo_survivors n =
   done;
   !alive
 
+(* The live words the memo gains when it fills: emptied, then 12,288
+   fresh keys scheduled through it, of which its 4,096 slots keep the
+   last in each set. The table's own arrays exist before and after, so
+   what is counted is the schedules it holds. *)
+let full_memo_words () =
+  let rng = Util.Rng.create 0xF111L in
+  with_schedule_cache false (fun () ->
+      Crypto.Des.set_schedule_cache true;
+      Gc.full_major ();
+      let before = (Gc.stat ()).Gc.live_words in
+      for _ = 1 to 12_288 do
+        ignore (Crypto.Des.schedule_cached (Util.Rng.bytes rng 8))
+      done;
+      Gc.full_major ();
+      (Gc.stat ()).Gc.live_words - before)
+
 (* What [Client.create] allocates beyond what it is handed: the network,
    host, profile, KDC list, principal and password. The tuple's own seven
    words are taken back out. *)
@@ -272,13 +288,14 @@ let footprint () =
       (Printf.sprintf "%s: %d words, ceiling %d" label words ceiling)
       true (words <= ceiling)
   in
-  (* A schedule is its 32 subkey words and a header: sessions and the memo
-     hold one per key. *)
-  under "one DES schedule" (Obj.reachable_words (Obj.repr (Crypto.Des.schedule key))) 33;
+  (* A schedule is its 16 subkey words, one per round, and a header:
+     sessions and the memo hold one per key. *)
+  under "one DES schedule" (Obj.reachable_words (Obj.repr (Crypto.Des.schedule key))) 17;
   let survivors = memo_survivors 12_288 in
   Alcotest.(check bool)
     (Printf.sprintf "memo keeps %d of 12288 schedules, bound 4096" survivors)
     true (survivors <= 4096);
+  under "a full memo" (full_memo_words ()) (4_096 * 17);
   under "a plain client's own words" (client_own_words ()) 41;
   under "empty replay cache" (cache_words 0) 15;
   under "replay cache holding one 32-byte key" (cache_words 1) 28;
