@@ -123,6 +123,14 @@ let breakdown_of tel =
    the attack world (replay victims) and the benign scoring set. *)
 let client_addr i = Sim.Addr.of_quad 10 (2 + (i / 250)) (i mod 250) 1
 
+(* How many clients have an address: 10.2.0.1 up to 10.255.249.1. *)
+let client_addr_plan = 254 * 250
+
+(* A spike wave takes the indices after the calm actives. *)
+let check_spike_addrs ~active ~spike =
+  if active + spike > client_addr_plan then
+    invalid_arg "Loadgen: spike wave runs past the client address plan"
+
 (* --- the world every campaign runs in --------------------------------- *)
 
 type world = {
@@ -268,9 +276,13 @@ let echo w c (principal, _, addr) payload ~settled =
                   | Ok _ -> w.completed <- w.completed + 1);
                   settled ())))
 
-(* Client [j] of a wave until it is counted, with what it still owes:
-   one while requests remain to fire, plus one per operation in flight. *)
-type slot = Counted | Owing of { client : Client.t; mutable owed : int }
+(* Client [j] of a wave: [Waiting] until its start builds it, then, until
+   it is counted, the client with what it still owes: one while requests
+   remain to fire, plus one per operation in flight. *)
+type slot =
+  | Waiting
+  | Counted
+  | Owing of { client : Client.t; mutable owed : int }
 
 (* What a wave's callers read of its clients: their counters, summed. *)
 type tally = {
@@ -285,6 +297,7 @@ type tally = {
 let count t j =
   match t.slots.(j) with
   | Counted -> ()
+  | Waiting -> t.slots.(j) <- Counted
   | Owing { client = c; _ } ->
       t.slots.(j) <- Counted;
       t.hits <- t.hits + Client.ccache_hits c;
@@ -295,19 +308,21 @@ let count t j =
 
 let owe t j ~by =
   match t.slots.(j) with
-  | Counted -> ()
+  | Waiting | Counted -> ()
   | Owing r ->
       r.owed <- r.owed + by;
       if r.owed = 0 then count t j
 
 (* The tally once the engine has run dry: a client with an operation that
    never settled is counted now, and each such operation is an error (an
-   echo to a down server sets no deadline, so nothing else settles it). *)
+   echo to a down server sets no deadline, so nothing else settles it). A
+   client that never started owes its one unfired step. *)
 let counted w t =
   Array.iteri
     (fun j slot ->
       (match slot with
       | Owing { owed; _ } -> w.errors <- w.errors + owed
+      | Waiting -> w.errors <- w.errors + 1
       | Counted -> ());
       count t j)
     t.slots;
@@ -322,29 +337,33 @@ let counted w t =
    fires (the same instants as scheduling the whole chain up front,
    without holding clients*requests closures in the heap at once), and
    the starts go in as one bulk {!Sim.Engine.schedule_batch}, the list
-   dropped at once. Per client it draws the client's seed, the request
-   generator if the requests draw services, then the start.
+   dropped at once. Per client, set-up draws the client's seed, the
+   request generator if the requests draw services, then the start.
 
-   What a client keeps, and for how long. Between requests, only its
-   [fire] closure holds it. Once its last request has fired and every
-   operation it started has settled, its counters go into the wave's
-   tally and the wave lets go of it: nothing then holds the client, its
-   wallet, its TGT or its host with the ticket file ([Sim.Host] cache)
-   its logins wrote. The network keeps only the host's address, so that
-   no later host takes it. At 20,000 clients each word a client keeps
-   costs 0.15 MiB. *)
+   What a client keeps, and for how long. Until its start, a client is
+   only those draws, held by its start event: no user, host or
+   [Client.t] exists yet. The start event derives the user, attaches a
+   host, builds the client with the seed drawn for it and runs its first
+   step at once, so the engine sees the events it would see had set-up
+   built the client. Between requests, only its [fire] closure holds it.
+   Once its last request has fired and every operation it started has
+   settled, its counters go into the wave's tally and the wave lets go of
+   it: nothing then holds the client, its wallet, its TGT or its host with
+   the ticket file ([Sim.Host] cache) its logins wrote. The network keeps
+   only the host's address, so that no later host takes it. At 20,000
+   clients each word a client keeps costs 0.15 MiB. *)
 let wave w ?(make = client w) ?(first = 0) ?(prefix = "c")
     ?(clients = w.cfg.active_clients) ?(at = 0.0) ?(jitter = w.cfg.ramp)
     ?(think = w.cfg.think_time) ?(requests = w.cfg.requests_per_client)
     request =
   let tally =
     { hits = 0; misses = 0; busy = 0; trips = 0; exhausted = 0;
-      slots = Array.make clients Counted }
+      slots = Array.make clients Waiting }
   in
-  let starts = ref [] in
   let logins = match request with Login -> true | _ -> false in
   let lead = if logins then 0.0 else 1.0 in
-  for j = 0 to clients - 1 do
+  (* Client [j] at its start, built from what set-up drew for it. *)
+  let start_client j ~seed ~crng ~start =
     let i = first + j in
     let u = user_of w.cfg i in
     let host =
@@ -353,18 +372,8 @@ let wave w ?(make = client w) ?(first = 0) ?(prefix = "c")
     in
     Sim.Net.attach w.net host;
     let password = u.Passwords.password in
-    let c =
-      make ~seed:(Util.Rng.next_int64 w.rng) ~password host
-        (Principal.user ~realm u.Passwords.name)
-    in
+    let c = make ~seed ~password host (Principal.user ~realm u.Passwords.name) in
     tally.slots.(j) <- Owing { client = c; owed = 1 };
-    (* Only zipf draws need a generator; the others never read it. *)
-    let crng =
-      match request with
-      | Echo (_, None) | Ticket _ -> Util.Rng.split w.rng
-      | Echo (_, Some _) | Login -> w.rng
-    in
-    let start = at +. Util.Rng.float w.rng jitter in
     (* Step [k] of the client: its login at [-1], then request [k]. *)
     let rec fire k () =
       owe tally j ~by:1;
@@ -391,7 +400,19 @@ let wave w ?(make = client w) ?(first = 0) ?(prefix = "c")
         else owe tally j ~by:(-1)
       end
     in
-    starts := (start, fire (if logins then 0 else -1)) :: !starts
+    fire (if logins then 0 else -1) ()
+  in
+  let starts = ref [] in
+  for j = 0 to clients - 1 do
+    let seed = Util.Rng.next_int64 w.rng in
+    (* Only zipf draws need a generator; the others never read it. *)
+    let crng =
+      match request with
+      | Echo (_, None) | Ticket _ -> Util.Rng.split w.rng
+      | Echo (_, Some _) | Login -> w.rng
+    in
+    let start = at +. Util.Rng.float w.rng jitter in
+    starts := (start, fun () -> start_client j ~seed ~crng ~start) :: !starts
   done;
   Sim.Engine.schedule_batch w.engine (List.rev !starts);
   tally
@@ -401,8 +422,9 @@ let run_timed ?on_world cfg =
   let w = build cfg in
   let tally = wave w (Echo ("PING", None)) in
   (* The attack plane, if any, schedules itself into the same engine now —
-     after the benign world is fully built (splitting the generator here
-     perturbs nothing: the benign run draws no more from [rng]). *)
+     after the benign clients' starts are scheduled (splitting the
+     generator here perturbs nothing: the benign run draws no more from
+     [rng], its clients built at their starts included). *)
   (match on_world with
   | None -> ()
   | Some f ->
@@ -743,7 +765,8 @@ let validate_viral v =
   (* Base actives, the viral wave and the churn pool draw on disjoint
      user index ranges. *)
   if v.v_base.active_clients + v.v_spike_clients + 50 > v.v_base.users then
-    invalid_arg "Loadgen: users must cover actives + spike wave + churn pool"
+    invalid_arg "Loadgen: users must cover actives + spike wave + churn pool";
+  check_spike_addrs ~active:v.v_base.active_clients ~spike:v.v_spike_clients
 
 let run_viral_one v ~label ~replicas ~spike =
   let cfg = v.v_base in
@@ -1055,6 +1078,7 @@ let validate_overload o =
   if o.o_window <= 0.0 then invalid_arg "Loadgen: window must be > 0";
   if o.o_base.active_clients + o.o_spike_clients > o.o_base.users then
     invalid_arg "Loadgen: users must cover actives + spike wave";
+  check_spike_addrs ~active:o.o_base.active_clients ~spike:o.o_spike_clients;
   if o.o_spike_at <= o.o_base.ramp +. 3.0 then
     invalid_arg "Loadgen: spike must start after the calm baseline window";
   if overload_spike_end o >= o.o_horizon then

@@ -78,7 +78,10 @@ type report = {
     [events_per_second] is the load plane's headline
     [sim_events_per_wall_second]. *)
 type timing = {
-  setup_seconds : float;  (** world building: hosts, database, clients *)
+  setup_seconds : float;
+      (** world building: hosts, database, and each client's draws and
+          start event. A client itself is built when it starts, so its
+          construction is in [run_seconds]. *)
   run_seconds : float;  (** draining the event queue *)
   events : int;
   events_per_second : float;
@@ -95,10 +98,11 @@ val run_timed :
   report * timing
 (** {!run}, plus where the wall-clock went. The report half is exactly
     {!run}'s (byte-identical for a fixed config); the timing half is
-    whatever this machine did this time. [on_world] is called once, after
-    the benign world is fully built and scheduled but before the engine
-    runs — the campaign runner uses it to attach a detector to the run's
-    collector and let {!Attack_mix.inject} schedule the attack plane. *)
+    whatever this machine did this time. [on_world] is called once, before
+    the engine runs: it sees the realm and every client's scheduled
+    start, but no client yet, since each is built when it starts. The
+    campaign runner uses it to attach a detector to the run's collector
+    and let {!Attack_mix.inject} schedule the attack plane. *)
 
 val report_to_json : report -> Telemetry.Json.t
 (** Deterministic: same [config] ⇒ byte-identical
@@ -258,7 +262,9 @@ type viral_suite = {
 
 val run_viral : viral_config -> viral_suite
 (** @raise Invalid_argument on out-of-range configuration (the user
-    population must cover actives + the spike wave + the churn pool). *)
+    population must cover actives + the spike wave + the churn pool, and
+    actives + the spike wave must not run past the 63,500 client
+    addresses). *)
 
 val viral_overload_ratio : viral_suite -> float
 (** Unreplicated-spike p99 TGS latency over calm p99 — how badly the
@@ -354,9 +360,10 @@ type overload_suite = {
 }
 
 val run_overload : overload_config -> overload_suite
-(** @raise Invalid_argument on out-of-range configuration (the spike
-    must start after the baseline window, the horizon must extend past
-    the spike, and the calm schedule must outlive the horizon). *)
+(** @raise Invalid_argument on out-of-range configuration (actives +
+    the spike wave must not run past the 63,500 client addresses, the
+    spike must start after the baseline window, the horizon must extend
+    past the spike, and the calm schedule must outlive the horizon). *)
 
 val overload_floor_failures : overload_suite -> string list
 (** The gates BENCH_overload.json and [experiments overload] enforce:

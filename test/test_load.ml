@@ -286,7 +286,26 @@ let loadgen_rejects_nonsense () =
   Alcotest.(check bool) "more active than registered" true
     (raises { small_cfg with Workloads.Loadgen.active_clients = 1000 });
   Alcotest.(check bool) "zero shards" true
-    (raises { small_cfg with Workloads.Loadgen.shards = 0 })
+    (raises { small_cfg with Workloads.Loadgen.shards = 0 });
+  (* Client [i] is at 10.(2 + i/250).(i mod 250).1, so the spike wave,
+     which follows the calm actives, has no address from index 63,500 on.
+     The users cover it, so only the address plan refuses it. *)
+  let past_plan = Invalid_argument "Loadgen: spike wave runs past the client address plan" in
+  let module L = Workloads.Loadgen in
+  Alcotest.check_raises "viral spike past the address plan" past_plan (fun () ->
+      ignore
+        (L.run_viral
+           { L.default_viral with
+             L.v_base = { L.default_viral.L.v_base with L.users = 70_000 };
+             v_spike_clients = 64_000 }
+          : L.viral_suite));
+  Alcotest.check_raises "overload spike past the address plan" past_plan (fun () ->
+      ignore
+        (L.run_overload
+           { L.default_overload with
+             L.o_base = { L.default_overload.L.o_base with L.users = 70_000 };
+             o_spike_clients = 64_000 }
+          : L.overload_suite))
 
 let () =
   Alcotest.run "load"
