@@ -19,8 +19,111 @@ type pending = {
 }
 
 type peer_state =
+  | Vacant  (** no peer: an unused ring slot, or a lookup that found none *)
   | Awaiting_response of pending  (** challenge sent, waiting for the reply *)
-  | Established of Session.t * Principal.t
+  | Established of { session : Session.t; client : Principal.t }
+
+(* The peer table: each peer's endpoint and state in insertion order on a
+   ring, and an open-addressed index from endpoint to ring slot. The ring
+   grows by doubling up to [max_peers] slots; once it is full, a new peer
+   takes the slot of the oldest, which is the FIFO eviction the bound asks
+   for. Replacing a peer's state keeps its slot, so a challenge answered
+   late keeps its place in the order. Peers leave only from the head of
+   the ring, or all at once at a crash. *)
+type peers = {
+  mutable ends : Sim.Endpoint.t array;  (* ring: each slot's endpoint *)
+  mutable states : peer_state array;  (* ring, parallel to [ends] *)
+  mutable index : int array;
+      (* ring slot of each peer, by linear probing from [Endpoint.hash];
+         [-1] is vacant. Twice the ring's length rounded up to a power of
+         two, so never full. *)
+  mutable head : int;  (* slot of the oldest peer *)
+  mutable count : int;
+}
+
+let no_peers () = { ends = [||]; states = [||]; index = [||]; head = 0; count = 0 }
+
+(* The index position holding [e], or the vacant one ending its run.
+   [probe_from] and [shift] below are top-level, not local, so that a
+   lookup or an eviction allocates no closure. *)
+let rec probe_from p (e : Sim.Endpoint.t) mask i =
+  let slot = p.index.(i) in
+  if slot < 0 || Int.equal (p.ends.(slot) :> int) (e :> int) then i
+  else probe_from p e mask ((i + 1) land mask)
+
+let probe p e =
+  let mask = Array.length p.index - 1 in
+  probe_from p e mask (Sim.Endpoint.hash e land mask)
+
+let find_peer p e =
+  if p.count = 0 then Vacant
+  else
+    let slot = p.index.(probe p e) in
+    if slot < 0 then Vacant else p.states.(slot)
+
+let rec shift p mask hole j =
+  let slot = p.index.(j) in
+  if slot < 0 then p.index.(hole) <- -1
+  else begin
+    let home = Sim.Endpoint.hash p.ends.(slot) land mask in
+    (* [slot] may fill the hole unless its home lies cyclically in (hole, j]. *)
+    let stays = if hole < j then hole < home && home <= j else hole < home || home <= j in
+    if stays then shift p mask hole ((j + 1) land mask)
+    else begin
+      p.index.(hole) <- slot;
+      shift p mask j ((j + 1) land mask)
+    end
+  end
+
+(* Empty the index position [hole] and close the gap behind it (Knuth's
+   deletion for linear probing), so no tombstones accumulate. *)
+let close_gap p hole =
+  let mask = Array.length p.index - 1 in
+  shift p mask hole ((hole + 1) land mask)
+
+(* Re-allocate the ring at [slots] slots, oldest peer first, and rebuild
+   the index. [e] fills the unused slots: a vacant slot's endpoint is
+   never read. *)
+let regrow p slots e =
+  let len = Array.length p.ends in
+  let ends = Array.make slots e and states = Array.make slots Vacant in
+  for k = 0 to p.count - 1 do
+    let src = (p.head + k) mod len in
+    ends.(k) <- p.ends.(src);
+    states.(k) <- p.states.(src)
+  done;
+  let rec pow2 n = if n >= 2 * slots then n else pow2 (2 * n) in
+  p.ends <- ends;
+  p.states <- states;
+  p.index <- Array.make (pow2 1) (-1);
+  p.head <- 0;
+  for k = 0 to p.count - 1 do
+    p.index.(probe p ends.(k)) <- k
+  done
+
+let evict_oldest p =
+  close_gap p (probe p p.ends.(p.head));
+  p.states.(p.head) <- Vacant;
+  p.head <- (p.head + 1) mod Array.length p.ends;
+  p.count <- p.count - 1
+
+(* Insert or replace a peer's state. A new peer beyond [bound] evicts the
+   oldest: an evicted pending challenge simply forces the honest client to
+   start over; an evicted session forces re-authentication. *)
+let put_peer p ~bound e state =
+  let at = if p.count = 0 then -1 else p.index.(probe p e) in
+  if at >= 0 then p.states.(at) <- state
+  else begin
+    let len = Array.length p.ends in
+    if p.count = len then
+      if len < bound then regrow p (min bound (max 16 (2 * len))) e
+      else evict_oldest p;
+    let slot = (p.head + p.count) mod Array.length p.ends in
+    p.ends.(slot) <- e;
+    p.states.(slot) <- state;
+    p.index.(probe p e) <- slot;
+    p.count <- p.count + 1
+  end
 
 (* Where a frame came from and how to answer it — the same shape whether
    the frame arrived as a datagram or on a stream connection. Datagram
@@ -47,11 +150,12 @@ type t = {
       (** persisted replay-cache snapshot, written at crash *)
   mutable running : bool;
   mutable endpoint : Sim.Transport.server option;
-  peers : peer_state Sim.Endpoint.Table.t;
-  peer_order : Sim.Endpoint.t Queue.t;  (** insertion order, for eviction *)
+  mutable peers : peers;
   handler : Session.t -> client:Principal.t -> bytes -> bytes option;
   mutable established : int;
-  mutable rejected : (int * string) list;
+  rejected : (int * string) Queue.t;
+      (** the most recent refused AP attempts, oldest first, at most
+          [kept_rejections] of them *)
   tel : Telemetry.Collector.t;
   c_established : Telemetry.Metrics.counter;
   c_rejected : Telemetry.Metrics.counter;
@@ -61,8 +165,12 @@ type t = {
           read back by the per-frame span when the handler returns *)
 }
 
+let kept_rejections = 64
+
 let sessions_established t = t.established
-let rejections t = t.rejected
+
+let rejections t = Queue.fold (fun newer r -> r :: newer) [] t.rejected
+
 let running t = t.running
 
 let replay_hits t = Telemetry.Metrics.value t.c_replay_hits
@@ -70,36 +178,35 @@ let replay_hits t = Telemetry.Metrics.value t.c_replay_hits
 let replay_cache_size t =
   match t.cache with None -> 0 | Some c -> Replay_cache.size c
 
-let peer_state_size t = Sim.Endpoint.Table.length t.peers
+let peer_state_size t = t.peers.count
 
-(* The peer table and its eviction queue measured twice, once as they are
-   and once emptied to the same bucket count, with the shared values in
-   both measurements so that only what the bindings hold alone remains. *)
+(* The ring's states measured twice, once as they are and once all vacant,
+   with the shared values in both measurements so that only what the
+   states hold alone remains; then each peer pays its two ring slots and
+   its share of the index. What every peer points at but none owns is
+   left out: the profile, the server's principal and the empty instance
+   its clients share, the settings of the sessions' replay caches, and
+   the schedules the memo may share. So are the ring's unused slots and
+   the arrays' headers. *)
 let peer_state_words t =
+  let p = t.peers in
   let shared =
-    Sim.Endpoint.Table.fold
-      (fun _ state acc ->
+    Array.fold_left
+      (fun acc state ->
         match state with
-        | Established (s, _) -> Obj.repr s.Session.sched :: acc
-        | Awaiting_response _ -> acc)
-      t.peers [ Obj.repr t.profile ]
+        | Established { session; _ } -> Obj.repr session.Session.sched :: acc
+        | Awaiting_response _ | Vacant -> acc)
+      [ Obj.repr t.profile; Obj.repr t.principal; Obj.repr Principal.no_instance;
+        Obj.repr Session.replay_settings ]
+      p.states
   in
   let words x = Obj.reachable_words (Obj.repr x) in
-  let buckets = (Sim.Endpoint.Table.stats t.peers).Hashtbl.num_buckets in
-  words (t.peers, t.peer_order, shared)
-  - words (Sim.Endpoint.Table.create buckets, Queue.create (), shared)
-
-(* Insert peer state, evicting the oldest entries beyond the bound. An
-   evicted pending challenge simply forces the honest client to start
-   over; an evicted session forces re-authentication. *)
-let put_peer t key state =
-  if not (Sim.Endpoint.Table.mem t.peers key) then Queue.push key t.peer_order;
-  Sim.Endpoint.Table.replace t.peers key state;
-  while Sim.Endpoint.Table.length t.peers > t.config.max_peers do
-    match Queue.take_opt t.peer_order with
-    | None -> Sim.Endpoint.Table.reset t.peers
-    | Some oldest -> Sim.Endpoint.Table.remove t.peers oldest
-  done
+  let slots = Array.length p.ends in
+  if slots = 0 then 0
+  else
+    words (p.states, shared)
+    - words (Array.make slots Vacant, shared)
+    + (p.count * (2 + (Array.length p.index / slots)))
 
 (* The network delivers only frames whose ends pack, so this never
    raises. *)
@@ -119,7 +226,8 @@ let flag_outcome t outcome =
   end
 
 let reject t ~cx (r : Ap_check.reject) =
-  t.rejected <- (r.code, r.reason) :: t.rejected;
+  Queue.push (r.code, r.reason) t.rejected;
+  if Queue.length t.rejected > kept_rejections then ignore (Queue.pop t.rejected);
   Telemetry.Metrics.incr t.c_rejected;
   flag_outcome t (Ap_check.outcome_of_reject r);
   Sim.Net.note t.net
@@ -177,7 +285,9 @@ let establish t ~cx ~(ticket : Messages.ticket) ~client_part ~server_part
           ~send_seq:(Option.value server_seq ~default:0)
           ~recv_seq:(Option.value client_seq ~default:0)
       in
-      put_peer t (peer_of cx) (Established (session, ticket.Messages.client));
+      let client = Principal.share_realm ~like:t.principal ticket.Messages.client in
+      put_peer t.peers ~bound:t.config.max_peers (peer_of cx)
+        (Established { session; client });
       t.established <- t.established + 1;
       Telemetry.Metrics.incr t.c_established;
       Ok ()
@@ -242,7 +352,7 @@ let handle_ap_challenge t ~cx (r : Messages.ap_req) =
         { pend_ticket = ticket; pend_nonce = nonce; pend_server_part = server_part;
           pend_seq_init = server_seq }
       in
-      put_peer t (peer_of cx) (Awaiting_response pending);
+      put_peer t.peers ~bound:t.config.max_peers (peer_of cx) (Awaiting_response pending);
       let body =
         Messages.seal_msg t.profile t.rng ~key:ticket.Messages.session_key
           ~tag:Messages.tag_challenge
@@ -351,7 +461,7 @@ let handle_frame t ~cx raw =
               ("outcome", outcome) ];
         t.pending_outcome <- None
       in
-      match (kind, Sim.Endpoint.Table.find_opt t.peers peer) with
+      match (kind, find_peer t.peers peer) with
       | k, _ when k = Frames.ap_req ->
           traced "ap.req" (fun () ->
               match
@@ -365,12 +475,12 @@ let handle_frame t ~cx raw =
                   | Profile.Timestamp { skew; _ } ->
                       handle_ap_timestamp t ~cx ~skew:(min skew t.config.skew) r
                   | Profile.Challenge_response -> handle_ap_challenge t ~cx r))
-      | k, Some (Awaiting_response pending) when k = Frames.challenge_resp ->
+      | k, Awaiting_response pending when k = Frames.challenge_resp ->
           traced "ap.challenge_resp" (fun () ->
               handle_challenge_resp t ~cx pending payload)
-      | k, Some (Established (session, client)) when k = Frames.priv ->
+      | k, Established { session; client } when k = Frames.priv ->
           traced "ap.priv" (fun () -> handle_priv t ~cx session client payload)
-      | k, Some (Established (session, client)) when k = Frames.safe ->
+      | k, Established { session; client } when k = Frames.safe ->
           traced "ap.safe" (fun () -> handle_safe t ~cx session client payload)
       | _ ->
           Sim.Net.note t.net
@@ -422,8 +532,7 @@ let crash t =
       | Some c when t.config.persist_replay_cache -> Some (Replay_cache.to_bytes c)
       | _ -> None);
     t.cache <- None;
-    Sim.Endpoint.Table.reset t.peers;
-    Queue.clear t.peer_order;
+    t.peers <- no_peers ();
     Sim.Net.note t.net
       (Printf.sprintf "%s: %s crashed" t.host.Sim.Host.name
          (Principal.to_string t.principal))
@@ -450,6 +559,10 @@ let restart t =
 
 let install ?(seed = 0x5345525645L) ?(config = default_config) net host ~profile
     ~principal ~key ~port ~handler () =
+  if config.max_peers < 1 then
+    invalid_arg
+      (Printf.sprintf "Apserver.install: max_peers must be at least 1 (got %d)"
+         config.max_peers);
   let tel = Sim.Net.telemetry net in
   let m = Telemetry.Collector.metrics tel in
   let fresh base = Telemetry.Metrics.counter m (Telemetry.Metrics.fresh_name m base) in
@@ -457,8 +570,7 @@ let install ?(seed = 0x5345525645L) ?(config = default_config) net host ~profile
   let t =
     { net; host; profile; principal; key; port; config; rng = Util.Rng.create seed;
       cache = fresh_cache ~profile ~config; disk = None; running = true;
-      peers = Sim.Endpoint.Table.create 16; peer_order = Queue.create (); handler;
-      established = 0; rejected = []; tel;
+      peers = no_peers (); handler; established = 0; rejected = Queue.create (); tel;
       c_established = fresh (svc ^ ".sessions_established");
       c_rejected = fresh (svc ^ ".ap_rejects");
       c_replay_hits = fresh (svc ^ ".replay_hits");

@@ -182,13 +182,16 @@ let seal_chain s ~now data =
      (the digest covers the unpadded plaintext only). *)
   let digest = Crypto.Md4.digest_sub buf ~pos:0 ~len:plen in
   Bytes.blit digest 0 buf dlen 16;
-  Crypto.Mode.cbc_encrypt_into (sched s) ~iv:s.Session.send_iv ~src:buf ~dst:buf;
+  let ivs = s.Session.iv_chain in
+  Crypto.Mode.cbc_encrypt_into_at (sched s) ~iv:ivs ~iv_pos:0 ~src:buf ~dst:buf;
   (* Chain: next message continues from this one's last block. *)
-  s.Session.send_iv <- Bytes.sub buf (Bytes.length buf - 8) 8;
+  Bytes.blit buf (Bytes.length buf - 8) ivs 0 8;
   buf
 
 let open_chain s ~now ct =
-  let plain = decrypt_cbc (sched s) ~iv:s.Session.recv_iv ct in
+  let ivs = s.Session.iv_chain in
+  let plain = Bytes.create (Bytes.length ct) in
+  Crypto.Mode.cbc_decrypt_into_at (sched s) ~iv:ivs ~iv_pos:8 ~src:ct ~dst:plain;
   match Crypto.Mode.unpad_length plain with
   | None -> Error Garbled
   | Some n ->
@@ -213,7 +216,7 @@ let open_chain s ~now ct =
             match check_stamp s ~now stamp ~replay_key:ct with
             | Error e -> Error e
             | Ok () ->
-                s.Session.recv_iv <- Bytes.sub ct (Bytes.length ct - 8) 8;
+                Bytes.blit ct (Bytes.length ct - 8) ivs 8 8;
                 Ok data
         end
       end

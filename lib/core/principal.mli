@@ -15,6 +15,15 @@ val cross_realm_tgs : local:string -> remote:string -> t
 (** [krbtgt.REMOTE@LOCAL]: the principal a local TGS uses to sign tickets
     destined for a neighboring realm's TGS. *)
 
+val no_instance : string
+(** [""]: the one string every principal built by this module with an
+    empty instance ({!user}, {!of_string}, {!of_value}) carries. *)
+
+val share_realm : like:t -> t -> t
+(** [share_realm ~like p] is [p] with [like]'s realm string when the two
+    realms are equal: a server keeping the principals of many clients of
+    its own realm then holds one realm string for all of them. *)
+
 val to_string : t -> string
 (** [name.instance@REALM]. *)
 

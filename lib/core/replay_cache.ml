@@ -1,12 +1,15 @@
 (* One representation whose footprint follows the live entries: an expiry
    min-heap kept in two parallel arrays (the keys, and their expiries
    unboxed), plus an open-addressed index of the same keys for the replay
-   lookup. The heap arrays hold [c] slots and the index [2c], where [c] is
-   0 or a power of two: an empty cache allocates nothing beyond its
-   record, a cache holding one entry one slot of each, and a cache that
-   drains to a quarter of its slots halves them, down to none when it
-   empties. Every session owns a cache, and most hold one KRB_PRIV
-   ciphertext or none at all.
+   lookup. The heap arrays hold [c] slots, where [c] is 0 or a power of
+   two, and the index [2c] once [c] is at least 2: an empty cache
+   allocates nothing beyond its record, a cache holding one entry one
+   heap slot of each array and no index (its one key is compared
+   directly), and a cache that drains to a quarter of its slots halves
+   them, down to none when it empties. What every cache of one kind has
+   in common (horizon, cap, eviction hook) is one [settings] value they
+   point at. Every timestamped session owns a cache, and most hold one
+   KRB_PRIV ciphertext or none at all.
 
    Entries are keyed by the raw authenticator bytes (an earlier version
    keyed on an MD4 hex digest alone, which would conflate two distinct
@@ -32,14 +35,19 @@
    possible door) and counted, so operators can see a flood squeezing the
    cache rather than discovering it from an OOM kill. *)
 
-type t = {
+type settings = {
   horizon : float;
   cap : int option;
   on_evict : (unit -> unit) option;
+}
+
+type t = {
+  settings : settings;
   mutable len : int;  (* live entries *)
   mutable keys : string array;  (* heap order; [vacant] past [len] *)
   mutable expiries : Float.Array.t;  (* heap order, parallel to [keys] *)
-  mutable index : string array;  (* the live keys, linear probing *)
+  mutable index : string array;
+      (* the live keys, linear probing; empty while [keys] has one slot *)
   mutable hits : int;     (* authenticators refused as replays *)
   mutable inserts : int;  (* fresh authenticators admitted *)
   mutable evicted : int;  (* live entries pushed out by the cap *)
@@ -48,12 +56,17 @@ type t = {
 (* An empty slot, told apart from every key by physical equality. *)
 let vacant = String.make 1 '\000'
 
-let create ?cap ?on_evict ~horizon () =
+let settings ?cap ?on_evict ~horizon () =
   (match cap with
   | Some c when c <= 0 -> invalid_arg "Replay_cache.create: cap must be positive"
   | _ -> ());
-  { horizon; cap; on_evict; len = 0; keys = [||]; expiries = Float.Array.create 0;
-    index = [||]; hits = 0; inserts = 0; evicted = 0 }
+  { horizon; cap; on_evict }
+
+let make settings =
+  { settings; len = 0; keys = [||]; expiries = Float.Array.create 0; index = [||];
+    hits = 0; inserts = 0; evicted = 0 }
+
+let create ?cap ?on_evict ~horizon () = make (settings ?cap ?on_evict ~horizon ())
 
 type verdict = Fresh | Replayed
 
@@ -67,6 +80,7 @@ let rec probe index mask key i =
 
 let mem t key =
   if t.len = 0 then false
+  else if Array.length t.index = 0 then String.equal (Array.unsafe_get t.keys 0) key
   else begin
     let mask = Array.length t.index - 1 in
     let i = probe t.index mask key (Hashtbl.hash key land mask) in
@@ -104,13 +118,14 @@ let remove_index index key =
   shift hole ((hole + 1) land mask)
 
 (* Re-allocate for [c] heap slots (0 or a power of two) and rebuild the
-   index at [2c]. *)
+   index at [2c], or drop it when [c] is at most 1. *)
 let resize t c =
   let keys = Array.make c vacant and expiries = Float.Array.create c in
   Array.blit t.keys 0 keys 0 t.len;
   Float.Array.blit t.expiries 0 expiries 0 t.len;
-  let index = Array.make (2 * c) vacant in
-  for i = 0 to t.len - 1 do add_index index (Array.unsafe_get keys i) done;
+  let index = if c <= 1 then [||] else Array.make (2 * c) vacant in
+  if c > 1 then
+    for i = 0 to t.len - 1 do add_index index (Array.unsafe_get keys i) done;
   t.keys <- keys;
   t.expiries <- expiries;
   t.index <- index
@@ -161,7 +176,7 @@ let push t key exp =
   if t.len = c then resize t (max 1 (2 * c));
   t.len <- t.len + 1;
   sift_up t (t.len - 1) key exp;
-  add_index t.index key
+  if Array.length t.index > 0 then add_index t.index key
 
 (* Remove the entry closest to expiry. *)
 let pop t =
@@ -170,7 +185,7 @@ let pop t =
   t.len <- last;
   if last > 0 then sift_down t 0 (Array.unsafe_get t.keys last) (expiry t last);
   Array.unsafe_set t.keys last vacant;
-  remove_index t.index top;
+  if Array.length t.index > 0 then remove_index t.index top;
   let c = Array.length t.keys in
   if 4 * last <= c then resize t (if last = 0 then 0 else c / 2)
 
@@ -182,7 +197,7 @@ let purge t ~now = while t.len > 0 && expiry t 0 < now do pop t done
 let evict_soonest t =
   pop t;
   t.evicted <- t.evicted + 1;
-  Option.iter (fun f -> f ()) t.on_evict
+  Option.iter (fun f -> f ()) t.settings.on_evict
 
 let check_and_insert t ~now blob =
   purge t ~now;
@@ -193,8 +208,8 @@ let check_and_insert t ~now blob =
     Replayed
   end
   else begin
-    (match t.cap with Some c when t.len >= c -> evict_soonest t | _ -> ());
-    push t (Bytes.to_string blob) (now +. t.horizon);
+    (match t.settings.cap with Some c when t.len >= c -> evict_soonest t | _ -> ());
+    push t (Bytes.to_string blob) (now +. t.settings.horizon);
     t.inserts <- t.inserts + 1;
     Fresh
   end
@@ -214,8 +229,8 @@ let evicted t = t.evicted
    keeps its memory bound. *)
 let to_bytes t =
   let w = Wire.Codec.Writer.create () in
-  Wire.Codec.Writer.i64 w (Int64.bits_of_float t.horizon);
-  Wire.Codec.Writer.u32 w (match t.cap with None -> 0 | Some c -> c);
+  Wire.Codec.Writer.i64 w (Int64.bits_of_float t.settings.horizon);
+  Wire.Codec.Writer.u32 w (match t.settings.cap with None -> 0 | Some c -> c);
   let order = Array.init t.len Fun.id in
   Array.sort (fun a b -> String.compare t.keys.(a) t.keys.(b)) order;
   Wire.Codec.Writer.u32 w t.len;

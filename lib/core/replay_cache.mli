@@ -10,8 +10,12 @@
     Expiry is tracked by a min-heap drained incrementally, so sustained
     insert load costs O(log n) amortized per operation rather than a full
     table sweep per insert. The heap's arrays and the key index are sized
-    to the live entries: an empty cache is one small record, and each live
-    key adds its own bytes and a few words of array slots.
+    to the live entries: an empty cache is one small record, a cache
+    holding one key adds that key's bytes and one slot of each heap
+    array (no index), and each further key a few words of slots. The
+    horizon, cap and eviction hook are one {!settings} value, which many
+    caches can share: every session's KRB_PRIV cache points at the same
+    one.
 
     The paper names cache flooding as a denial-of-service vector: an
     attacker stuffing distinct authenticators grows the cache without
@@ -22,10 +26,22 @@
 
 type t
 
-val create : ?cap:int -> ?on_evict:(unit -> unit) -> horizon:float -> unit -> t
+type settings
+(** What caches of one kind have in common: the horizon, the cap and the
+    eviction hook. *)
+
+val settings : ?cap:int -> ?on_evict:(unit -> unit) -> horizon:float -> unit -> settings
 (** [cap] bounds live entries (default: unbounded); [on_evict] fires once
     per cap eviction, e.g. to bump a server's [replay_cache.evicted]
     telemetry counter. @raise Invalid_argument when [cap <= 0]. *)
+
+val make : settings -> t
+(** An empty cache under [settings]. Caches made from one [settings]
+    value share it and own only their entries and counters. *)
+
+val create : ?cap:int -> ?on_evict:(unit -> unit) -> horizon:float -> unit -> t
+(** [make] under settings of its own.
+    @raise Invalid_argument when [cap <= 0]. *)
 
 type verdict = Fresh | Replayed
 

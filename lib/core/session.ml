@@ -12,35 +12,39 @@ type t = {
   own_addr : Sim.Addr.t;
   peer_addr : Sim.Addr.t;
   stamps : stamps;
-  mutable send_iv : bytes;
-  mutable recv_iv : bytes;
+  iv_chain : bytes;
 }
 
-(* Directional initial IVs both sides can compute: E_k(direction byte,
-   zero-padded). "Initial values for it should be exchanged during (or
-   derived from) the authentication handshake." *)
-let initial_iv ~sched direction =
-  let block = Bytes.make 8 '\000' in
-  Bytes.set block 0 direction;
-  Crypto.Des.encrypt_block sched block
+let replay_settings = Replay_cache.settings ~horizon:600.0 ()
 
-(* Only [Cbc_iv_chain] reads the IVs, so only it pays their two blocks,
-   and only [Priv_timestamp] reads a replay cache, so only it owns one. *)
+(* Directional initial IVs both sides can compute: E_k(direction byte,
+   zero-padded), the client-to-server one from 'C' and the other from
+   'S'. "Initial values for it should be exchanged during (or derived
+   from) the authentication handshake." Each side puts its sending IV
+   first and enciphers both blocks in place. *)
+let initial_ivs ~sched role =
+  let send, recv = match role with Client_side -> ('C', 'S') | Server_side -> ('S', 'C') in
+  let ivs = Bytes.make 16 '\000' in
+  Bytes.set ivs 0 send;
+  Bytes.set ivs 8 recv;
+  Crypto.Mode.ecb_encrypt_into sched ~src:ivs ~dst:ivs;
+  ivs
+
+(* Only [Cbc_iv_chain] reads the IVs, so only it pays their buffer, and
+   only [Priv_timestamp] reads a replay cache, so only it owns one. *)
 let make ~profile ~role ~key ~own_addr ~peer_addr ~send_seq ~recv_seq =
   let sched = Crypto.Des.schedule_cached key in
-  let send_iv, recv_iv =
+  let iv_chain =
     match profile.Profile.priv_mode with
-    | Profile.Pcbc_v4 | Profile.Cbc_v5_draft -> (Bytes.empty, Bytes.empty)
-    | Profile.Cbc_iv_chain -> (
-        let c2s = initial_iv ~sched 'C' and s2c = initial_iv ~sched 'S' in
-        match role with Client_side -> (c2s, s2c) | Server_side -> (s2c, c2s))
+    | Profile.Pcbc_v4 | Profile.Cbc_v5_draft -> Bytes.empty
+    | Profile.Cbc_iv_chain -> initial_ivs ~sched role
   in
   let stamps =
     match profile.Profile.priv_replay with
-    | Profile.Priv_timestamp -> Timestamps (Replay_cache.create ~horizon:600.0 ())
+    | Profile.Priv_timestamp -> Timestamps (Replay_cache.make replay_settings)
     | Profile.Priv_sequence -> Sequence { send_seq; recv_seq }
   in
-  { profile; key; sched; role; own_addr; peer_addr; stamps; send_iv; recv_iv }
+  { profile; key; sched; role; own_addr; peer_addr; stamps; iv_chain }
 
 let derived_key (profile : Profile.t) ~multi ~client_part ~server_part =
   if not profile.negotiate_session_key then Ok multi

@@ -16,7 +16,7 @@ type stamps =
   | Timestamps of Replay_cache.t
       (** [Priv_timestamp]: a message inside the skew window is refused
           if this per-session cache has seen its ciphertext. Only this
-          mode has a replay cache. *)
+          mode has a replay cache, made from {!replay_settings}. *)
   | Sequence of { mutable send_seq : int; mutable recv_seq : int }
       (** [Priv_sequence]: the next number to send and to accept. A
           sequence number needs no cache. *)
@@ -32,10 +32,17 @@ type t = {
   own_addr : Sim.Addr.t;
   peer_addr : Sim.Addr.t;
   stamps : stamps;
-  mutable send_iv : bytes;
-      (** evolving IV, [Cbc_iv_chain] only; empty under the other modes *)
-  mutable recv_iv : bytes;
+  iv_chain : bytes;
+      (** [Cbc_iv_chain] only: the IV the next message sent is chained
+          from in bytes 0–7, and the one the next message received is
+          chained from in bytes 8–15, both overwritten in place as the
+          session runs. Empty under the other modes, which never read
+          it. *)
 }
+
+val replay_settings : Replay_cache.settings
+(** Horizon 600 s, no cap: the settings every session's cache shares, so
+    that a session's cache owns only its entries. *)
 
 val make :
   profile:Profile.t ->

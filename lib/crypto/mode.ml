@@ -52,6 +52,10 @@ let check_into name ~src ~dst =
 let check_iv iv =
   if Bytes.length iv <> block then invalid_arg "Mode: IV must be 8 bytes"
 
+let check_iv_at iv iv_pos =
+  if iv_pos < 0 || iv_pos > Bytes.length iv - block then
+    invalid_arg "Mode: IV position outside the buffer"
+
 let zero_iv = Bytes.make block '\000'
 
 (* 32-bit big-endian words as immediate ints, read and written without
@@ -79,10 +83,10 @@ type chaining = Ecb | Cbc | Pcbc
 let[@inline] feedback chaining ~c ~p =
   match chaining with Ecb -> 0 | Cbc -> c | Pcbc -> c lxor p
 
-let encrypt_into chaining key ~iv ~src ~dst =
+let encrypt_into chaining key ~iv ~iv_pos ~src ~dst =
   let st = { Des.hi = 0; lo = 0 } in
   let n = Bytes.length src in
-  let fhi = ref (get32 iv 0) and flo = ref (get32 iv 4) in
+  let fhi = ref (get32 iv iv_pos) and flo = ref (get32 iv (iv_pos + 4)) in
   let pos = ref 0 in
   while !pos < n do
     let at = !pos in
@@ -101,10 +105,10 @@ let encrypt_into chaining key ~iv ~src ~dst =
    {!Des.decrypt_pair} two at a time and only the feedback xor runs in
    order. Both ciphertext blocks are read before either plaintext block is
    written: [dst] may alias [src]. *)
-let decrypt_into chaining key ~iv ~src ~dst =
+let decrypt_into chaining key ~iv ~iv_pos ~src ~dst =
   let a = { Des.hi = 0; lo = 0 } and b = { Des.hi = 0; lo = 0 } in
   let n = Bytes.length src in
-  let fhi = ref (get32 iv 0) and flo = ref (get32 iv 4) in
+  let fhi = ref (get32 iv iv_pos) and flo = ref (get32 iv (iv_pos + 4)) in
   let pos = ref 0 in
   while !pos + (2 * block) <= n do
     let at = !pos in
@@ -137,31 +141,41 @@ let decrypt_into chaining key ~iv ~src ~dst =
 
 let ecb_encrypt_into key ~src ~dst =
   check_into "ecb_encrypt" ~src ~dst;
-  encrypt_into Ecb key ~iv:zero_iv ~src ~dst
+  encrypt_into Ecb key ~iv:zero_iv ~iv_pos:0 ~src ~dst
 
 let ecb_decrypt_into key ~src ~dst =
   check_into "ecb_decrypt" ~src ~dst;
-  decrypt_into Ecb key ~iv:zero_iv ~src ~dst
+  decrypt_into Ecb key ~iv:zero_iv ~iv_pos:0 ~src ~dst
 
 let cbc_encrypt_into key ~iv ~src ~dst =
   check_into "cbc_encrypt" ~src ~dst;
   check_iv iv;
-  encrypt_into Cbc key ~iv ~src ~dst
+  encrypt_into Cbc key ~iv ~iv_pos:0 ~src ~dst
 
 let cbc_decrypt_into key ~iv ~src ~dst =
   check_into "cbc_decrypt" ~src ~dst;
   check_iv iv;
-  decrypt_into Cbc key ~iv ~src ~dst
+  decrypt_into Cbc key ~iv ~iv_pos:0 ~src ~dst
+
+let cbc_encrypt_into_at key ~iv ~iv_pos ~src ~dst =
+  check_into "cbc_encrypt" ~src ~dst;
+  check_iv_at iv iv_pos;
+  encrypt_into Cbc key ~iv ~iv_pos ~src ~dst
+
+let cbc_decrypt_into_at key ~iv ~iv_pos ~src ~dst =
+  check_into "cbc_decrypt" ~src ~dst;
+  check_iv_at iv iv_pos;
+  decrypt_into Cbc key ~iv ~iv_pos ~src ~dst
 
 let pcbc_encrypt_into key ~iv ~src ~dst =
   check_into "pcbc_encrypt" ~src ~dst;
   check_iv iv;
-  encrypt_into Pcbc key ~iv ~src ~dst
+  encrypt_into Pcbc key ~iv ~iv_pos:0 ~src ~dst
 
 let pcbc_decrypt_into key ~iv ~src ~dst =
   check_into "pcbc_decrypt" ~src ~dst;
   check_iv iv;
-  decrypt_into Pcbc key ~iv ~src ~dst
+  decrypt_into Pcbc key ~iv ~iv_pos:0 ~src ~dst
 
 let fresh f key b =
   let out = Bytes.create (Bytes.length b) in

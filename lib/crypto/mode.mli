@@ -58,6 +58,17 @@ val ecb_decrypt_into : Des.key -> src:bytes -> dst:bytes -> unit
 val cbc_encrypt_into : Des.key -> iv:bytes -> src:bytes -> dst:bytes -> unit
 val cbc_decrypt_into : Des.key -> iv:bytes -> src:bytes -> dst:bytes -> unit
 
+val cbc_encrypt_into_at :
+  Des.key -> iv:bytes -> iv_pos:int -> src:bytes -> dst:bytes -> unit
+
+val cbc_decrypt_into_at :
+  Des.key -> iv:bytes -> iv_pos:int -> src:bytes -> dst:bytes -> unit
+(** [cbc_encrypt_into] and [cbc_decrypt_into] with the IV read from the 8
+    bytes of [iv] at [iv_pos], so that one buffer can hold several IVs: a
+    session's IV chain keeps both directions' in one.
+    @raise Invalid_argument on a length mismatch or an [iv_pos] whose 8
+    bytes do not lie inside [iv]. *)
+
 val pcbc_encrypt_into : Des.key -> iv:bytes -> src:bytes -> dst:bytes -> unit
 val pcbc_decrypt_into : Des.key -> iv:bytes -> src:bytes -> dst:bytes -> unit
 (** The streaming primitives. [src] and [dst] must have equal lengths, a

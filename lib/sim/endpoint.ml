@@ -13,14 +13,15 @@ let make addr port =
          port max_port);
   (addr lsl port_bits) lor port
 
+(* The low bits a table index reads come from the port alone after the
+   multiply; the fold brings the address's low bits down to them. *)
+let hash t =
+  let h = t * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 29)) land max_int
+
 module Table = Hashtbl.Make (struct
   type nonrec t = t
 
   let equal = Int.equal
-
-  (* The low bits the bucket index reads come from the port alone after
-     the multiply; the fold brings the address's low bits down to them. *)
-  let hash t =
-    let h = t * 0x2545F4914F6CDD1D in
-    (h lxor (h lsr 29)) land max_int
+  let hash = hash
 end)

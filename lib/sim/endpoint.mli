@@ -14,6 +14,11 @@ val packable : Addr.t -> int -> bool
 val make : Addr.t -> int -> t
 (** @raise Invalid_argument unless {!packable}. *)
 
+val hash : t -> int
+(** A non-negative hash whose low bits mix the address into the port's:
+    the one {!Table} uses, for tables that index endpoints their own
+    way. *)
+
 module Table : Hashtbl.S with type key = t
 (** Tables keyed by endpoint, with int equality and an int hash: the
     per-packet port lookup and the AP server's peer table never go

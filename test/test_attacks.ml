@@ -265,8 +265,7 @@ let send_to_file_server (bed : Testbed.t) ~sport kind body =
 
 (* Any holder of a service key can mint a ticket; this one carries a
    7-byte session key. *)
-let short_ticket_key () =
-  let bed = Testbed.make ~profile:v4 () in
+let short_ticket_key_from (bed : Testbed.t) =
   let ticket =
     { Messages.server = bed.file_principal; client = Principal.user ~realm:"ATHENA" "robin";
       addr = Some (Testbed.attacker_addr bed); issued_at = Sim.Net.now bed.net;
@@ -281,8 +280,53 @@ let short_ticket_key () =
   in
   send_to_file_server bed ~sport:47000 Frames.ap_req
     (Messages.encode_msg v4 ~tag:Messages.tag_ap_req (Messages.ap_req_to_value ap));
-  Testbed.run bed;
+  Testbed.run bed
+
+let short_ticket_key () =
+  let bed = Testbed.make ~profile:v4 () in
+  short_ticket_key_from bed;
   file_server_refused bed
+
+(* The attacker decides how many AP attempts are refused, so the file
+   server keeps only the most recent 64 of them, newest first: 9,999
+   garbage AP_REQs, then one whose ticket carries a 7-byte session key.
+   Its per-service counter still counts all 10,000. *)
+let rejections_bounded () =
+  (* The testbed shares the process's default collector, where each file
+     server's counter takes a fresh suffix; sum them all around the
+     flood. *)
+  let rejects_counted (bed : Testbed.t) =
+    let base = "ap." ^ Principal.to_string bed.file_principal ^ ".ap_rejects" in
+    String.split_on_char '\n'
+      (Telemetry.Metrics.to_text (Telemetry.Collector.metrics (Sim.Net.telemetry bed.net)))
+    |> List.fold_left
+         (fun acc line ->
+           match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+           | [ "counter"; name; v ]
+             when name = base || String.starts_with ~prefix:(base ^ "#") name ->
+               acc + int_of_string v
+           | _ -> acc)
+         0
+  in
+  let bed = Testbed.make ~profile:v4 () in
+  let before = rejects_counted bed in
+  for i = 1 to 9_999 do
+    send_to_file_server bed ~sport:(40_000 + (i mod 1_000)) Frames.ap_req
+      (Bytes.of_string (Printf.sprintf "garbage %d" i))
+  done;
+  Testbed.run bed;
+  short_ticket_key_from bed;
+  let ap = Services.Fileserver.apserver bed.file in
+  let kept = Apserver.rejections ap in
+  Alcotest.(check int) "the most recent 64 kept" 64 (List.length kept);
+  Alcotest.(check bool) "newest first" true
+    (fst (List.hd kept) = Messages.err_bad_integrity
+    && List.for_all (fun (code, _) -> code = Messages.err_generic) (List.tl kept));
+  let words = Obj.reachable_words (Obj.repr kept) in
+  Alcotest.(check bool)
+    (Printf.sprintf "the kept list holds %d words, bound 2000" words)
+    true (words <= 2_000);
+  Alcotest.(check int) "every rejection counted" 10_000 (rejects_counted bed - before)
 
 (* Robin, an insider holding a valid ticket, opens a hardened
    challenge/response exchange by hand, reads the challenge off the tap
@@ -356,4 +400,6 @@ let () =
           Alcotest.test_case "hardened: 7-byte client part" `Quick
             (answer_challenge_with (Some (Bytes.make 7 'p')));
           Alcotest.test_case "hardened: no client part" `Quick
-            (answer_challenge_with None) ] ) ]
+            (answer_challenge_with None);
+          Alcotest.test_case "v4: refused attempts kept bounded" `Quick
+            rejections_bounded ] ) ]

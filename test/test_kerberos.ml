@@ -386,6 +386,115 @@ let challenge_state_bounded () =
   run bed;
   Alcotest.(check bool) "honest client still served" true !ok
 
+(* A bound below one peer cannot hold the session it has just made: with
+   0 every session was evicted as it was made, and with -1 the eviction
+   loop never ended. Both are refused at install, before any traffic. *)
+let max_peers_below_one_refused () =
+  List.iter
+    (fun max_peers ->
+      Alcotest.check_raises
+        (Printf.sprintf "max_peers = %d refused" max_peers)
+        (Invalid_argument
+           (Printf.sprintf "Apserver.install: max_peers must be at least 1 (got %d)"
+              max_peers))
+        (fun () ->
+          ignore (make_bed ~config:{ Apserver.default_config with max_peers } ())))
+    [ 0; -1 ]
+
+(* The peer table's order, pinned with room for three peers. Each channel
+   is an AP exchange from its own ephemeral port, so its own peer; a
+   channel's KRB_PRIV is answered only while its peer is held. *)
+let three_peers profile = make_bed ~profile ~config:{ Apserver.default_config with max_peers = 3 } ()
+
+let with_creds bed k =
+  Client.login bed.client ~password:"correct.horse" (fun r ->
+      ignore (expect_ok "login" r);
+      Client.get_ticket bed.client ~service:bed.file_principal (fun r ->
+          k (expect_ok "get_ticket" r)))
+
+let open_channel bed creds k =
+  Client.ap_exchange bed.client creds ~dst:(Sim.Host.primary_ip bed.server_host)
+    ~dport:bed.file_port (fun r -> k (expect_ok "ap_exchange" r))
+
+(* One KRB_PRIV on each channel, in order; [true] where it was answered. *)
+let served bed chans =
+  let answered = Array.make (List.length chans) None in
+  List.iteri
+    (fun i chan ->
+      Client.call_priv bed.client chan ~deadline:5.0 (Bytes.of_string "read")
+        ~k:(fun r -> answered.(i) <- Some (Result.is_ok r)))
+    chans;
+  run bed;
+  Array.to_list
+    (Array.map (function Some ok -> ok | None -> Alcotest.fail "call never settled") answered)
+
+let check_served what expected got =
+  Alcotest.(check (list bool)) what expected got
+
+(* Four channels opened one after another: the fourth evicts the first. *)
+let fourth_channel_evicts_first profile () =
+  let bed = three_peers profile in
+  let chans = ref [] in
+  with_creds bed (fun creds ->
+      let rec go n =
+        if n > 0 then
+          open_channel bed creds (fun chan ->
+              chans := !chans @ [ chan ];
+              go (n - 1))
+      in
+      go 4);
+  run bed;
+  Alcotest.(check int) "four channels" 4 (List.length !chans);
+  Alcotest.(check int) "three peers held" 3 (Apserver.peer_state_size bed.apserver);
+  check_served "channel 1 evicted, 2-4 served" [ false; true; true; true ]
+    (served bed !chans)
+
+(* Under challenge/response, channel 1's challenge is answered only after
+   channels 2 and 3 are established (its response is held back in
+   flight). The answer replaces its pending entry in place, so it is
+   still the oldest, and channel 4 evicts it rather than channel 2. *)
+let late_answer_keeps_place () =
+  let bed = three_peers Profile.hardened in
+  let held = ref None in
+  Sim.Net.set_interceptor bed.net (fun pkt ->
+      match Frames.unwrap pkt.Sim.Packet.payload with
+      | Some (kind, _) when kind = Frames.challenge_resp && !held = None ->
+          held := Some pkt;
+          Sim.Net.Drop
+      | _ -> Sim.Net.Deliver);
+  let first = ref None and later = ref [] in
+  with_creds bed (fun creds ->
+      open_channel bed creds (fun chan1 ->
+          first := Some chan1;
+          open_channel bed creds (fun chan4 -> later := !later @ [ chan4 ]));
+      open_channel bed creds (fun chan2 ->
+          later := [ chan2 ];
+          open_channel bed creds (fun chan3 ->
+              later := !later @ [ chan3 ];
+              match !held with
+              | Some pkt -> Sim.Net.inject bed.net pkt
+              | None -> Alcotest.fail "channel 1's challenge response never sent")));
+  run bed;
+  let chans = Option.to_list !first @ !later in
+  Alcotest.(check int) "four channels" 4 (List.length chans);
+  check_served "channel 1 evicted, 2-4 served" [ false; true; true; true ]
+    (served bed chans)
+
+(* A crash loses every peer: after the restart no channel is served. *)
+let crash_empties_table () =
+  let bed = three_peers Profile.v4 in
+  let chans = ref [] in
+  with_creds bed (fun creds ->
+      open_channel bed creds (fun a ->
+          open_channel bed creds (fun b -> chans := [ a; b ])));
+  run bed;
+  Alcotest.(check int) "two peers held" 2 (Apserver.peer_state_size bed.apserver);
+  Apserver.crash bed.apserver;
+  Apserver.restart bed.apserver;
+  Alcotest.(check int) "no peer after the restart" 0
+    (Apserver.peer_state_size bed.apserver);
+  check_served "no channel served" [ false; false ] (served bed !chans)
+
 let kdc_timeout () =
   (* A client with no KDC on the network reports a timeout, not a hang. *)
   let eng = Sim.Engine.create () in
@@ -492,7 +601,16 @@ let () =
           Alcotest.test_case "close sends one FIN over TCP" `Quick
             close_tcp_sends_one_fin ] );
       ( "server-state",
-        [ Alcotest.test_case "challenge flood bounded" `Quick challenge_state_bounded ] );
+        [ Alcotest.test_case "challenge flood bounded" `Quick challenge_state_bounded;
+          Alcotest.test_case "max_peers below 1 refused" `Quick
+            max_peers_below_one_refused;
+          Alcotest.test_case "v4: fourth channel evicts the first" `Quick
+            (fourth_channel_evicts_first Profile.v4);
+          Alcotest.test_case "hardened: fourth channel evicts the first" `Quick
+            (fourth_channel_evicts_first Profile.hardened);
+          Alcotest.test_case "hardened: a late answer keeps its place" `Quick
+            late_answer_keeps_place;
+          Alcotest.test_case "crash empties the peer table" `Quick crash_empties_table ] );
       ("replay", suite_replay);
       ("cross-realm", suite_cross_realm);
       ("units", suite_units) ]
