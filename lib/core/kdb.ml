@@ -10,35 +10,150 @@ let kind_of_code = function
   | 2 -> Cross_realm
   | _ -> Wire.Codec.fail "kdb: unknown principal kind"
 
-let entries_to_bytes entries =
+(* Dumps and WAL records carry an entry as [u8 kind; lbytes key]. Every
+   key here is a DES key, so one of any other length is refused at this
+   trust boundary: accepted, it would raise out of the simulation at the
+   KDC's first [Des.schedule] of it. *)
+let write_entry w kind key =
+  Wire.Codec.Writer.u8 w (kind_code kind);
+  Wire.Codec.Writer.lbytes w key
+
+let read_entry r =
+  let kind = kind_of_code (Wire.Codec.Reader.u8 r) in
+  let key = Wire.Codec.Reader.lbytes r in
+  if Bytes.length key <> 8 then Wire.Codec.fail "kdb: key must be 8 bytes";
+  { key; kind }
+
+(* FNV-1a over the principal string: stable across runs and processes
+   (Hashtbl.hash is not guaranteed to be), so a dump produced by one
+   process lands in the same shards on another. *)
+let fnv1a s =
+  let h = ref 0x811c9dc5 in
+  for i = 0 to String.length s - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x01000193 land 0xffffffff
+  done;
+  !h
+
+(* One shard's principals: an open-addressed table, probed linearly from
+   the name's FNV-1a hash. Slot [s] keeps its name in [names.(s)], its key
+   in bytes [8s, 8s + 8) of [keys], and its kind's code plus one in byte
+   [s] of [kinds], where 0 marks a free slot. The capacity is a power of
+   two, and the table is grown before it is more than three-quarters full,
+   which bounds the probe length, not any population. Nothing is removed
+   (a shard is only ever replaced whole), so there are no tombstones. *)
+module Table = struct
+  type t = {
+    mutable names : string array;
+    mutable keys : Bytes.t;
+    mutable kinds : Bytes.t;
+    mutable shift : int;  (* [Sys.int_size] less log2 of the capacity *)
+    mutable count : int;
+  }
+
+  let make bits =
+    { names = Array.make (1 lsl bits) "";
+      keys = Bytes.make (8 lsl bits) '\000';
+      kinds = Bytes.make (1 lsl bits) '\000';
+      shift = Sys.int_size - bits;
+      count = 0 }
+
+  (* Room for [expected] names without growing. *)
+  let create ?(expected = 0) () =
+    let rec bits b = if 4 * expected <= 3 lsl b then b else bits (b + 1) in
+    make (bits 3)
+
+  (* The product's top bits: within a shard every name's hash leaves the
+     same remainder modulo the shard count, so its low bits do not
+     spread. *)
+  let[@inline] home t h = (h * 0x2545F4914F6CDD1D) lsr t.shift
+  let[@inline] used t s = Bytes.unsafe_get t.kinds s <> '\000'
+
+  (* The slot holding [name], or the free slot where it would go; there
+     is always a free one. [home] is below the capacity, and so is every
+     later slot, so the unsafe reads are in bounds. *)
+  let rec probe t name s =
+    if (not (used t s)) || String.equal (Array.unsafe_get t.names s) name then s
+    else probe t name ((s + 1) land (Array.length t.names - 1))
+
+  let find t name h =
+    let s = probe t name (home t h) in
+    if used t s then s else -1
+
+  let kind t s = kind_of_code (Char.code (Bytes.get t.kinds s) - 1)
+
+  let key t s = Bytes.sub t.keys (8 * s) 8
+  let entry t s = { key = key t s; kind = kind t s }
+
+  let iter f t =
+    Array.iteri (fun s name -> if used t s then f name s) t.names
+
+  let fold f t acc =
+    let acc = ref acc in
+    iter (fun name s -> acc := f name s !acc) t;
+    !acc
+
+  (* Store [name] with kind byte [code] and the 8 key bytes at [off] of
+     [src], replacing its entry if it has one. *)
+  let rec put t name h code src off =
+    let s = probe t name (home t h) in
+    if used t s || 4 * (t.count + 1) <= 3 * Array.length t.names then begin
+      if not (used t s) then t.count <- t.count + 1;
+      t.names.(s) <- name;
+      Bytes.set t.kinds s code;
+      Bytes.blit src off t.keys (8 * s) 8
+    end
+    else begin
+      let bigger = make (Sys.int_size - t.shift + 1) in
+      iter (fun name s -> put bigger name (fnv1a name) (Bytes.get t.kinds s) t.keys (8 * s)) t;
+      t.names <- bigger.names;
+      t.keys <- bigger.keys;
+      t.kinds <- bigger.kinds;
+      t.shift <- bigger.shift;
+      put t name h code src off
+    end
+
+  let replace t name h { key; kind } =
+    put t name h (Char.chr (kind_code kind + 1)) key 0
+end
+
+(* [tables]' entries in the dump format: [u32 n], then each entry sorted
+   by name, [lstring name; u8 kind; lbytes key]. *)
+let dump tables =
   let w = Wire.Codec.Writer.create () in
-  let entries = List.sort (fun (a, _) (b, _) -> compare a b) entries in
-  Wire.Codec.Writer.u32 w (List.length entries);
+  let slots =
+    List.fold_left
+      (fun acc tbl -> Table.fold (fun name s acc -> (name, tbl, s) :: acc) tbl acc)
+      [] tables
+    |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
+  in
+  Wire.Codec.Writer.u32 w (List.length slots);
   List.iter
-    (fun (name, e) ->
+    (fun (name, tbl, s) ->
       Wire.Codec.Writer.lstring w name;
-      Wire.Codec.Writer.u8 w (kind_code e.kind);
-      Wire.Codec.Writer.lbytes w e.key)
-    entries;
+      write_entry w (Table.kind tbl s) (Table.key tbl s))
+    slots;
   Wire.Codec.Writer.contents w
 
 (* Decode a dump into a fresh table first; only a fully decoded blob is
    ever made visible to readers. Names are validated as principals here so
    a corrupted dump surfaces as a [Decode_error] at the trust boundary,
-   not as an [Invalid_argument] from [principals] long after the swap. *)
-let entries_of_bytes b =
+   not as an [Invalid_argument] from [principals] long after the swap.
+   [admit] sees each name and its hash in dump order and may refuse it.
+   The table is sized for the entries the blob can hold, at least 17 bytes
+   each, not for the count it claims. *)
+let table_of_bytes ?(admit = fun _ _ -> ()) b =
   let r = Wire.Codec.Reader.of_bytes b in
   let n = Wire.Codec.Reader.u32 r in
-  let tbl = Hashtbl.create (max 32 (min n 65536)) in
+  let tbl = Table.create ~expected:(min n (Bytes.length b / 17)) () in
   for _ = 1 to n do
     let name = Wire.Codec.Reader.lstring r in
     (match Principal.of_string name with
     | (_ : Principal.t) -> ()
     | exception Invalid_argument _ ->
         Wire.Codec.fail "kdb: malformed principal name");
-    let kind = kind_of_code (Wire.Codec.Reader.u8 r) in
-    let key = Wire.Codec.Reader.lbytes r in
-    Hashtbl.replace tbl name { key; kind }
+    let h = fnv1a name in
+    admit name h;
+    Table.replace tbl name h (read_entry r)
   done;
   Wire.Codec.Reader.expect_end r;
   tbl
@@ -78,8 +193,7 @@ module Wal = struct
     | Put (name, e) ->
         Wire.Codec.Writer.u8 w 0;
         Wire.Codec.Writer.lstring w name;
-        Wire.Codec.Writer.u8 w (kind_code e.kind);
-        Wire.Codec.Writer.lbytes w e.key
+        write_entry w e.kind e.key
     | Swap b ->
         Wire.Codec.Writer.u8 w 1;
         Wire.Codec.Writer.lbytes w b);
@@ -151,9 +265,7 @@ module Wal = struct
       match Wire.Codec.Reader.u8 r with
       | 0 ->
           let name = Wire.Codec.Reader.lstring r in
-          let kind = kind_of_code (Wire.Codec.Reader.u8 r) in
-          let key = Wire.Codec.Reader.lbytes r in
-          Put (name, { key; kind })
+          Put (name, read_entry r)
       | 1 -> Swap (Wire.Codec.Reader.lbytes r)
       | _ -> Wire.Codec.fail "wal: unknown opcode"
     in
@@ -239,7 +351,7 @@ type durable = {
    element-by-element across event boundaries) so a propagation installs
    either the old view or the new one — nothing in between. *)
 type t = {
-  mutable shards : (string, entry) Hashtbl.t array;
+  mutable shards : Table.t array;
   mutable lookups : int array;  (* per-shard lookup counts, same length *)
   (* Per-shard monotonic mutation counters — bumped on every mutation,
      stamped into WAL records, and compared by anti-entropy
@@ -259,19 +371,9 @@ type t = {
   lazy_memo : (string, entry) Hashtbl.t;
 }
 
-(* FNV-1a over the principal string: stable across runs and processes
-   (Hashtbl.hash is not guaranteed to be), so a dump produced by one
-   process lands in the same shards on another. *)
-let fnv1a s =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xffffffff)
-    s;
-  !h
-
 let create ?(shards = 1) () =
   if shards < 1 then invalid_arg "Kdb.create: shards must be >= 1";
-  { shards = Array.init shards (fun _ -> Hashtbl.create 32);
+  { shards = Array.init shards (fun _ -> Table.create ());
     lookups = Array.make shards 0;
     versions = Array.make shards 0;
     cross_realm_cache = None;
@@ -280,8 +382,7 @@ let create ?(shards = 1) () =
     lazy_memo = Hashtbl.create 64 }
 
 let shard_count t = Array.length t.shards
-let shard_of_name t name = fnv1a name mod Array.length t.shards
-let shard_of t principal = shard_of_name t (Principal.to_string principal)
+let shard_of t principal = fnv1a (Principal.to_string principal) mod Array.length t.shards
 let shard_lookups t = Array.copy t.lookups
 let version_vector t = Array.copy t.versions
 let durable t = t.durable <> None
@@ -294,11 +395,12 @@ let lazy_materialized t = Hashtbl.length t.lazy_memo
 
 let lookup t principal =
   let name = Principal.to_string principal in
-  let i = shard_of_name t name in
+  let h = fnv1a name in
+  let i = h mod Array.length t.shards in
   t.lookups.(i) <- t.lookups.(i) + 1;
-  match Hashtbl.find_opt t.shards.(i) name with
-  | Some _ as r -> r
-  | None -> (
+  match Table.find t.shards.(i) name h with
+  | s when s >= 0 -> Some (Table.entry t.shards.(i) s)
+  | _ -> (
       match t.lazy_provider with
       | None -> None
       | Some provide -> (
@@ -312,12 +414,10 @@ let lookup t principal =
               | None -> None)))
 
 let fold f t acc =
-  Array.fold_left
-    (fun acc shard -> Hashtbl.fold (fun name e acc -> f name e acc) shard acc)
-    acc t.shards
+  Array.fold_left (fun acc tbl -> Table.fold (f tbl) tbl acc) acc t.shards
 
 let principals t =
-  fold (fun name _ acc -> Principal.of_string name :: acc) t []
+  fold (fun _ name _ acc -> Principal.of_string name :: acc) t []
   |> List.sort Principal.compare
 
 let cross_realm_keys t =
@@ -326,8 +426,9 @@ let cross_realm_keys t =
   | None ->
       let l =
         fold
-          (fun name e acc ->
-            if e.kind = Cross_realm then (Principal.of_string name, e.key) :: acc
+          (fun tbl name s acc ->
+            if Table.kind tbl s = Cross_realm then
+              (Principal.of_string name, Table.key tbl s) :: acc
             else acc)
           t []
         |> List.sort (fun (a, _) (b, _) -> Principal.compare a b)
@@ -335,12 +436,11 @@ let cross_realm_keys t =
       t.cross_realm_cache <- Some l;
       l
 
-let to_bytes t = entries_to_bytes (fold (fun name e acc -> (name, e) :: acc) t [])
+let to_bytes t = dump (Array.to_list t.shards)
 
 let shard_to_bytes t i =
   if i < 0 || i >= Array.length t.shards then invalid_arg "Kdb.shard_to_bytes";
-  entries_to_bytes
-    (Hashtbl.fold (fun name e acc -> (name, e) :: acc) t.shards.(i) [])
+  dump [ t.shards.(i) ]
 
 let shard_digest t i = Crypto.Crc32.bytes_digest (shard_to_bytes t i)
 let digests t = Array.init (Array.length t.shards) (shard_digest t)
@@ -402,7 +502,8 @@ let log_mutation t i v op =
 
 let add t principal entry =
   let name = Principal.to_string principal in
-  let i = shard_of_name t name in
+  let h = fnv1a name in
+  let i = h mod Array.length t.shards in
   let v = t.versions.(i) + 1 in
   log_mutation t i v (Wal.Put (name, entry));
   t.versions.(i) <- v;
@@ -410,31 +511,36 @@ let add t principal entry =
   (* A real registration supersedes any materialized-on-demand entry (a
      password change must not resurrect the old key from the memo). *)
   Hashtbl.remove t.lazy_memo name;
-  Hashtbl.replace t.shards.(i) name entry;
+  Table.replace t.shards.(i) name h entry;
   maybe_checkpoint t
 
 let add_user t principal ~password =
   add t principal { key = Crypto.Str2key.derive password; kind = User }
 
-let add_service t principal ~key = add t principal { key; kind = Service }
-let add_cross_realm t principal ~key = add t principal { key; kind = Cross_realm }
+let add_keyed fn t principal key kind =
+  if Bytes.length key <> 8 then invalid_arg (fn ^ ": key must be 8 bytes");
+  add t principal { key; kind }
+
+let add_service t principal ~key = add_keyed "Kdb.add_service" t principal key Service
+
+let add_cross_realm t principal ~key =
+  add_keyed "Kdb.add_cross_realm" t principal key Cross_realm
 
 let of_bytes b =
-  let tbl = entries_of_bytes b in
+  let tbl = table_of_bytes b in
   let t = create () in
   t.shards <- [| tbl |];
   t
 
 let replace_shard_from_bytes ?version t i b =
-  if i < 0 || i >= Array.length t.shards then
-    invalid_arg "Kdb.replace_shard_from_bytes";
-  let tbl = entries_of_bytes b in
-  Hashtbl.iter
-    (fun name _ ->
-      if shard_of_name t name <> i then
-        Wire.Codec.fail
-          (Printf.sprintf "kdb: %s does not belong in shard %d" name i))
-    tbl;
+  let n = Array.length t.shards in
+  if i < 0 || i >= n then invalid_arg "Kdb.replace_shard_from_bytes";
+  let tbl =
+    table_of_bytes b ~admit:(fun name h ->
+        if h mod n <> i then
+          Wire.Codec.fail
+            (Printf.sprintf "kdb: %s does not belong in shard %d" name i))
+  in
   (* A reconcile install adopts the winner's version; a plain propagation
      counts as one local mutation. *)
   let v = match version with Some v -> v | None -> t.versions.(i) + 1 in
@@ -446,22 +552,17 @@ let replace_shard_from_bytes ?version t i b =
 
 let replace_from dst src =
   let n = Array.length dst.shards in
-  let fresh = Array.init n (fun _ -> Hashtbl.create 32) in
-  Array.iter
-    (fun shard ->
-      Hashtbl.iter
-        (fun name e -> Hashtbl.replace fresh.(shard_of_name dst name) name e)
-        shard)
-    src.shards;
+  let fresh = Array.init n (fun _ -> Table.create ()) in
+  fold
+    (fun tbl name s () ->
+      let h = fnv1a name in
+      Table.replace fresh.(h mod n) name h (Table.entry tbl s))
+    src ();
   (* Log every shard's new contents before the swap becomes visible. *)
   Array.iteri
     (fun i tbl ->
       let v = dst.versions.(i) + 1 in
-      if dst.durable <> None then
-        log_mutation dst i v
-          (Wal.Swap
-             (entries_to_bytes
-                (Hashtbl.fold (fun name e acc -> (name, e) :: acc) tbl [])));
+      if dst.durable <> None then log_mutation dst i v (Wal.Swap (dump [ tbl ]));
       dst.versions.(i) <- v)
     fresh;
   dst.cross_realm_cache <- None;
@@ -473,7 +574,7 @@ let replace_from dst src =
    survives, elsewhere. *)
 let wipe t =
   let n = Array.length t.shards in
-  t.shards <- Array.init n (fun _ -> Hashtbl.create 32);
+  t.shards <- Array.init n (fun _ -> Table.create ());
   t.lookups <- Array.make n 0;
   t.versions <- Array.make n 0;
   t.cross_realm_cache <- None;
@@ -500,7 +601,7 @@ let recover ~checkpoint ~wal =
   let t = create ~shards:n () in
   for i = 0 to n - 1 do
     t.versions.(i) <- Int64.to_int (Wire.Codec.Reader.i64 br);
-    t.shards.(i) <- entries_of_bytes (Wire.Codec.Reader.lbytes br)
+    t.shards.(i) <- table_of_bytes (Wire.Codec.Reader.lbytes br)
   done;
   Wire.Codec.Reader.expect_end br;
   let recs, discarded_bytes = Wal.replay wal in
@@ -514,11 +615,11 @@ let recover ~checkpoint ~wal =
       else
         match rc.w_op with
         | Wal.Put (name, e) ->
-            Hashtbl.replace t.shards.(rc.w_shard) name e;
+            Table.replace t.shards.(rc.w_shard) name (fnv1a name) e;
             t.versions.(rc.w_shard) <- rc.w_version;
             incr applied
         | Wal.Swap b -> (
-            match entries_of_bytes b with
+            match table_of_bytes b with
             | tbl ->
                 t.shards.(rc.w_shard) <- tbl;
                 t.versions.(rc.w_shard) <- rc.w_version;
@@ -541,8 +642,8 @@ let restore t (r : recovery) =
   t.lookups <- Array.make (Array.length src.shards) 0;
   t.cross_realm_cache <- None
 
-let size t = Array.fold_left (fun acc s -> acc + Hashtbl.length s) 0 t.shards
-let shard_sizes t = Array.map Hashtbl.length t.shards
+let size t = Array.fold_left (fun acc tbl -> acc + tbl.Table.count) 0 t.shards
+let shard_sizes t = Array.map (fun tbl -> tbl.Table.count) t.shards
 
 let head_lsn t =
   match t.durable with
@@ -604,12 +705,12 @@ let replica_apply_record r (rc : Wal.record) =
   else
     match rc.Wal.w_op with
     | Wal.Put (name, e) ->
-        Hashtbl.replace db.shards.(rc.Wal.w_shard) name e;
+        Table.replace db.shards.(rc.Wal.w_shard) name (fnv1a name) e;
         db.versions.(rc.Wal.w_shard) <- rc.Wal.w_version;
         db.cross_realm_cache <- None;
         true
     | Wal.Swap b -> (
-        match entries_of_bytes b with
+        match table_of_bytes b with
         | tbl ->
             db.shards.(rc.Wal.w_shard) <- tbl;
             db.versions.(rc.Wal.w_shard) <- rc.Wal.w_version;
@@ -663,7 +764,7 @@ let replica_catch_up r =
         let v = Int64.to_int (Wire.Codec.Reader.i64 br) in
         let dump = Wire.Codec.Reader.lbytes br in
         if r.rep_mask.(i) then begin
-          r.rep_db.shards.(i) <- entries_of_bytes dump;
+          r.rep_db.shards.(i) <- table_of_bytes dump;
           r.rep_db.versions.(i) <- v
         end
       done;
@@ -734,7 +835,7 @@ let attach_replica ?telemetry ?shards t ~name =
 let replica_crash r =
   r.rep_live <- false;
   let n = Array.length r.rep_db.shards in
-  r.rep_db.shards <- Array.init n (fun _ -> Hashtbl.create 32);
+  r.rep_db.shards <- Array.init n (fun _ -> Table.create ());
   r.rep_db.lookups <- Array.make n 0;
   r.rep_db.versions <- Array.make n 0;
   r.rep_db.cross_realm_cache <- None;

@@ -245,9 +245,18 @@ let shard_atomicity () =
   | exception Wire.Codec.Decode_error _ -> ()
   | () -> Alcotest.fail "truncated shard blob accepted");
   intact "after truncated push";
-  (* A well-formed blob whose entries belong in another shard: same deal. *)
+  (* A well-formed blob whose entries belong in another shard: same deal.
+     Membership is checked in dump order, so the refusal names the dump's
+     first principal whatever order the table keeps. *)
+  let first_of_shard_0 =
+    List.filter (fun p -> Kdb.shard_of db p = 0) (Kdb.principals db)
+    |> List.map Principal.to_string |> List.sort String.compare |> List.hd
+  in
   (match Kdb.replace_shard_from_bytes db 1 (Kdb.shard_to_bytes db 0) with
-  | exception Wire.Codec.Decode_error _ -> ()
+  | exception Wire.Codec.Decode_error e ->
+      Alcotest.(check string) "refusal names the dump's first principal"
+        (Printf.sprintf "kdb: %s does not belong in shard 1" first_of_shard_0)
+        e
   | () -> Alcotest.fail "misrouted shard blob accepted");
   intact "after misrouted push";
   (* And the good blob still installs cleanly. *)
@@ -309,6 +318,220 @@ let kdb_reshard =
                  a.Kdb.kind = b.Kdb.kind && Bytes.equal a.Kdb.key b.Kdb.key
              | _ -> false)
            (Kdb.principals src))
+
+(* Every key the database holds is a DES key. One of another length used
+   to be stored, by [add_*] or from a dump or a WAL record, and then
+   raised out of the simulation at the KDC's first [Des.schedule] of it.
+   Each write path now refuses it where it enters. *)
+let dump_of_one name ~kind key =
+  let w = Wire.Codec.Writer.create () in
+  Wire.Codec.Writer.u32 w 1;
+  Wire.Codec.Writer.lstring w name;
+  Wire.Codec.Writer.u8 w kind;
+  Wire.Codec.Writer.lbytes w key;
+  Wire.Codec.Writer.contents w
+
+let keys_must_be_8_bytes () =
+  let db = Kdb.create ~shards:2 () in
+  Kdb.add_user db (Principal.user ~realm "pat") ~password:"pat.pw";
+  let versions = Kdb.version_vector db and digests = Kdb.digests db in
+  let svc = Principal.service ~realm "rlogin" ~host:"ws" in
+  let short = Bytes.make 7 'k' in
+  Alcotest.check_raises "add_service, 7 bytes"
+    (Invalid_argument "Kdb.add_service: key must be 8 bytes") (fun () ->
+      Kdb.add_service db svc ~key:short);
+  Alcotest.check_raises "add_cross_realm, 9 bytes"
+    (Invalid_argument "Kdb.add_cross_realm: key must be 8 bytes") (fun () ->
+      Kdb.add_cross_realm db
+        (Principal.cross_realm_tgs ~local:realm ~remote:"ENG")
+        ~key:(Bytes.make 9 'k'));
+  let refused label f =
+    match f () with
+    | exception Wire.Codec.Decode_error e ->
+        Alcotest.(check string) label "kdb: key must be 8 bytes" e
+    | _ -> Alcotest.failf "%s: a 7-byte key accepted" label
+  in
+  let dump = dump_of_one (Principal.to_string svc) ~kind:1 short in
+  refused "of_bytes" (fun () -> Kdb.of_bytes dump);
+  refused "replace_shard_from_bytes" (fun () ->
+      Kdb.replace_shard_from_bytes db (Kdb.shard_of db svc) dump);
+  Alcotest.(check int) "nothing stored" 1 (Kdb.size db);
+  Alcotest.(check (array int)) "no version moved" versions (Kdb.version_vector db);
+  Alcotest.(check (array int)) "no shard changed" digests (Kdb.digests db);
+  (* In the WAL, a Put carrying the short key ends the clean prefix. *)
+  let w = Kdb.Wal.create () in
+  let put shard name key kind =
+    Kdb.Wal.append w
+      { Kdb.Wal.w_shard = shard; w_version = 1;
+        w_op = Kdb.Wal.Put (name, { Kdb.key; kind }) }
+  in
+  put 0 "pat@ATHENA" (Bytes.make 8 'p') Kdb.User;
+  put 1 (Principal.to_string svc) short Kdb.Service;
+  let records, discarded = Kdb.Wal.replay (Kdb.Wal.contents w) in
+  Alcotest.(check int) "replay keeps the record before it" 1 (List.length records);
+  Alcotest.(check bool) "and discards the short key's frame" true (discarded > 0)
+
+(* The shard table against a model: a [Hashtbl] from principal name to
+   entry, each operation's effect written out by hand. Names come from a
+   pool of 600, so bulk adds cross several of the table's growth steps.
+   After every operation, every read the database offers agrees with the
+   model, its dumps and digests included, rendered here in the dump
+   format. *)
+type kdb_op =
+  | Add of int * int * int  (* name, kind code, key seed *)
+  | Bulk of int * int  (* first name, count: services *)
+  | Swap_shard of int * (int * int * int) list  (* a dump of these *)
+  | Replace_from of int * (int * int * int) list  (* source shard count *)
+  | Durable
+  | Crash  (* wipe, then recover and restore from the disk image *)
+  | Wipe
+
+let show_kdb_op = function
+  | Add (i, k, s) -> Printf.sprintf "add %d kind %d key %d" i k s
+  | Bulk (i, n) -> Printf.sprintf "bulk %d+%d" i n
+  | Swap_shard (i, es) -> Printf.sprintf "swap shard %d (%d)" i (List.length es)
+  | Replace_from (n, es) -> Printf.sprintf "replace_from %d shards (%d)" n (List.length es)
+  | Durable -> "durable"
+  | Crash -> "crash"
+  | Wipe -> "wipe"
+
+let pool_name i =
+  match i mod 3 with
+  | 0 -> Principal.user ~realm (Printf.sprintf "u%d" i)
+  | 1 -> Principal.service ~realm (Printf.sprintf "s%d" i) ~host:"h"
+  | _ -> Principal.cross_realm_tgs ~local:realm ~remote:(Printf.sprintf "R%d" i)
+
+let pool_key seed =
+  Bytes.sub (Bytes.of_string (Digest.string (string_of_int seed))) 0 8
+
+(* Add pool entry [i] to [db] and to [model] as kind [k]. *)
+let model_add db model (i, k, seed) =
+  let p = pool_name i in
+  let e =
+    match k with
+    | 0 ->
+        let password = Printf.sprintf "pw%d" seed in
+        Kdb.add_user db p ~password;
+        { Kdb.key = Crypto.Str2key.derive password; kind = Kdb.User }
+    | 1 ->
+        Kdb.add_service db p ~key:(pool_key seed);
+        { Kdb.key = pool_key seed; kind = Kdb.Service }
+    | _ ->
+        Kdb.add_cross_realm db p ~key:(pool_key seed);
+        { Kdb.key = pool_key seed; kind = Kdb.Cross_realm }
+  in
+  Hashtbl.replace model (Principal.to_string p) e
+
+let model_dump model names =
+  let w = Wire.Codec.Writer.create () in
+  Wire.Codec.Writer.u32 w (List.length names);
+  List.iter
+    (fun n ->
+      let e = Hashtbl.find model n in
+      Wire.Codec.Writer.lstring w n;
+      Wire.Codec.Writer.u8 w
+        (match e.Kdb.kind with Kdb.User -> 0 | Kdb.Service -> 1 | Kdb.Cross_realm -> 2);
+      Wire.Codec.Writer.lbytes w e.Kdb.key)
+    names;
+  Wire.Codec.Writer.contents w
+
+let agrees db model =
+  let n = Kdb.shard_count db in
+  let names = Hashtbl.fold (fun k _ acc -> k :: acc) model [] |> List.sort String.compare in
+  let shard name = Kdb.shard_of db (Principal.of_string name) in
+  let in_shard i = List.filter (fun name -> shard name = i) names in
+  let same a b = a.Kdb.kind = b.Kdb.kind && Bytes.equal a.Kdb.key b.Kdb.key in
+  let looked_up i =
+    let name = Principal.to_string (pool_name i) in
+    match (Kdb.lookup db (pool_name i), Hashtbl.find_opt model name) with
+    | Some a, Some b -> same a b
+    | None, None -> true
+    | _ -> false
+  in
+  List.for_all looked_up (List.init 600 Fun.id)
+  && Kdb.size db = Hashtbl.length model
+  && Kdb.shard_sizes db = Array.init n (fun i -> List.length (in_shard i))
+  && Kdb.principals db
+     = List.sort Principal.compare (List.map Principal.of_string names)
+  && Kdb.cross_realm_keys db
+     = (List.filter_map
+          (fun name ->
+            let e = Hashtbl.find model name in
+            if e.Kdb.kind = Kdb.Cross_realm then Some (Principal.of_string name, e.Kdb.key)
+            else None)
+          names
+       |> List.sort (fun (a, _) (b, _) -> Principal.compare a b))
+  && Bytes.equal (Kdb.to_bytes db) (model_dump model names)
+  && List.for_all
+       (fun i -> Bytes.equal (Kdb.shard_to_bytes db i) (model_dump model (in_shard i)))
+       (List.init n Fun.id)
+  && Kdb.digests db
+     = Array.init n (fun i -> Crypto.Crc32.bytes_digest (model_dump model (in_shard i)))
+
+let kdb_table_matches_model =
+  let open QCheck.Gen in
+  let entry = triple (int_bound 599) (int_bound 2) small_nat in
+  let op =
+    frequency
+      [ (6, map (fun e -> let i, k, s = e in Add (i, k, s)) entry);
+        (3, map2 (fun i n -> Bulk (i, n)) (int_bound 599) (int_range 1 200));
+        (2, map2 (fun i es -> Swap_shard (i, es)) (int_bound 7) (list_size (int_bound 60) entry));
+        (1, map2 (fun n es -> Replace_from (n, es)) (int_range 1 6)
+              (list_size (int_bound 120) entry));
+        (1, return Durable); (1, return Crash); (1, return Wipe) ]
+  in
+  QCheck.Test.make ~name:"shard table agrees with a Hashtbl model" ~count:60
+    (QCheck.make
+       ~print:(fun (n, ops) ->
+         Printf.sprintf "%d shards: %s" n (String.concat "; " (List.map show_kdb_op ops)))
+       (pair (int_range 1 4) (list_size (int_range 1 30) op)))
+    (fun (shards, ops) ->
+      let db = Kdb.create ~shards () and model = Hashtbl.create 64 in
+      let source n entries =
+        let src = Kdb.create ~shards:n () and m = Hashtbl.create 64 in
+        List.iter (model_add src m) entries;
+        (src, m)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add (i, k, s) -> model_add db model (i, k, s)
+          | Bulk (first, count) ->
+              for j = first to first + count - 1 do
+                model_add db model (j mod 600, 1, j)
+              done
+          | Swap_shard (i, entries) ->
+              let i = i mod shards in
+              let src, m = source shards entries in
+              Kdb.replace_shard_from_bytes db i (Kdb.shard_to_bytes src i);
+              Hashtbl.filter_map_inplace
+                (fun name e ->
+                  if Kdb.shard_of db (Principal.of_string name) = i then None
+                  else Some e)
+                model;
+              Hashtbl.iter
+                (fun name e ->
+                  if Kdb.shard_of db (Principal.of_string name) = i then
+                    Hashtbl.replace model name e)
+                m
+          | Replace_from (n, entries) ->
+              let src, m = source n entries in
+              Kdb.replace_from db src;
+              Hashtbl.reset model;
+              Hashtbl.iter (Hashtbl.replace model) m
+          | Durable ->
+              if not (Kdb.durable db) then Kdb.enable_durability ~checkpoint_every:7 db
+          | Crash -> (
+              let image = Kdb.disk_image db in
+              Kdb.wipe db;
+              match image with
+              | Some (checkpoint, wal) -> Kdb.restore db (Kdb.recover ~checkpoint ~wal)
+              | None -> Hashtbl.reset model)
+          | Wipe ->
+              Kdb.wipe db;
+              Hashtbl.reset model);
+          agrees db model)
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* WAL-shipped read replicas: apply-before-ack, torn shipments,        *)
@@ -665,7 +888,9 @@ let () =
       ("kdb",
        [ Alcotest.test_case "atomic shard swap" `Quick shard_atomicity;
          QCheck_alcotest.to_alcotest kdb_roundtrip;
-         QCheck_alcotest.to_alcotest kdb_reshard ]);
+         QCheck_alcotest.to_alcotest kdb_reshard;
+         Alcotest.test_case "keys must be 8 bytes" `Quick keys_must_be_8_bytes;
+         QCheck_alcotest.to_alcotest kdb_table_matches_model ]);
       ("replicas",
        [ Alcotest.test_case "apply before ack" `Quick apply_before_ack;
          Alcotest.test_case "torn shipment truncates cleanly" `Quick torn_shipment;
