@@ -49,7 +49,7 @@ let () =
     Apserver.install net srv ~profile
       ~config:{ Apserver.default_config with trusted_transit = [ "ATHENA"; "ENG" ] }
       ~principal:svc ~key:svc_key ~port:700
-      ~handler:(fun _ ~client data ->
+      ~handler:(fun ~client data ->
         Some
           (Bytes.of_string
              (Printf.sprintf "row for %s: %s" (Principal.to_string client)

@@ -79,7 +79,7 @@ let transit_demo ~seed ~profile ~verify_transit =
     Apserver.install net srv_host ~profile
       ~config:{ Apserver.default_config with trusted_transit = [ "ATHENA" ] }
       ~principal:svc ~key:svc_key ~port:700
-      ~handler:(fun _ ~client:_ _ -> Some (Bytes.of_string "classified row")) ()
+      ~handler:(fun ~client:_ _ -> Some (Bytes.of_string "classified row")) ()
   in
   (* Forge, as ENG, a cross-realm TGT for pat@ATHENA whose transited list
      pretends the request never passed through ENG. *)

@@ -18,21 +18,42 @@ type pending = {
   pend_seq_init : int option;  (** server's chosen initial sequence number *)
 }
 
-type peer_state =
-  | Vacant  (** no peer: an unused ring slot, or a lookup that found none *)
-  | Awaiting_response of pending  (** challenge sent, waiting for the reply *)
-  | Established of { session : Session.t; client : Principal.t }
+(* The peer table, one row a peer in parallel columns indexed by ring
+   slot: its endpoint, its pending challenge while one awaits an answer,
+   and once established its session, spread over columns of what a
+   session keeps between frames. That is the key (8 bytes a slot in one
+   [bytes]), the key's schedule, the client, the server address the
+   session was made at, and what its profile's KRB_PRIV and KRB_SAFE read
+   again, nothing else:
+   - under [Priv_timestamp], the one live ciphertext of the session's
+     replay cache and its expiry, unboxed; a row whose second entry is
+     live keeps a [Replay_cache.t] instead, until it holds one again;
+   - under [Priv_sequence], the next numbers to send and to accept;
+   - under [Cbc_iv_chain], the 16 bytes of [Session.iv_chain].
+   A column the profile never reads stays empty. A frame on an
+   established row runs on a [Session.t] built from the row
+   ([session_of]), and the row takes back what the frame changed
+   ([take_back]).
 
-(* The peer table: each peer's endpoint and state in insertion order on a
-   ring, and an open-addressed index from endpoint to ring slot. The ring
-   grows by doubling up to [max_peers] slots; once it is full, a new peer
-   takes the slot of the oldest, which is the FIFO eviction the bound asks
-   for. Replacing a peer's state keeps its slot, so a challenge answered
-   late keeps its place in the order. Peers leave only from the head of
-   the ring, or all at once at a crash. *)
+   The rows stay in insertion order on a ring, with an open-addressed
+   index from endpoint to ring slot. The ring grows by doubling up to
+   [max_peers] slots; once it is full, a new peer takes the slot of the
+   oldest, which is the FIFO eviction the bound asks for. Replacing a
+   peer's state keeps its slot, so a challenge answered late keeps its
+   place in the order. Peers leave only from the head of the ring, or all
+   at once at a crash. *)
 type peers = {
-  mutable ends : Sim.Endpoint.t array;  (* ring: each slot's endpoint *)
-  mutable states : peer_state array;  (* ring, parallel to [ends] *)
+  mutable ends : Sim.Endpoint.t array;
+  mutable pendings : pending option array;  (* [Some] until established *)
+  mutable keys : bytes;  (* 8 bytes a slot *)
+  mutable scheds : Crypto.Des.key array;
+  mutable clients : Principal.t array;
+  mutable owns : Sim.Addr.t array;  (* the session's own address *)
+  mutable seen : string array;  (* the one live ciphertext, or [no_entry] *)
+  mutable seen_until : Float.Array.t;  (* its expiry *)
+  mutable caches : Replay_cache.t option array;  (* two live entries or more *)
+  mutable seqs : int array;  (* two a slot: the next to send, to accept *)
+  mutable ivs : bytes;  (* 16 bytes a slot *)
   mutable index : int array;
       (* ring slot of each peer, by linear probing from [Endpoint.hash];
          [-1] is vacant. Twice the ring's length rounded up to a power of
@@ -41,7 +62,16 @@ type peers = {
   mutable count : int;
 }
 
-let no_peers () = { ends = [||]; states = [||]; index = [||]; head = 0; count = 0 }
+(* What vacant slots and cleared rows hold. A replay cache never holds an
+   empty ciphertext: [Krb_priv] and [Krb_safe] refuse one before their
+   replay check. *)
+let no_entry = ""
+let no_client = { Principal.name = ""; instance = Principal.no_instance; realm = "" }
+
+let no_peers () =
+  { ends = [||]; pendings = [||]; keys = Bytes.empty; scheds = [||]; clients = [||];
+    owns = [||]; seen = [||]; seen_until = Float.Array.create 0; caches = [||];
+    seqs = [||]; ivs = Bytes.empty; index = [||]; head = 0; count = 0 }
 
 (* The index position holding [e], or the vacant one ending its run.
    [probe_from] and [shift] below are top-level, not local, so that a
@@ -55,11 +85,8 @@ let probe p e =
   let mask = Array.length p.index - 1 in
   probe_from p e mask (Sim.Endpoint.hash e land mask)
 
-let find_peer p e =
-  if p.count = 0 then Vacant
-  else
-    let slot = p.index.(probe p e) in
-    if slot < 0 then Vacant else p.states.(slot)
+(* The ring slot of [e]'s row, or -1. *)
+let find_slot p e = if p.count = 0 then -1 else p.index.(probe p e)
 
 let rec shift p mask hole j =
   let slot = p.index.(j) in
@@ -81,49 +108,134 @@ let close_gap p hole =
   let mask = Array.length p.index - 1 in
   shift p mask hole ((hole + 1) land mask)
 
-(* Re-allocate the ring at [slots] slots, oldest peer first, and rebuild
-   the index. [e] fills the unused slots: a vacant slot's endpoint is
-   never read. *)
-let regrow p slots e =
-  let len = Array.length p.ends in
-  let ends = Array.make slots e and states = Array.make slots Vacant in
-  for k = 0 to p.count - 1 do
-    let src = (p.head + k) mod len in
-    ends.(k) <- p.ends.(src);
-    states.(k) <- p.states.(src)
-  done;
+(* Re-allocate every column the profile reads at [slots] slots, oldest
+   row first, and rebuild the index. Only a full ring grows, so its rows
+   are the [head]-th slot onwards and then the slots before it. [e]
+   fills the unused slots of [ends]: a vacant slot's endpoint is never
+   read. *)
+let regrow p (profile : Profile.t) slots e =
+  let len = Array.length p.ends and head = p.head in
+  let unroll blit src dst w =
+    blit src (head * w) dst 0 ((len - head) * w);
+    blit src 0 dst ((len - head) * w) (head * w);
+    dst
+  in
+  let column used src fill =
+    if used then unroll Array.blit src (Array.make slots fill) 1 else [||]
+  in
+  let slab used src w =
+    if used then unroll Bytes.blit src (Bytes.make (slots * w) '\000') w else Bytes.empty
+  in
+  let stamped = profile.priv_replay = Profile.Priv_timestamp in
+  let sequenced = profile.priv_replay = Profile.Priv_sequence in
+  p.ends <- column true p.ends e;
+  p.pendings <- column true p.pendings None;
+  p.keys <- slab true p.keys 8;
+  p.scheds <- column true p.scheds Crypto.Des.no_key;
+  p.clients <- column true p.clients no_client;
+  p.owns <- column true p.owns 0;
+  p.seen <- column stamped p.seen no_entry;
+  p.seen_until <-
+    (if stamped then unroll Float.Array.blit p.seen_until (Float.Array.make slots 0.0) 1
+     else Float.Array.create 0);
+  p.caches <- column stamped p.caches None;
+  p.seqs <- (if sequenced then unroll Array.blit p.seqs (Array.make (2 * slots) 0) 2 else [||]);
+  p.ivs <- slab (profile.priv_mode = Profile.Cbc_iv_chain) p.ivs 16;
   let rec pow2 n = if n >= 2 * slots then n else pow2 (2 * n) in
-  p.ends <- ends;
-  p.states <- states;
   p.index <- Array.make (pow2 1) (-1);
   p.head <- 0;
   for k = 0 to p.count - 1 do
-    p.index.(probe p ends.(k)) <- k
+    p.index.(probe p p.ends.(k)) <- k
   done
 
 let evict_oldest p =
   close_gap p (probe p p.ends.(p.head));
-  p.states.(p.head) <- Vacant;
   p.head <- (p.head + 1) mod Array.length p.ends;
   p.count <- p.count - 1
 
-(* Insert or replace a peer's state. A new peer beyond [bound] evicts the
-   oldest: an evicted pending challenge simply forces the honest client to
-   start over; an evicted session forces re-authentication. *)
-let put_peer p ~bound e state =
-  let at = if p.count = 0 then -1 else p.index.(probe p e) in
-  if at >= 0 then p.states.(at) <- state
+(* The slot of [e]'s row: the one it holds, or a new one at the ring's
+   tail, whose columns the caller fills. A new peer beyond [bound] evicts
+   the oldest, whose slot it takes: an evicted pending challenge simply
+   forces the honest client to start over; an evicted session forces
+   re-authentication. *)
+let claim p ~profile ~bound e =
+  let at = find_slot p e in
+  if at >= 0 then at
   else begin
     let len = Array.length p.ends in
     if p.count = len then
-      if len < bound then regrow p (min bound (max 16 (2 * len))) e
+      if len < bound then regrow p profile (min bound (max 16 (2 * len))) e
       else evict_oldest p;
     let slot = (p.head + p.count) mod Array.length p.ends in
     p.ends.(slot) <- e;
-    p.states.(slot) <- state;
     p.index.(probe p e) <- slot;
-    p.count <- p.count + 1
+    p.count <- p.count + 1;
+    slot
   end
+
+(* Row [slot] awaits the answer to [pending]; what a session held there
+   before is let go. *)
+let set_pending p slot pending =
+  p.pendings.(slot) <- Some pending;
+  p.scheds.(slot) <- Crypto.Des.no_key;
+  p.clients.(slot) <- no_client;
+  if Array.length p.seen > 0 then begin
+    p.seen.(slot) <- no_entry;
+    p.caches.(slot) <- None
+  end
+
+(* What [s] changed of its state, back into row [slot]: the replay
+   entries (inline while there is one), the sequence numbers, the IVs. *)
+let take_back p slot (s : Session.t) =
+  (match s.stamps with
+  | Session.Timestamps cache -> (
+      match Replay_cache.sole cache with
+      | Some (ct, expiry) ->
+          p.seen.(slot) <- ct;
+          Float.Array.set p.seen_until slot expiry;
+          p.caches.(slot) <- None
+      | None -> (
+          p.seen.(slot) <- no_entry;
+          match p.caches.(slot) with
+          | Some c when c == cache -> ()
+          | _ -> p.caches.(slot) <- (if Replay_cache.size cache = 0 then None else Some cache)))
+  | Session.Sequence q ->
+      p.seqs.(2 * slot) <- q.send_seq;
+      p.seqs.((2 * slot) + 1) <- q.recv_seq);
+  if Bytes.length s.iv_chain > 0 then Bytes.blit s.iv_chain 0 p.ivs (16 * slot) 16
+
+(* Row [slot] holds the new session [s], made for [client]. *)
+let set_session p slot (s : Session.t) ~client =
+  p.pendings.(slot) <- None;
+  Bytes.blit s.key 0 p.keys (8 * slot) 8;
+  p.scheds.(slot) <- s.sched;
+  p.clients.(slot) <- client;
+  p.owns.(slot) <- s.own_addr;
+  take_back p slot s
+
+(* The session row [slot] holds, for one frame from [peer_addr] (a row's
+   peer address is its endpoint's). *)
+let session_of p slot ~profile ~peer_addr =
+  let stamps =
+    match profile.Profile.priv_replay with
+    | Profile.Priv_timestamp ->
+        Session.Timestamps
+          (match p.caches.(slot) with
+          | Some cache -> cache
+          | None ->
+              let ct = p.seen.(slot) in
+              if ct == no_entry then Replay_cache.make Session.replay_settings
+              else
+                Replay_cache.singleton Session.replay_settings ct
+                  ~expiry:(Float.Array.get p.seen_until slot))
+    | Profile.Priv_sequence ->
+        Session.Sequence
+          { send_seq = p.seqs.(2 * slot); recv_seq = p.seqs.((2 * slot) + 1) }
+  in
+  { Session.profile; key = Bytes.sub p.keys (8 * slot) 8; sched = p.scheds.(slot);
+    role = Session.Server_side; own_addr = p.owns.(slot); peer_addr; stamps;
+    iv_chain =
+      (if Bytes.length p.ivs = 0 then Bytes.empty else Bytes.sub p.ivs (16 * slot) 16) }
 
 (* Where a frame came from and how to answer it — the same shape whether
    the frame arrived as a datagram or on a stream connection. Datagram
@@ -151,7 +263,7 @@ type t = {
   mutable running : bool;
   mutable endpoint : Sim.Transport.server option;
   mutable peers : peers;
-  handler : Session.t -> client:Principal.t -> bytes -> bytes option;
+  handler : client:Principal.t -> bytes -> bytes option;
   mutable established : int;
   rejected : (int * string) Queue.t;
       (** the most recent refused AP attempts, oldest first, at most
@@ -180,37 +292,48 @@ let replay_cache_size t =
 
 let peer_state_size t = t.peers.count
 
-(* The ring's states measured twice, once as they are and once all vacant,
-   with the shared values in both measurements so that only what the
-   states hold alone remains; then each peer pays its two ring slots and
-   its share of the index. What every peer points at but none owns is
-   left out: the profile, the server's principal and the empty instance
-   its clients share, the settings of the sessions' replay caches, and
-   the schedules the memo may share. So are the ring's unused slots and
-   the arrays' headers. *)
+(* Each peer pays one slot of every column its profile reads and its
+   share of the index, and what its row alone reaches: the client
+   principal, the live ciphertext or replay cache, a pending challenge.
+   The boxed columns are measured twice, once as they are and once all
+   vacant, with the shared values in both, so that only what the rows
+   hold alone remains. What every row points at but none owns is left
+   out: the profile, the server's principal and the empty instance its
+   clients share, the replay caches' shared settings, the placeholders of
+   vacant slots, and the schedules the memo may share. So are the ring's
+   unused slots and the arrays' headers. *)
 let peer_state_words t =
   let p = t.peers in
-  let shared =
-    Array.fold_left
-      (fun acc state ->
-        match state with
-        | Established { session; _ } -> Obj.repr session.Session.sched :: acc
-        | Awaiting_response _ | Vacant -> acc)
-      [ Obj.repr t.profile; Obj.repr t.principal; Obj.repr Principal.no_instance;
-        Obj.repr Session.replay_settings ]
-      p.states
-  in
-  let words x = Obj.reachable_words (Obj.repr x) in
   let slots = Array.length p.ends in
   if slots = 0 then 0
-  else
-    words (p.states, shared)
-    - words (Array.make slots Vacant, shared)
-    + (p.count * (2 + (Array.length p.index / slots)))
+  else begin
+    let words x = Obj.reachable_words (Obj.repr x) in
+    let shared =
+      ( t.profile, t.principal, Principal.no_instance, Session.replay_settings, no_client,
+        no_entry )
+    in
+    let vacant a fill = Array.make (Array.length a) fill in
+    let boxed = (p.pendings, p.clients, p.seen, p.caches) in
+    let cleared =
+      ( vacant p.pendings None, vacant p.clients no_client, vacant p.seen no_entry,
+        vacant p.caches None )
+    in
+    let column_words =
+      Array.length p.ends + Array.length p.pendings + (Bytes.length p.keys / 8)
+      + Array.length p.scheds + Array.length p.clients + Array.length p.owns
+      + Array.length p.seen + Float.Array.length p.seen_until + Array.length p.caches
+      + Array.length p.seqs + (Bytes.length p.ivs / 8)
+    in
+    words (boxed, shared) - words (cleared, shared)
+    + (p.count * ((column_words / slots) + (Array.length p.index / slots)))
+  end
 
 (* The network delivers only frames whose ends pack, so this never
    raises. *)
 let peer_of cx = Sim.Endpoint.make cx.cx_src cx.cx_sport
+
+let claim_peer t cx =
+  claim t.peers ~profile:t.profile ~bound:t.config.max_peers (peer_of cx)
 
 let reply _t ~cx kind payload = cx.cx_reply (Frames.wrap kind payload)
 
@@ -286,8 +409,7 @@ let establish t ~cx ~(ticket : Messages.ticket) ~client_part ~server_part
           ~recv_seq:(Option.value client_seq ~default:0)
       in
       let client = Principal.share_realm ~like:t.principal ticket.Messages.client in
-      put_peer t.peers ~bound:t.config.max_peers (peer_of cx)
-        (Established { session; client });
+      set_session t.peers (claim_peer t cx) session ~client;
       t.established <- t.established + 1;
       Telemetry.Metrics.incr t.c_established;
       Ok ()
@@ -352,7 +474,7 @@ let handle_ap_challenge t ~cx (r : Messages.ap_req) =
         { pend_ticket = ticket; pend_nonce = nonce; pend_server_part = server_part;
           pend_seq_init = server_seq }
       in
-      put_peer t.peers ~bound:t.config.max_peers (peer_of cx) (Awaiting_response pending);
+      set_pending t.peers (claim_peer t cx) pending;
       let body =
         Messages.seal_msg t.profile t.rng ~key:ticket.Messages.session_key
           ~tag:Messages.tag_challenge
@@ -404,31 +526,39 @@ let safe_outcome = function
   | Krb_safe.Out_of_sequence -> "out-of-sequence"
   | Krb_safe.Malformed -> "bad-integrity"
 
-let handle_priv t ~cx session client payload =
-  match Krb_priv.open_ session ~now:(now t) payload with
-  | Error e ->
+(* Row [slot]'s session opens [payload] with [open_], and seals the
+   handler's answer with [seal]; the row takes back each one's changes as
+   it makes them. The handler cannot move the row: frames reach the
+   server only as engine events, never from inside a handler. *)
+let handle_sealed t ~cx p slot payload ~open_ ~seal ~kind ~rejected =
+  let session = session_of p slot ~profile:t.profile ~peer_addr:cx.cx_src in
+  let opened = open_ session ~now:(now t) payload in
+  take_back p slot session;
+  match opened with
+  | Error e -> rejected e
+  | Ok data -> (
+      match t.handler ~client:p.clients.(slot) data with
+      | None -> ()
+      | Some resp ->
+          let sealed = seal session ~now:(now t) resp in
+          take_back p slot session;
+          reply t ~cx kind sealed)
+
+let handle_priv t ~cx p slot payload =
+  handle_sealed t ~cx p slot payload ~open_:Krb_priv.open_ ~seal:Krb_priv.seal
+    ~kind:Frames.priv ~rejected:(fun e ->
       flag_outcome t (priv_outcome e);
       Sim.Net.note t.net
         (Printf.sprintf "%s: KRB_PRIV rejected (%s)" t.host.Sim.Host.name
-           (Krb_priv.error_to_string e))
-  | Ok data -> (
-      match t.handler session ~client data with
-      | None -> ()
-      | Some resp ->
-          reply t ~cx Frames.priv (Krb_priv.seal session ~now:(now t) resp))
+           (Krb_priv.error_to_string e)))
 
-let handle_safe t ~cx session client payload =
-  match Krb_safe.open_ session ~now:(now t) payload with
-  | Error e ->
+let handle_safe t ~cx p slot payload =
+  handle_sealed t ~cx p slot payload ~open_:Krb_safe.open_ ~seal:Krb_safe.seal
+    ~kind:Frames.safe ~rejected:(fun e ->
       flag_outcome t (safe_outcome e);
       Sim.Net.note t.net
         (Printf.sprintf "%s: KRB_SAFE rejected (%s)" t.host.Sim.Host.name
-           (Krb_safe.error_to_string e))
-  | Ok data -> (
-      match t.handler session ~client data with
-      | None -> ()
-      | Some resp ->
-          reply t ~cx Frames.safe (Krb_safe.seal session ~now:(now t) resp))
+           (Krb_safe.error_to_string e)))
 
 (* --- Frame dispatch and lifecycle ---------------------------------- *)
 
@@ -461,30 +591,34 @@ let handle_frame t ~cx raw =
               ("outcome", outcome) ];
         t.pending_outcome <- None
       in
-      match (kind, find_peer t.peers peer) with
-      | k, _ when k = Frames.ap_req ->
-          traced "ap.req" (fun () ->
-              match
-                Messages.ap_req_of_value
-                  (Wire.Encoding.decode t.profile.Profile.encoding payload)
-              with
-              | exception Wire.Codec.Decode_error e ->
-                  reject t ~cx { Ap_check.code = Messages.err_generic; reason = e }
-              | r -> (
-                  match t.profile.Profile.ap_auth with
-                  | Profile.Timestamp { skew; _ } ->
-                      handle_ap_timestamp t ~cx ~skew:(min skew t.config.skew) r
-                  | Profile.Challenge_response -> handle_ap_challenge t ~cx r))
-      | k, Awaiting_response pending when k = Frames.challenge_resp ->
-          traced "ap.challenge_resp" (fun () ->
-              handle_challenge_resp t ~cx pending payload)
-      | k, Established { session; client } when k = Frames.priv ->
-          traced "ap.priv" (fun () -> handle_priv t ~cx session client payload)
-      | k, Established { session; client } when k = Frames.safe ->
-          traced "ap.safe" (fun () -> handle_safe t ~cx session client payload)
-      | _ ->
-          Sim.Net.note t.net
-            (Printf.sprintf "%s: unexpected frame %d" t.host.Sim.Host.name kind))
+      let p = t.peers in
+      let slot = find_slot p peer in
+      let pending = if slot < 0 then None else p.pendings.(slot) in
+      if kind = Frames.ap_req then
+        traced "ap.req" (fun () ->
+            match
+              Messages.ap_req_of_value
+                (Wire.Encoding.decode t.profile.Profile.encoding payload)
+            with
+            | exception Wire.Codec.Decode_error e ->
+                reject t ~cx { Ap_check.code = Messages.err_generic; reason = e }
+            | r -> (
+                match t.profile.Profile.ap_auth with
+                | Profile.Timestamp { skew; _ } ->
+                    handle_ap_timestamp t ~cx ~skew:(min skew t.config.skew) r
+                | Profile.Challenge_response -> handle_ap_challenge t ~cx r))
+      else
+        match pending with
+        | Some pending when kind = Frames.challenge_resp ->
+            traced "ap.challenge_resp" (fun () ->
+                handle_challenge_resp t ~cx pending payload)
+        | None when slot >= 0 && kind = Frames.priv ->
+            traced "ap.priv" (fun () -> handle_priv t ~cx p slot payload)
+        | None when slot >= 0 && kind = Frames.safe ->
+            traced "ap.safe" (fun () -> handle_safe t ~cx p slot payload)
+        | _ ->
+            Sim.Net.note t.net
+              (Printf.sprintf "%s: unexpected frame %d" t.host.Sim.Host.name kind))
 
 (* Both endpoints — datagrams on [port], framed stream on the paired TCP
    port — feed the same frame dispatcher; the context records where the

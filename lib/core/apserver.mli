@@ -2,8 +2,30 @@
 
     After a successful AP exchange (timestamp-authenticator or
     challenge/response, per the profile), the [handler] is invoked for each
-    KRB_PRIV request on the established session; its optional result is
-    sealed and sent back. *)
+    KRB_PRIV or KRB_SAFE request on the established session with the
+    session's client and the opened data; its optional result is sealed
+    and sent back.
+
+    {2 The peer table}
+
+    "All servers must then retain state": the server keeps one row per
+    peer (source address and port), in parallel columns indexed by the
+    row's slot on an insertion-order ring, with an open-addressed index
+    from endpoint to slot. The columns are the endpoint, a pending
+    challenge, and for an established session its key (8 bytes a slot in
+    one [bytes]), the key's schedule, the client principal, the server
+    address it was made at, and only what its profile's KRB_PRIV and
+    KRB_SAFE read again:
+    - [Priv_timestamp]: the one live ciphertext of the session's replay
+      cache and its expiry (unboxed); a session with a second live entry
+      keeps a {!Replay_cache.t} instead, until it holds one again;
+    - [Priv_sequence]: the next sequence numbers to send and to accept;
+    - [Cbc_iv_chain]: the 16 IV bytes of {!Session.iv_chain}.
+
+    No {!Session.t} outlives a frame: each frame on an established row
+    runs {!Krb_priv} or {!Krb_safe} on a session built from the row, and
+    the row takes back what the frame changed (replay entries, sequence
+    numbers, IVs). *)
 
 type t
 
@@ -39,10 +61,12 @@ val install :
   principal:Principal.t ->
   key:bytes ->
   port:int ->
-  handler:(Session.t -> client:Principal.t -> bytes -> bytes option) ->
+  handler:(client:Principal.t -> bytes -> bytes option) ->
   unit ->
   t
-(** @raise Invalid_argument naming [max_peers] when [config.max_peers] is
+(** [handler ~client data] answers one opened request from [client], the
+    principal the session's ticket named; [None] sends nothing back.
+    @raise Invalid_argument naming [max_peers] when [config.max_peers] is
     below 1: with no room for a peer, every session would be evicted as
     it was made. *)
 
@@ -84,15 +108,17 @@ val peer_state_size : t -> int
     state cost E14 measures. *)
 
 val peer_state_words : t -> int
-(** Heap words those {!peer_state_size} entries own: each one's slots in
-    the peer table (two in the insertion-order ring, and its share of the
-    endpoint index), and its pending challenge or session (key, client
-    principal, replay cache, IV chain). What every entry points at but
-    none owns is not counted: the profile, the server's own principal
-    (whose realm string the client principals share) and the empty
-    instance, the settings every session's replay cache shares
-    ({!Session.replay_settings}), the table's unused slots, and the
-    sessions' DES schedules. The schedule memo shares a session's
-    17-word schedule only while its key is among the memo's recent
-    entries. A measurement, not a hot path: it walks everything the
-    table reaches. *)
+(** Heap words those {!peer_state_size} rows own: each one's slot of
+    every column its profile reads (the 8 key bytes and the 16 IV bytes
+    count as one and two words), its share of the endpoint index, and
+    what the row alone reaches: the client principal, the live KRB_PRIV
+    or KRB_SAFE ciphertext or replay cache, a pending challenge. What
+    every row points at but none owns is not counted: the profile, the
+    server's own principal (whose realm string the client principals
+    share) and the empty instance, the settings every session's replay
+    cache shares ({!Session.replay_settings}), the placeholders the
+    table's unused slots hold, those slots themselves, and the sessions'
+    DES schedules. The schedule memo shares a session's 17-word schedule
+    only while its key is among the memo's recent entries. A
+    measurement, not a hot path: it walks everything the table
+    reaches. *)

@@ -700,14 +700,17 @@ let serve t net host port =
       (fun ~peer payload ~reply:send_raw ->
       let reply v = send_raw (encode v) in
       let src_addr = peer.Sim.Transport.p_addr in
-      let src = Sim.Addr.to_string src_addr in
+      (* The source and the request's attributes are rendered only where
+         they are read: in a span's attributes, an event, the operator
+         view's AS row, or an admission queue entry. *)
+      let src () = Sim.Addr.to_string src_addr in
       (* One span per exchange, nested under the request's packet span; the
          reply is transmitted inside the span's context so the reply packet
          nests under it in turn. *)
-      let traced name ?(attrs = []) handler =
+      let traced name ~attrs handler =
         let span =
           Telemetry.Collector.span_begin tel ~component:"kdc" name
-            ~attrs:(fun () -> ("realm", t.realm) :: ("src", src) :: attrs)
+            ~attrs:(fun () -> ("realm", t.realm) :: ("src", src ()) :: attrs ())
         in
         t.read_delay <- 0.0;
         let outcome =
@@ -729,7 +732,7 @@ let serve t net host port =
               outcome)
         in
         if name = "kdc.as_req" then
-          Telemetry.Opsview.record_as_req (Telemetry.Collector.ops tel) ~src
+          Telemetry.Opsview.record_as_req (Telemetry.Collector.ops tel) ~src:(src ())
             ~time:(Sim.Net.local_time net host) ~outcome;
         (* The detection-plane hook: one event per exchange with the fields
            the anomaly rules key on. Guarded so the million-user fast path
@@ -737,7 +740,7 @@ let serve t net host port =
         if Telemetry.Collector.wants_events tel then
           Telemetry.Collector.event tel ~component:"kdc"
             ~kind:(if name = "kdc.as_req" then "auth.as_req" else "auth.tgs_req")
-            (("src", src) :: ("outcome", outcome) :: attrs);
+            (("src", src ()) :: ("outcome", outcome) :: attrs ());
         if outcome = "replay-detected" then begin
           Telemetry.Opsview.record_replay (Telemetry.Collector.ops tel)
             ~component:("kdc." ^ t.realm);
@@ -753,7 +756,7 @@ let serve t net host port =
          the queue is merely deep, keeping cheap renewals alive. Every
          shed is counted and answered (busy) or counted and traced
          (deadline) — never silent. *)
-      let admit ~cls ~expensive ~deadline ~attrs ~run =
+      let admit ~cls ~expensive ~deadline ~kind ~attrs ~run =
         match t.admission with
         | None -> run ()
         | Some ad ->
@@ -789,7 +792,11 @@ let serve t net host port =
                   | `Norm -> t.aq_norm
                   | `Low -> t.aq_low
                 in
-                Queue.push { pq_deadline = deadline; pq_attrs = attrs; pq_run = run } q;
+                Queue.push
+                  { pq_deadline = deadline;
+                    pq_attrs = ("kind", kind) :: ("src", src ()) :: attrs ();
+                    pq_run = run }
+                  q;
                 if not t.aq_draining then begin
                   t.aq_draining <- true;
                   aq_drain t net
@@ -810,9 +817,7 @@ let serve t net host port =
                  under V4 the structural parse does. *)
               match Messages.as_req_of_value v with
               | q ->
-                  let attrs =
-                    [ ("client", Principal.to_string q.Messages.q_client) ]
-                  in
+                  let attrs () = [ ("client", Principal.to_string q.Messages.q_client) ] in
                   (* Preauth-heavy logins are the AS path's expensive work:
                      a preauth decrypt or a DH exponentiation per request. *)
                   let expensive =
@@ -824,15 +829,14 @@ let serve t net host port =
                   in
                   admit
                     ~cls:(if suspect then `Low else `Norm)
-                    ~expensive ~deadline
-                    ~attrs:(("kind", "as_req") :: ("src", src) :: attrs)
+                    ~expensive ~deadline ~kind:"as_req" ~attrs
                     ~run:(fun () ->
                       traced "kdc.as_req" ~attrs (fun () ->
                           handle_as t net host q ~src_addr))
               | exception Wire.Codec.Decode_error _ -> (
                   match Messages.tgs_req_of_value v with
                   | req ->
-                      let attrs =
+                      let attrs () =
                         [ ("server", Principal.to_string req.Messages.t_server) ]
                       in
                       (* A TGS request proves the sender once held a TGT:
@@ -844,8 +848,7 @@ let serve t net host port =
                       in
                       admit
                         ~cls:(if suspect then `Low else `High)
-                        ~expensive ~deadline
-                        ~attrs:(("kind", "tgs_req") :: ("src", src) :: attrs)
+                        ~expensive ~deadline ~kind:"tgs_req" ~attrs
                         ~run:(fun () ->
                           traced "kdc.tgs_req" ~attrs (fun () ->
                               handle_tgs t net host req ~src_addr))

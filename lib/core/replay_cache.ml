@@ -68,6 +68,12 @@ let make settings =
 
 let create ?cap ?on_evict ~horizon () = make (settings ?cap ?on_evict ~horizon ())
 
+(* The state [check_and_insert] leaves when it admits [key] into an empty
+   cache ([resize] to one slot, no index), counters aside. *)
+let singleton settings key ~expiry =
+  { settings; len = 1; keys = [| key |]; expiries = Float.Array.make 1 expiry;
+    index = [||]; hits = 0; inserts = 0; evicted = 0 }
+
 type verdict = Fresh | Replayed
 
 (* --- index ---------------------------------------------------------- *)
@@ -215,6 +221,8 @@ let check_and_insert t ~now blob =
   end
 
 let size t = t.len
+
+let sole t = if t.len = 1 then Some (Array.unsafe_get t.keys 0, expiry t 0) else None
 let hits t = t.hits
 let inserts t = t.inserts
 let evicted t = t.evicted

@@ -43,6 +43,18 @@ val create : ?cap:int -> ?on_evict:(unit -> unit) -> horizon:float -> unit -> t
 (** [make] under settings of its own.
     @raise Invalid_argument when [cap <= 0]. *)
 
+val singleton : settings -> string -> expiry:float -> t
+(** A cache under [settings] holding the one entry [key], live until
+    [expiry] as given, bit for bit: the cache {!check_and_insert} leaves
+    when it admits [key] into an empty one, its counters at zero. With
+    {!sole}, a table that keeps a one-entry cache as its key and expiry
+    can rebuild it for one operation and take it back after. *)
+
+val sole : t -> (string * float) option
+(** The key and expiry of a cache holding exactly one entry, as stored
+    (the entry may have expired since: only the next operation purges);
+    [None] for any other size. *)
+
 type verdict = Fresh | Replayed
 
 val check_and_insert : t -> now:float -> bytes -> verdict

@@ -18,6 +18,11 @@ type key
     else (17 heap words, one per round and a header); it keeps no copy of
     the key it came from. *)
 
+val no_key : key
+(** A placeholder that schedules no key, for the unused slots of a table
+    of schedules (the memo's, an AP server's peer rows). The ciphers read
+    a schedule's words unchecked: never pass it to one. *)
+
 val block_size : int
 (** 8. *)
 

@@ -22,7 +22,7 @@ let split_cmd s =
 
 let request_log t = t.log
 
-let rec handle t session ~client data =
+let rec handle t ~client data =
   let who = Kerberos.Principal.to_string client in
   t.log <- (Bytes.to_string data, who) :: t.log;
   let cmd, rest = split_cmd (Bytes.to_string data) in
@@ -52,7 +52,7 @@ let rec handle t session ~client data =
          intruder can likely impersonate any user on that computer". *)
       if List.exists (Kerberos.Principal.equal client) t.trusted_hosts then begin
         let user, inner = split_cmd rest in
-        handle t session
+        handle t
           ~client:(Kerberos.Principal.user ~realm:client.Kerberos.Principal.realm user)
           (Bytes.of_string inner)
       end

@@ -2,7 +2,7 @@ open Kerberos
 
 type t = { host : Sim.Host.t; mutable received : int }
 
-let handle t _session ~client data =
+let handle t ~client data =
   let s = Bytes.to_string data in
   if String.length s > 8 && String.sub s 0 8 = "INSTALL " then begin
     let blob = Bytes.sub data 8 (Bytes.length data - 8) in

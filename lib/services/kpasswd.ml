@@ -26,7 +26,7 @@ let acceptable password =
           (fun w -> w = lowered || w = stem)
           Workloads.Passwords.dictionary)
 
-let handle t _session ~client data =
+let handle t ~client data =
   let s = Bytes.to_string data in
   let reply m = Some (Bytes.of_string m) in
   match String.index_opt s ' ' with

@@ -135,7 +135,7 @@ let handle_pull t data =
           (versioned_shard_msg ~db:t.slave_db ~shard:idx
              ~version:(Kdb.version_vector t.slave_db).(idx))
 
-let handle t _session ~client data =
+let handle t ~client data =
   let reply m = Some (Bytes.of_string m) in
   let has_prefix p =
     let n = String.length p in

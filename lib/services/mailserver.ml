@@ -28,7 +28,7 @@ let split_cmd s =
   | None -> (s, "")
   | Some i -> (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
 
-let handle t _session ~client data =
+let handle t ~client data =
   let user = (client : Kerberos.Principal.t).Kerberos.Principal.name in
   let cmd, rest = split_cmd (Bytes.to_string data) in
   let reply s = Some (Bytes.of_string s) in

@@ -17,8 +17,8 @@ let instrument net ~component handler =
     Telemetry.Metrics.counter m
       (Telemetry.Metrics.fresh_name m ("svc." ^ component ^ ".commands"))
   in
-  fun session ~client data ->
+  fun ~client data ->
     Telemetry.Metrics.incr c_cmds;
     Telemetry.Collector.event tel ~component ~kind:"svc.command"
       [ ("client", Kerberos.Principal.to_string client); ("cmd", verb data) ];
-    handler session ~client data
+    handler ~client data

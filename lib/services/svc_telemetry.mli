@@ -6,8 +6,7 @@
 val instrument :
   Sim.Net.t ->
   component:string ->
-  (Kerberos.Session.t -> client:Kerberos.Principal.t -> bytes -> bytes option) ->
-  Kerberos.Session.t ->
+  (client:Kerberos.Principal.t -> bytes -> bytes option) ->
   client:Kerberos.Principal.t ->
   bytes ->
   bytes option

@@ -2,7 +2,7 @@ open Kerberos
 
 type t = { net : Sim.Net.t; host : Sim.Host.t; mutable served : int }
 
-let handle t _session ~client:_ data =
+let handle t ~client:_ data =
   if Bytes.to_string data = "TIME?" then begin
     t.served <- t.served + 1;
     let reading = Sim.Net.local_time t.net t.host in

@@ -199,7 +199,7 @@ let build ?reads ?admission cfg =
         let (_ : Apserver.t) =
           Apserver.install ~seed:(Util.Rng.next_int64 rng) net host
             ~profile:cfg.profile ~principal ~key ~port:600
-            ~handler:(fun _session ~client:_ data -> Some data)
+            ~handler:(fun ~client:_ data -> Some data)
             ()
         in
         (principal, key, Sim.Host.primary_ip host))

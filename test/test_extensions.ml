@@ -206,7 +206,7 @@ let hierarchical_end_to_end () =
       ~config:
         { Apserver.default_config with trusted_transit = [ "CS.ROOT"; "ROOT" ] }
       ~principal:svc ~key:svc_key ~port:700
-      ~handler:(fun _ ~client:_ _ -> Some (Bytes.of_string "trace data")) ()
+      ~handler:(fun ~client:_ _ -> Some (Bytes.of_string "trace data")) ()
   in
   let client =
     Client.create net ws ~profile ~kdcs (Principal.user ~realm:"CS.ROOT" "pat")

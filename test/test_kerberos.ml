@@ -19,11 +19,11 @@ type bed = {
   client : Client.t;
 }
 
-let echo_handler _session ~client:_ data = Some (Bytes.cat (Bytes.of_string "echo:") data)
+let echo_handler ~client:_ data = Some (Bytes.cat (Bytes.of_string "echo:") data)
 
-let make_bed ?(profile = Profile.v4) ?(handler = echo_handler) ?config () =
+let make_bed ?(profile = Profile.v4) ?(handler = echo_handler) ?config ?latency () =
   let eng = Sim.Engine.create () in
-  let net = Sim.Net.create eng in
+  let net = Sim.Net.create ?latency eng in
   let kdc_host = Sim.Host.create ~name:"kerberos" ~ips:[ Sim.Addr.of_quad 10 0 0 1 ] () in
   let ws = Sim.Host.create ~name:"ws1" ~ips:[ Sim.Addr.of_quad 10 0 0 10 ] () in
   let server_host =
@@ -495,6 +495,409 @@ let crash_empties_table () =
     (Apserver.peer_state_size bed.apserver);
   check_served "no channel served" [ false; false ] (served bed !chans)
 
+(* The peer table against a model. The test speaks the protocol from a
+   pool of endpoints on the workstation (one port each): AP exchanges,
+   challenges answered or not, KRB_PRIV and KRB_SAFE that are fresh,
+   replayed, stale or out of sequence, clock jumps and crashes, under a
+   bound of 1 to 5 peers, or 24 with bursts of 18 new peers that make the
+   table grow while older rows hold state. The model is what the server
+   should hold: its peers in arrival order, each awaiting a challenge's
+   answer or holding a session, and per session its live ciphertexts
+   with their expiries (timestamps) or the next sequence number it
+   accepts and the last KRB_PRIV its IV chain follows (sequence numbers).
+   The network has no latency, so a frame is handled at the instant it is
+   sent and the model's clock is the server's. After every step the
+   replies each endpoint got must be the model's verdicts (an answered
+   request's reply must open on the client's side of the session, which
+   checks the server's send state), [peer_state_size] must be the model's
+   count, and a garbled KRB_PRIV from every endpoint of the pool must
+   reach a session exactly where the model holds one (it counts an
+   [ap.priv] span and changes nothing). *)
+
+type variant = Fresh | Replayed of int | Stale | Skipped
+
+type op =
+  | Ap of int
+  | Answer of int
+  | Msg of int * bool * variant  (** endpoint, KRB_PRIV (else KRB_SAFE), kind *)
+  | Burst
+      (** from each of endpoints 3 to 20 in turn, an AP exchange (its
+          challenge answered) and a fresh KRB_PRIV *)
+  | Advance of float
+  | Crash
+
+let op_to_string = function
+  | Ap e -> Printf.sprintf "Ap %d" e
+  | Answer e -> Printf.sprintf "Answer %d" e
+  | Msg (e, priv, v) ->
+      Printf.sprintf "%s %d %s" (if priv then "Priv" else "Safe") e
+        (match v with
+        | Fresh -> "fresh"
+        | Replayed i -> Printf.sprintf "replay#%d" i
+        | Stale -> "stale"
+        | Skipped -> "skipped")
+  | Burst -> "Burst"
+  | Advance dt -> Printf.sprintf "Advance %g" dt
+  | Crash -> "Crash"
+
+(* A message the client side sent: its frame payload (the replay key),
+   what it carries, and the harness session it was sealed under. *)
+type sent = {
+  m_priv : bool;
+  m_payload : bytes;
+  m_data : string;
+  m_stamp : float;  (* timestamp it carries (timestamp profiles) *)
+  m_seq : int;  (* sequence number it carries (sequence profiles) *)
+  m_prev : string option;  (* KRB_PRIV its IV is chained from *)
+  m_sid : int;
+}
+
+type model_row =
+  | M_pending
+  | M_session of {
+      sid : int;
+      mutable live : (string * float) list;
+      mutable next : int;
+      mutable last_priv : string option;
+    }
+
+(* The client side of one endpoint. *)
+type client_end = {
+  port : int;
+  mutable challenge : Messages.challenge option;  (* the last one received *)
+  mutable answered : (bytes option * int option) option;
+  mutable session : (int * Session.t) option;
+  mutable prev_priv : string option;  (* the last KRB_PRIV sealed on it *)
+  mutable sent : sent list;  (* newest first *)
+  mutable inbox : (int * bytes) list;  (* newest first *)
+}
+
+(* The model's verdict on [m] at [now], updating the row it is accepted
+   by. *)
+let model_accepts (profile : Profile.t) row m ~now =
+  match row with
+  | Some (M_session s) -> (
+      if profile.negotiate_session_key && m.m_sid <> s.sid then false
+      else
+        match profile.priv_replay with
+        | Profile.Priv_timestamp ->
+            if Float.abs (now -. m.m_stamp) > Krb_priv.skew then false
+            else begin
+              s.live <- List.filter (fun (_, exp) -> not (exp < now)) s.live;
+              let key = Bytes.to_string m.m_payload in
+              if List.mem_assoc key s.live then false
+              else begin
+                s.live <- (key, now +. 600.0) :: s.live;
+                true
+              end
+            end
+        | Profile.Priv_sequence ->
+            let chained = m.m_priv && profile.priv_mode = Profile.Cbc_iv_chain in
+            if (chained && m.m_prev <> s.last_priv) || m.m_seq <> s.next then false
+            else begin
+              s.next <- s.next + 1;
+              if chained then s.last_priv <- Some (Bytes.to_string m.m_payload);
+              true
+            end)
+  | Some M_pending | None -> false
+
+let run_peer_model ((profile : Profile.t), max_peers, ops) =
+  let bed =
+    make_bed ~profile ~latency:0.0 ~config:{ Apserver.default_config with max_peers } ()
+  in
+  let creds = ref None in
+  with_creds bed (fun c -> creds := Some c);
+  run bed;
+  let creds = Option.get !creds in
+  let server_ip = Sim.Host.primary_ip bed.server_host in
+  let ws_ip = Sim.Host.primary_ip bed.ws in
+  let rng = Util.Rng.create 0x7AB1EL in
+  let pool = max_peers + 2 in
+  let ends =
+    Array.init pool (fun i ->
+        { port = 30_000 + i; challenge = None; answered = None; session = None;
+          prev_priv = None; sent = []; inbox = [] })
+  in
+  Array.iter
+    (fun e ->
+      Sim.Net.listen bed.net bed.ws ~port:e.port (fun pkt ->
+          match Frames.unwrap pkt.Sim.Packet.payload with
+          | Some (kind, body) -> e.inbox <- (kind, body) :: e.inbox
+          | None -> ()))
+    ends;
+  let send e kind payload =
+    Sim.Net.send bed.net ~sport:e.port ~dst:server_ip ~dport:bed.file_port bed.ws
+      (Frames.wrap kind payload)
+  in
+  let now () = Sim.Engine.now bed.eng in
+  let timestamped = profile.Profile.ap_auth <> Profile.Challenge_response in
+  (* The model: rows in arrival order, oldest first. *)
+  let rows = ref [] in
+  let claim e row =
+    if List.mem_assoc e !rows then
+      rows := List.map (fun (e', r) -> if e' = e then (e', row) else (e', r)) !rows
+    else begin
+      rows := !rows @ [ (e, row) ];
+      if List.length !rows > max_peers then rows := List.tl !rows
+    end
+  in
+  let next_sid = ref 0 in
+  let fresh_sid () =
+    incr next_sid;
+    !next_sid
+  in
+  let client_session ~key ~send_seq ~recv_seq =
+    Session.make ~profile ~role:Session.Client_side ~key ~own_addr:ws_ip
+      ~peer_addr:server_ip ~send_seq ~recv_seq
+  in
+  let span_count () =
+    Telemetry.Metrics.hist_count
+      (Telemetry.Metrics.histogram
+         (Telemetry.Collector.metrics (Sim.Net.telemetry bed.net))
+         "span.ap.priv.seconds")
+  in
+  let fail step fmt =
+    Printf.ksprintf (fun msg -> QCheck.Test.fail_reportf "after %s: %s" (op_to_string step) msg) fmt
+  in
+  let expect step e kinds =
+    let got = List.rev_map fst e.inbox in
+    if got <> kinds then
+      fail step "endpoint %d got frames [%s], expected [%s]" e.port
+        (String.concat ";" (List.map string_of_int got))
+        (String.concat ";" (List.map string_of_int kinds))
+  in
+  let ap i =
+    let e = ends.(i) in
+    e.session <- None;
+    if timestamped then begin
+      let auth =
+        { Messages.a_client = Principal.user ~realm "pat"; a_addr = ws_ip;
+          a_timestamp = now (); a_req_cksum = None; a_ticket_cksum = None;
+          a_service = None; a_seq_init = None; a_subkey_part = None }
+      in
+      send e Frames.ap_req
+        (Messages.encode_msg profile ~tag:Messages.tag_ap_req
+           (Messages.ap_req_to_value
+              { Messages.r_ticket = creds.Client.ticket;
+                r_authenticator =
+                  Messages.seal_msg profile rng ~key:creds.Client.session_key
+                    ~tag:Messages.tag_authenticator (Messages.authenticator_to_value auth);
+                r_mutual = false }));
+      let sid = fresh_sid () in
+      claim i (M_session { sid; live = []; next = 0; last_priv = None });
+      e.session <-
+        Some (sid, client_session ~key:creds.Client.session_key ~send_seq:0 ~recv_seq:0);
+      e.prev_priv <- None
+    end
+    else begin
+      send e Frames.ap_req
+        (Messages.encode_msg profile ~tag:Messages.tag_ap_req
+           (Messages.ap_req_to_value
+              { Messages.r_ticket = creds.Client.ticket; r_authenticator = Bytes.empty;
+                r_mutual = false }));
+      claim i M_pending
+    end
+  in
+  (* The frames an AP exchange from [e] gets back; a challenge is kept
+     for a later answer. *)
+  let check_ap step e =
+    if timestamped then expect step e [ Frames.ap_ok ]
+    else begin
+      expect step e [ Frames.challenge ];
+      match
+        Messages.open_msg profile ~key:creds.Client.session_key ~tag:Messages.tag_challenge
+          (snd (List.hd e.inbox))
+      with
+      | Ok v -> e.challenge <- Some (Messages.challenge_of_value v)
+      | Error err -> fail step "challenge does not open: %s" err
+    end
+  in
+  let rec act op =
+    Array.iter (fun e -> e.inbox <- []) ends;
+    match op with
+    | Ap i ->
+        ap i;
+        run bed;
+        check_ap op ends.(i)
+    | Burst ->
+        for i = 3 to min (pool - 1) 20 do
+          act (Ap i);
+          if not timestamped then act (Answer i);
+          act (Msg (i, true, Fresh))
+        done
+    | Answer i -> (
+        let e = ends.(i) in
+        match (e.challenge, List.assoc_opt i !rows) with
+        | Some ch, row ->
+            let part = if profile.negotiate_session_key then Some (Util.Rng.bytes rng 8) else None in
+            let my_seq = Util.Rng.int rng 1_000_000 in
+            send e Frames.challenge_resp
+              (Messages.seal_msg profile rng ~key:creds.Client.session_key
+                 ~tag:Messages.tag_challenge_resp
+                 (Messages.challenge_resp_to_value
+                    { Messages.cr_nonce_f = Int64.add ch.Messages.c_nonce 1L;
+                      cr_client_part = part; cr_seq_init = Some my_seq }));
+            run bed;
+            if row = Some M_pending then begin
+              expect op e [ Frames.ap_ok ];
+              let key =
+                match
+                  Session.derived_key profile ~multi:creds.Client.session_key
+                    ~client_part:part ~server_part:ch.Messages.c_server_part
+                with
+                | Ok k -> k
+                | Error err -> fail op "no session key: %s" err
+              in
+              let sid = fresh_sid () in
+              claim i (M_session { sid; live = []; next = my_seq; last_priv = None });
+              e.session <-
+                Some
+                  ( sid,
+                    client_session ~key ~send_seq:my_seq
+                      ~recv_seq:(Option.value ch.Messages.c_seq_init ~default:0) );
+              e.prev_priv <- None
+            end
+            else expect op e []
+        | None, row ->
+            (* Nothing to answer: an empty response, refused while the row
+               awaits one and unexpected otherwise. *)
+            send e Frames.challenge_resp Bytes.empty;
+            run bed;
+            expect op e (if row = Some M_pending then [ Frames.error ] else []))
+    | Msg (i, priv, variant) -> (
+        let e = ends.(i) in
+        let kind = if priv then Frames.priv else Frames.safe in
+        let seal (s : Session.t) ~now data =
+          if priv then Krb_priv.seal s ~now data else Krb_safe.seal s ~now data
+        in
+        let fresh ~stale ~skip =
+          match e.session with
+          | None -> None
+          | Some (sid, s) ->
+              let data = Printf.sprintf "m%d" (List.length e.sent) in
+              let stamp = if stale then now () -. 400.0 else now () in
+              let seq, prev =
+                match s.Session.stamps with
+                | Session.Sequence q -> (q.send_seq + if skip then 1 else 0), e.prev_priv
+                | Session.Timestamps _ -> (0, e.prev_priv)
+              in
+              let sealer =
+                match s.Session.stamps with
+                | Session.Sequence q when skip ->
+                    { s with
+                      Session.stamps =
+                        Session.Sequence { send_seq = q.send_seq + 1; recv_seq = q.recv_seq };
+                      iv_chain = Bytes.copy s.Session.iv_chain }
+                | _ -> s
+              in
+              let payload = seal sealer ~now:stamp (Bytes.of_string data) in
+              if priv && not skip then e.prev_priv <- Some (Bytes.to_string payload);
+              let m =
+                { m_priv = priv; m_payload = payload; m_data = data; m_stamp = stamp;
+                  m_seq = seq; m_prev = prev; m_sid = sid }
+              in
+              e.sent <- m :: e.sent;
+              Some m
+        in
+        let m =
+          match variant with
+          | Fresh -> fresh ~stale:false ~skip:false
+          | Stale -> fresh ~stale:true ~skip:false
+          | Skipped -> fresh ~stale:false ~skip:(not timestamped)
+          | Replayed k -> (
+              match List.filter (fun m -> m.m_priv = priv) e.sent with
+              | [] -> fresh ~stale:false ~skip:false
+              | l -> Some (List.nth l (k mod List.length l)))
+        in
+        match m with
+        | None ->
+            send e kind (Bytes.make 16 '\001');
+            run bed;
+            expect op e []
+        | Some m -> (
+            let accepted = model_accepts profile (List.assoc_opt i !rows) m ~now:(now ()) in
+            send e kind m.m_payload;
+            run bed;
+            if not accepted then expect op e []
+            else begin
+              expect op e [ kind ];
+              let _, s = Option.get e.session in
+              let reply = snd (List.hd e.inbox) in
+              let opened =
+                if priv then
+                  Result.map_error Krb_priv.error_to_string (Krb_priv.open_ s ~now:(now ()) reply)
+                else
+                  Result.map_error Krb_safe.error_to_string (Krb_safe.open_ s ~now:(now ()) reply)
+              in
+              match opened with
+              | Ok data when Bytes.to_string data = "echo:" ^ m.m_data -> ()
+              | Ok data -> fail op "reply %S" (Bytes.to_string data)
+              | Error err -> fail op "reply does not open: %s" err
+            end))
+    | Advance dt ->
+        Sim.Engine.schedule_after bed.eng dt ignore;
+        run bed
+    | Crash ->
+        Apserver.crash bed.apserver;
+        Apserver.restart bed.apserver;
+        rows := []
+  in
+  let step op =
+    act op;
+    if Apserver.peer_state_size bed.apserver <> List.length !rows then
+      fail op "peer_state_size %d, model %d" (Apserver.peer_state_size bed.apserver)
+        (List.length !rows);
+    Array.iteri
+      (fun i e ->
+        let before = span_count () in
+        send e Frames.priv (Bytes.make 8 '\000');
+        run bed;
+        let held = match List.assoc_opt i !rows with Some (M_session _) -> true | _ -> false in
+        if span_count () - before <> (if held then 1 else 0) then
+          fail op "endpoint %d %s a session" e.port (if held then "lost" else "kept"))
+      ends
+  in
+  List.iter step ops;
+  true
+
+let peer_table_model =
+  let open QCheck in
+  let gen =
+    let open Gen in
+    let* profile = oneofl [ Profile.v4; Profile.v5_draft3; Profile.hardened; v5_md4des ] in
+    let* max_peers = frequency [ (3, int_range 1 5); (1, return 24) ] in
+    let pool = max_peers + 2 in
+    let endpoint =
+      frequency
+        [ (4, int_bound 2); ((if max_peers > 5 then 2 else 0), int_range 3 20);
+          (1, int_bound (pool - 1)) ]
+    in
+    let variant =
+      frequency
+        [ (4, return Fresh); (3, map (fun i -> Replayed i) (int_bound 3)); (1, return Stale);
+          (1, return Skipped) ]
+    in
+    let op =
+      frequency
+        [ (4, map (fun e -> Ap e) endpoint); (3, map (fun e -> Answer e) endpoint);
+          (9, map3 (fun e priv v -> Msg (e, priv, v)) endpoint bool variant);
+          ((if max_peers > 5 then 3 else 0), return Burst);
+          (2, map (fun dt -> Advance dt) (oneofl [ 1.0; 120.0; 350.0; 650.0 ]));
+          (1, return Crash) ]
+    in
+    let* ops = list_size (int_range 1 40) op in
+    return (profile, max_peers, ops)
+  in
+  let print ((profile : Profile.t), max_peers, ops) =
+    Printf.sprintf "%s, max_peers %d: %s" profile.name max_peers
+      (String.concat "; " (List.map op_to_string ops))
+  in
+  let shrink (profile, max_peers, ops) =
+    Iter.map (fun ops -> (profile, max_peers, ops)) (Shrink.list ops)
+  in
+  Test.make ~name:"peer table agrees with a model" ~count:500
+    (make ~print ~shrink gen) run_peer_model
+
 let kdc_timeout () =
   (* A client with no KDC on the network reports a timeout, not a hang. *)
   let eng = Sim.Engine.create () in
@@ -610,7 +1013,8 @@ let () =
             (fourth_channel_evicts_first Profile.hardened);
           Alcotest.test_case "hardened: a late answer keeps its place" `Quick
             late_answer_keeps_place;
-          Alcotest.test_case "crash empties the peer table" `Quick crash_empties_table ] );
+          Alcotest.test_case "crash empties the peer table" `Quick crash_empties_table;
+          QCheck_alcotest.to_alcotest peer_table_model ] );
       ("replay", suite_replay);
       ("cross-realm", suite_cross_realm);
       ("units", suite_units) ]

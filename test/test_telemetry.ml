@@ -221,7 +221,7 @@ let mk_world ?(profile = Profile.v4) ?rate_limit () =
   Kdc.install net kdc_host kdc ();
   let (_ : Apserver.t) =
     Apserver.install net svc_host ~profile ~principal:svc ~key ~port:600
-      ~handler:(fun _session ~client:_ _data -> Some (Bytes.of_string "OK")) ()
+      ~handler:(fun ~client:_ _data -> Some (Bytes.of_string "OK")) ()
   in
   { eng; net; tel; kdc; kdc_host; ws; svc_host; svc }
 
