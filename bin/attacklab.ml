@@ -42,7 +42,8 @@ let run_cmd name profile_name opsview =
           Printf.printf "  %s — %s\n" (Attacks.Outcome.label o) (Attacks.Outcome.detail o);
           if opsview then
             Printf.printf "\nOperator view:\n%s"
-              (Telemetry.Opsview.report (Telemetry.Collector.ops tel));
+              (Telemetry.Rates.report ~addr:Sim.Addr.to_string
+                 (Telemetry.Collector.rates tel) (Telemetry.Collector.metrics tel));
           if Attacks.Outcome.is_broken o then exit 1)
 
 open Cmdliner

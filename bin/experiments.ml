@@ -122,7 +122,8 @@ let print_opsview () =
     let tel = Telemetry.Collector.fresh_default () in
     run ();
     Printf.printf "\n-- %s --\n%s" title
-      (Telemetry.Opsview.report (Telemetry.Collector.ops tel))
+      (Telemetry.Rates.report ~addr:Sim.Addr.to_string (Telemetry.Collector.rates tel)
+         (Telemetry.Collector.metrics tel))
   in
   show "E4 ticket harvest, v4 (no preauth: every ask is served)" (fun () ->
       ignore

@@ -337,16 +337,11 @@ let claim_peer t cx =
 
 let reply _t ~cx kind payload = cx.cx_reply (Frames.wrap kind payload)
 
-(* Mark how the current frame ended; replays additionally feed the
-   operator view and the per-service replay counter. *)
+(* Mark how the current frame ended; replays additionally count on the
+   per-service replay counter, which the operator view reads. *)
 let flag_outcome t outcome =
   t.pending_outcome <- Some outcome;
-  if outcome = "replay-detected" then begin
-    Telemetry.Opsview.record_replay
-      (Telemetry.Collector.ops t.tel)
-      ~component:("ap." ^ Principal.to_string t.principal);
-    Telemetry.Metrics.incr t.c_replay_hits
-  end
+  if outcome = "replay-detected" then Telemetry.Metrics.incr t.c_replay_hits
 
 let reject t ~cx (r : Ap_check.reject) =
   Queue.push (r.code, r.reason) t.rejected;

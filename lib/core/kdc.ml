@@ -2,6 +2,18 @@ let default_port = 750
 
 let tgs_cache_horizon = 600.0
 
+(* The TGS replay cache is keyed by authenticator ciphertext from the
+   wire, so it is capped. The busiest committed run that caches TGS
+   authenticators (the detect campaign) holds 5,571 live at most, and the
+   busiest benchmark workload makes 20,000 TGS requests in all, well
+   inside one 600 s horizon: 32,768 evicts in none of them. *)
+let tgs_cache_cap = 32_768
+
+let empty_tgs_cache c_evicted =
+  Replay_cache.create ~cap:tgs_cache_cap
+    ~on_evict:(fun () -> Telemetry.Metrics.incr c_evicted)
+    ~horizon:tgs_cache_horizon ()
+
 (* What survives a crash on "disk": the database's checkpoint + WAL image
    and the TGS replay-cache snapshot. Captured at crash time — a KDC
    without durability enabled has no disk and loses everything. *)
@@ -45,15 +57,6 @@ type pending = {
   pq_run : unit -> unit;
 }
 
-(* Per-source arrival rate in O(1) state: two epoch-bucket counters over
-   ~minute buckets; the sliding-window estimate is cur + prev. Bounded
-   memory per source no matter how hard a flood hammers us. *)
-type rate_cell = {
-  mutable rc_epoch : int;
-  mutable rc_cur : int;
-  mutable rc_prev : int;
-}
-
 type t = {
   realm : string;
   profile : Profile.t;
@@ -65,7 +68,7 @@ type t = {
   enc_tkt_cname_check : bool;
   verify_transit : bool;
   rate_limit : int option;  (** AS requests per source per minute *)
-  rate_table : (Sim.Addr.t, float list ref) Hashtbl.t;  (** recent request times *)
+  rates : Telemetry.Rates.t;  (** per-source: both rules' windows, the view *)
   tel : Telemetry.Collector.t;
   (* Replica-aware read routing. [None] (the default) keeps every lookup
      on [db] with zero cost — the pre-replication behaviour, bit for bit.
@@ -84,8 +87,6 @@ type t = {
   mutable aq_busy_until : float;
   mutable aq_draining : bool;
   mutable aq_avg_service : float;  (* EWMA of measured per-request cost *)
-  suspect_table : (Sim.Addr.t, rate_cell) Hashtbl.t;
-  replay_cap : int option;  (* TGS replay-cache entry bound *)
   (* Crash/restart state, mirroring Apserver. [installed] remembers where
      [install] bound us so [restart] can re-listen. *)
   mutable installed : (Sim.Net.t * Sim.Host.t * int) option;
@@ -111,8 +112,8 @@ type t = {
 }
 
 let create ?(seed = 0x4b4443L) ?(enc_tkt_cname_check = false)
-    ?(verify_transit = false) ?rate_limit ?telemetry ?reads ?admission
-    ?replay_cap ~realm ~profile ~lifetime db =
+    ?(verify_transit = false) ?rate_limit ?telemetry ?reads ?admission ~realm
+    ~profile ~lifetime db =
   (match reads with
   | Some r when Replication.primary r != db ->
       invalid_arg "Kdc.create: reads router is not over this database"
@@ -137,15 +138,10 @@ let create ?(seed = 0x4b4443L) ?(enc_tkt_cname_check = false)
     aq_busy_until = 0.0; aq_draining = false;
     aq_avg_service =
       (match admission with Some a -> a.base_service_time | None -> 0.0);
-    suspect_table = Hashtbl.create 16;
-    replay_cap;
     routes = Hashtbl.create 4;
-    tgs_cache =
-      Replay_cache.create ?cap:replay_cap
-        ~on_evict:(fun () -> Telemetry.Metrics.incr c_replay_evicted)
-        ~horizon:tgs_cache_horizon ();
+    tgs_cache = empty_tgs_cache c_replay_evicted;
     enc_tkt_cname_check; verify_transit; rate_limit;
-    rate_table = Hashtbl.create 16; tel;
+    rates = Telemetry.Collector.fresh_rates tel; tel;
     installed = None; endpoint = None; running = false; disk = None;
     durability_every = None;
     last_recovery = None;
@@ -184,25 +180,10 @@ let admission_queue_depth t =
 (* Sliding one-minute window per source address. *)
 let rate_limit_exceeded t ~now src =
   match t.rate_limit with
-  | None -> false
-  | Some limit ->
-      let slot =
-        match Hashtbl.find_opt t.rate_table src with
-        | Some l -> l
-        | None ->
-            let l = ref [] in
-            Hashtbl.replace t.rate_table src l;
-            l
-      in
-      slot := List.filter (fun ts -> now -. ts < 60.0) !slot;
-      if List.length !slot >= limit then begin
-        Telemetry.Metrics.incr t.c_rate_limited;
-        true
-      end
-      else begin
-        slot := now :: !slot;
-        false
-      end
+  | Some limit when not (Telemetry.Rates.admit t.rates src ~now ~limit) ->
+      Telemetry.Metrics.incr t.c_rate_limited;
+      true
+  | _ -> false
 
 let tgs_principal t = Principal.tgs ~realm:t.realm
 
@@ -620,23 +601,7 @@ let outcome_of_reply v =
 let note_arrival t ~now src =
   match t.admission with
   | None -> false
-  | Some a ->
-      let cell =
-        match Hashtbl.find_opt t.suspect_table src with
-        | Some c -> c
-        | None ->
-            let c = { rc_epoch = min_int; rc_cur = 0; rc_prev = 0 } in
-            Hashtbl.replace t.suspect_table src c;
-            c
-      in
-      let epoch = int_of_float (now /. 60.0) in
-      if epoch <> cell.rc_epoch then begin
-        cell.rc_prev <- (if epoch = cell.rc_epoch + 1 then cell.rc_cur else 0);
-        cell.rc_cur <- 0;
-        cell.rc_epoch <- epoch
-      end;
-      cell.rc_cur <- cell.rc_cur + 1;
-      cell.rc_cur + cell.rc_prev > a.suspect_rate
+  | Some a -> Telemetry.Rates.arrive t.rates src ~now > a.suspect_rate
 
 (* Strict priority: TGS holders (and anything else in the high class)
    drain before fresh AS logins, which drain before suspect sources. *)
@@ -701,8 +666,8 @@ let serve t net host port =
       let reply v = send_raw (encode v) in
       let src_addr = peer.Sim.Transport.p_addr in
       (* The source and the request's attributes are rendered only where
-         they are read: in a span's attributes, an event, the operator
-         view's AS row, or an admission queue entry. *)
+         they are read: in a span's attributes, an event, or an admission
+         queue entry. *)
       let src () = Sim.Addr.to_string src_addr in
       (* One span per exchange, nested under the request's packet span; the
          reply is transmitted inside the span's context so the reply packet
@@ -732,7 +697,7 @@ let serve t net host port =
               outcome)
         in
         if name = "kdc.as_req" then
-          Telemetry.Opsview.record_as_req (Telemetry.Collector.ops tel) ~src:(src ())
+          Telemetry.Rates.record_as t.rates src_addr
             ~time:(Sim.Net.local_time net host) ~outcome;
         (* The detection-plane hook: one event per exchange with the fields
            the anomaly rules key on. Guarded so the million-user fast path
@@ -741,11 +706,7 @@ let serve t net host port =
           Telemetry.Collector.event tel ~component:"kdc"
             ~kind:(if name = "kdc.as_req" then "auth.as_req" else "auth.tgs_req")
             (("src", src ()) :: ("outcome", outcome) :: attrs ());
-        if outcome = "replay-detected" then begin
-          Telemetry.Opsview.record_replay (Telemetry.Collector.ops tel)
-            ~component:("kdc." ^ t.realm);
-          Telemetry.Metrics.incr t.c_replay_hits
-        end;
+        if outcome = "replay-detected" then Telemetry.Metrics.incr t.c_replay_hits;
         Telemetry.Collector.span_finish tel ~outcome span
       in
       (* Admission: with no configuration, [run] executes inline — the
@@ -867,7 +828,8 @@ let last_recovery t = t.last_recovery
 let recoveries t = Telemetry.Metrics.value t.c_recoveries
 
 (* A crash loses everything in memory: the principal database, the TGS
-   replay cache, the rate tables, the port. What survives is the disk
+   replay cache, both per-source rules' windows, the port (the operator
+   view's counts stay: the operator saw them). What survives is the disk
    image the durability plane maintained — checkpoint plus WAL, captured
    here exactly as the instant of death left them (the WAL may well end
    mid-mutation; recovery's CRC framing deals with that). Without
@@ -888,12 +850,8 @@ let crash t =
               dk_replay = Replay_cache.to_bytes t.tgs_cache })
           (Kdb.disk_image t.db);
       Kdb.wipe t.db;
-      t.tgs_cache <-
-        Replay_cache.create ?cap:t.replay_cap
-          ~on_evict:(fun () -> Telemetry.Metrics.incr t.c_replay_evicted)
-          ~horizon:tgs_cache_horizon ();
-      Hashtbl.reset t.rate_table;
-      Hashtbl.reset t.suspect_table;
+      t.tgs_cache <- empty_tgs_cache t.c_replay_evicted;
+      Telemetry.Rates.forget_windows t.rates;
       (* Queued work dies with the process; the clients' retry machinery
          is what carries those requests across the crash. *)
       Queue.clear t.aq_high;

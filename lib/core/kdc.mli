@@ -28,10 +28,13 @@ val default_port : int
     cross-realm TGS chases) is shed with busy while cheap same-realm
     work still queues. [suspect_rate] is the per-source requests/minute
     above which a source is demoted to the low class (demotion, not
-    refusal — distinct from [rate_limit]'s hard per-source cap).
-    [classes = false] collapses the scheduler to a single FIFO class with
-    the full [queue_limit] — the queue-but-no-policy KDC the overload
-    experiment's naive arm measures against. *)
+    refusal — distinct from [rate_limit]'s hard per-source cap), counted
+    over every decoded arrival in the current and previous one-minute
+    epochs of engine time, in the KDC's bounded per-source table
+    ({!Telemetry.Rates}). [classes = false] collapses the scheduler to a
+    single FIFO class with the full [queue_limit] — the
+    queue-but-no-policy KDC the overload experiment's naive arm measures
+    against. *)
 type admission = {
   queue_limit : int;        (** total queued requests; > 0 *)
   base_service_time : float;(** seconds of KDC work per request; >= 0 *)
@@ -52,7 +55,6 @@ val create :
   ?telemetry:Telemetry.Collector.t ->
   ?reads:Replication.t ->
   ?admission:admission ->
-  ?replay_cap:int ->
   realm:string ->
   profile:Profile.t ->
   lifetime:float ->
@@ -69,7 +71,16 @@ val create :
     [rate_limit] caps AS requests accepted per source address per minute —
     "an enhancement to the server, to limit the rate of requests from a
     single source, may be useful" (the paper's partial mitigation for
-    ticket harvesting). Default: unlimited.
+    ticket harvesting): a request is refused, and not recorded, when its
+    source has [rate_limit] accepted AS requests in the last 60 s of the
+    KDC host's clock. Default: unlimited.
+
+    Both per-source rules keep their windows in the KDC's one per-source
+    table ({!Telemetry.Rates}, taken from [telemetry]): at most
+    {!Telemetry.Rates.capacity} sources, the least active evicted first,
+    so a flood of spoofed sources cannot grow the KDC. A source evicted
+    from it comes back with empty windows, and so do the operator
+    view's counts of it.
 
     [enc_tkt_cname_check] (default [false], faithful to Draft 3) enables
     the rule the designers intended but omitted: with [ENC-TKT-IN-SKEY],
@@ -78,10 +89,11 @@ val create :
     cut-and-paste attack even under a weak checksum.
 
     [telemetry] (default {!Telemetry.Collector.default}) receives a
-    ["kdc.as_req"]/["kdc.tgs_req"] span per exchange, per-source AS_REQ
-    tracking in the operator view, and the request counters as registry
-    metrics named [kdc.<realm>.as_requests_served] etc. (suffixed [#2], …
-    when several KDCs serve one realm).
+    ["kdc.as_req"]/["kdc.tgs_req"] span per exchange, the request
+    counters as registry metrics named [kdc.<realm>.as_requests_served]
+    etc. (suffixed [#2], … when several KDCs serve one realm), and keeps
+    the KDC's per-source table, whose AS outcome counts the operator view
+    prints.
 
     [admission] enables the overload-control plane (default: off — every
     request handled inline on arrival, the historical behaviour).
@@ -90,9 +102,9 @@ val create :
     reply — the caller stopped listening — and counted/traced as
     [overload.deadline_shed].
 
-    [replay_cap] bounds the TGS replay cache under authenticator floods
-    ({!Replay_cache.create}'s [cap]); evictions land on the
-    [kdc.<realm>.replay_cache.evicted] counter. Default: unbounded. *)
+    The TGS replay cache holds at most 32,768 authenticators; past that a
+    flood evicts the entry closest to expiry, counted on
+    [kdc.<realm>.replay_cache.evicted]. *)
 
 val realm : t -> string
 val database : t -> Kdb.t
@@ -121,10 +133,11 @@ val enable_durability : ?checkpoint_every:int -> t -> unit
     [checkpoint_every] as in {!Kdb.enable_durability}. *)
 
 val crash : t -> unit
-(** Stop listening and lose all in-memory state. Only meaningful after
-    {!install} (a KDC that never listened has nothing to crash). Without
-    durability the database itself is lost — the paper's single point of
-    failure, reproduced. *)
+(** Stop listening and lose all in-memory state, both per-source rules'
+    windows included; the operator view's per-source counts stay, as the
+    operator saw them. Only meaningful after {!install} (a KDC that never
+    listened has nothing to crash). Without durability the database
+    itself is lost — the paper's single point of failure, reproduced. *)
 
 val restart : t -> unit
 (** Recover from the disk image captured at crash time and listen again
@@ -179,5 +192,5 @@ val admission_queue_depth : t -> int
 (** Requests currently queued across all three classes. *)
 
 val replay_evictions : t -> int
-(** TGS replay-cache entries evicted by [replay_cap]
+(** TGS replay-cache entries evicted by the cache's cap
     (the [kdc.<realm>.replay_cache.evicted] counter). *)

@@ -1,6 +1,7 @@
-(* The collector binds one metrics registry, one trace ring, one operator
-   view, and the span lifecycle into a single handle that the simulator
-   and every instrumented component share.
+(* The collector binds one metrics registry, one trace ring, the
+   per-source tables of the KDCs reporting to it, and the span lifecycle
+   into a single handle that the simulator and every instrumented
+   component share.
 
    Time: spans and events are stamped by the collector's clock, which the
    simulator points at [Sim.Engine.now] (never the wall clock), so two
@@ -16,10 +17,10 @@
 type t = {
   metrics : Metrics.t;
   trace : Trace.t;
-  ops : Opsview.t;
+  mutable rates : Rates.t list;
   mutable clock : unit -> float;
   mutable next_span_id : int;
-  mutable lightweight : bool;
+  lightweight : bool;
   mutable sink : (Trace.event -> unit) option;
   open_table : (int, Span.t) Hashtbl.t;
   span_hists : (string, Metrics.histogram) Hashtbl.t;
@@ -28,15 +29,19 @@ type t = {
 
 let create ?trace_capacity ?(lightweight = false) () =
   { metrics = Metrics.create (); trace = Trace.create ?capacity:trace_capacity ();
-    ops = Opsview.create (); clock = (fun () -> 0.0); next_span_id = 1;
+    rates = []; clock = (fun () -> 0.0); next_span_id = 1;
     lightweight; sink = None; open_table = Hashtbl.create 16;
     span_hists = Hashtbl.create 16; context = [] }
 
 let metrics t = t.metrics
 let trace t = t.trace
-let ops t = t.ops
 
-let set_lightweight t on = t.lightweight <- on
+let fresh_rates t =
+  let r = Rates.create () in
+  t.rates <- r :: t.rates;
+  r
+
+let rates t = t.rates
 let lightweight t = t.lightweight
 
 let set_clock t f = t.clock <- f
@@ -170,8 +175,6 @@ let default () =
       let c = create () in
       default_collector := Some c;
       c
-
-let set_default c = default_collector := Some c
 
 let fresh_default () =
   let c = create () in

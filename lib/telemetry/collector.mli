@@ -1,14 +1,20 @@
-(** The telemetry collector: one metrics registry + one trace ring + one
-    operator view + the span lifecycle, stamped by a pluggable clock that
-    the simulator points at [Sim.Engine.now] — never the wall clock, so
-    identical runs dump byte-identical telemetry. *)
+(** The telemetry collector: one metrics registry + one trace ring + the
+    per-source tables of the KDCs reporting to it + the span lifecycle,
+    stamped by a pluggable clock that the simulator points at
+    [Sim.Engine.now] — never the wall clock, so identical runs dump
+    byte-identical telemetry. The operator view ({!Rates.report}) reads
+    the tables and the registry. *)
 
 type t
 
 val create : ?trace_capacity:int -> ?lightweight:bool -> unit -> t
 val metrics : t -> Metrics.t
 val trace : t -> Trace.t
-val ops : t -> Opsview.t
+
+val fresh_rates : t -> Rates.t
+(** A new per-source table, kept for the operator view (one a KDC). *)
+
+val rates : t -> Rates.t list
 
 (** {2 Lightweight mode}
 
@@ -16,10 +22,9 @@ val ops : t -> Opsview.t
     and span-duration histograms stay live — reports are computed from
     them — but the trace ring, the open-span table, the per-span trace
     events and the span attributes are skipped, which is most of the
-    per-packet telemetry cost. Off by default; flip it per collector,
-    never globally. *)
+    per-packet telemetry cost. Off by default; chosen per collector at
+    {!create}, never globally. *)
 
-val set_lightweight : t -> bool -> unit
 val lightweight : t -> bool
 
 val set_clock : t -> (unit -> float) -> unit
@@ -68,7 +73,6 @@ val span_abandon : t -> ?time:float -> Span.t -> unit
     whose completion event can never arrive (dropped packets, timeouts). *)
 
 val with_context : t -> Span.t -> (unit -> 'a) -> 'a
-val current_span : t -> Span.t option
 val open_spans : t -> Span.t list
 (** Sorted by id. *)
 
@@ -90,6 +94,5 @@ val metrics_text : t -> string
     isolation pass their own collector or reset the default. *)
 
 val default : unit -> t
-val set_default : t -> unit
 val fresh_default : unit -> t
 (** Install and return a brand-new default collector. *)

@@ -123,11 +123,6 @@ type score = {
   sc_alerts : int;
 }
 
-val rules_for_class : string -> string list
-(** Which rules count as detecting each attack class (e.g.
-    ["password_guess"] → [["preauth-run"; "as-burst"]]). Unknown classes
-    map to []. *)
-
 val score : t -> labels:label list -> benign:string list -> score
 (** [labels] carry one entry per attacker subject; [benign] lists
     subjects that should never be flagged (an alert on one is a false

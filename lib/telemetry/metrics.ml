@@ -144,6 +144,11 @@ let sorted t =
   Hashtbl.fold (fun name m acc -> (name, m) :: acc) t.tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
+let counters t =
+  List.filter_map
+    (fun (name, m) -> match m with Counter c -> Some (name, c) | _ -> None)
+    (sorted t)
+
 let histograms t =
   List.filter_map
     (fun (name, m) -> match m with Histogram h -> Some (name, h) | _ -> None)

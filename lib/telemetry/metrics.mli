@@ -47,6 +47,9 @@ val quantile : histogram -> float -> float
     observed maximum, so tail quantiles stay finite. 0 on an empty
     histogram. Exported as [p50]/[p95]/[p99] in {!to_json}/{!to_text}. *)
 
+val counters : t -> (string * counter) list
+(** Every registered counter, sorted by name. *)
+
 val histograms : t -> (string * histogram) list
 (** Every registered histogram, sorted by name — for reports that
     aggregate over families of metrics (the load plane's per-span

@@ -10,15 +10,13 @@ type t = {
   start_time : float;
   mutable end_time : float option;
   mutable outcome : string;
-  mutable attrs : (string * string) list;
+  attrs : (string * string) list;
 }
 
 let is_open s = s.end_time = None
 
 let duration s =
   match s.end_time with None -> None | Some e -> Some (e -. s.start_time)
-
-let set_attr s k v = s.attrs <- (k, v) :: List.remove_assoc k s.attrs
 
 let pp ppf s =
   Format.fprintf ppf "span#%d %s/%s [%0.4f..%s] %s" s.id s.component s.name

@@ -12,10 +12,9 @@ type t = {
   mutable outcome : string;
       (** "ok" / "preauth-reject" / "replay-detected" / "rate-limited" /
           "bad-checksum" / "abandoned" / … — meaningful once closed *)
-  mutable attrs : (string * string) list;
+  attrs : (string * string) list;
 }
 
 val is_open : t -> bool
 val duration : t -> float option
-val set_attr : t -> string -> string -> unit
 val pp : Format.formatter -> t -> unit

@@ -5,8 +5,6 @@
 
 type severity = Debug | Info | Warn | Error
 
-val severity_to_string : severity -> string
-val severity_of_string : string -> severity option
 
 type event = {
   time : float;
@@ -39,8 +37,6 @@ val length : t -> int
 val dropped : t -> int
 val clear : t -> unit
 
-val event_to_json : event -> Json.t
-val event_of_json : Json.t -> (event, string) result
 val to_jsonl : t -> string
 val of_jsonl : string -> (event list, string) result
 (** Parse a dump back; the [trace.truncated] marker line, if present, is

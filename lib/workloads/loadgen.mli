@@ -13,8 +13,8 @@
     their first authentication instead of registering the whole realm up
     front (every user is derived from [(seed, index)] alone, so lazy and
     eager populations are byte-identical — see {!Passwords.user_at}), and
-    [lightweight] swaps the run's collector into counters-and-histograms
-    mode ({!Telemetry.Collector.set_lightweight}). Neither changes a
+    [lightweight] creates the run's collector in counters-and-histograms
+    mode ({!Telemetry.Collector.create}'s [~lightweight]). Neither changes a
     single simulated byte; both change what the wall clock sees.
 
     Every campaign below stands its realm up the same way and draws from

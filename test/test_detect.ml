@@ -1,8 +1,8 @@
-(* The detection plane: interpolated registry quantiles, configurable
-   Opsview thresholds, EWMA warm-up edge cases, each anomaly rule against
-   a hand-built labelled event stream with known detection and
-   false-positive rates, alert folding, and determinism of the blended
-   attack campaign (two runs at one seed must serialize identically). *)
+(* The detection plane: interpolated registry quantiles, EWMA warm-up
+   edge cases, each anomaly rule against a hand-built labelled event
+   stream with known detection and false-positive rates, alert folding,
+   and determinism of the blended attack campaign (two runs at one seed
+   must serialize identically). *)
 
 open Kerberos
 module T = Telemetry
@@ -43,28 +43,6 @@ let quantiles_in_export () =
     [ "\"p50\""; "\"p95\""; "\"p99\"" ];
   Alcotest.(check bool) "text export carries quantiles" true
     (Astring.String.is_infix ~affix:"p95=" (T.Metrics.to_text m))
-
-(* --- Opsview policy --------------------------------------------------- *)
-
-let opsview_policy () =
-  let strict = { T.Opsview.default_policy with T.Opsview.sus_preauth_rejects = 0 } in
-  let feed o =
-    T.Opsview.record_as_req o ~src:"10.0.0.9" ~time:1.0 ~outcome:"preauth-reject"
-  in
-  let o1 = T.Opsview.create () in
-  feed o1;
-  Alcotest.(check bool) "default tolerates 1 reject" false
-    (T.Opsview.suspicious o1 ~src:"10.0.0.9");
-  let o2 = T.Opsview.create ~policy:strict () in
-  feed o2;
-  Alcotest.(check bool) "strict policy flags 1 reject" true
-    (T.Opsview.suspicious o2 ~src:"10.0.0.9");
-  (* set_policy re-judges already-recorded traffic at read time. *)
-  T.Opsview.set_policy o1 strict;
-  Alcotest.(check bool) "set_policy re-judges" true
-    (T.Opsview.suspicious o1 ~src:"10.0.0.9");
-  Alcotest.(check (float 0.0)) "accessor round-trips" 0.0
-    (float_of_int (T.Opsview.policy o1).T.Opsview.sus_preauth_rejects)
 
 (* --- synthetic event streams ------------------------------------------ *)
 
@@ -340,8 +318,6 @@ let () =
     [ ( "metrics",
         [ Alcotest.test_case "interpolated quantiles" `Quick quantiles;
           Alcotest.test_case "quantiles exported" `Quick quantiles_in_export ] );
-      ( "opsview",
-        [ Alcotest.test_case "configurable policy" `Quick opsview_policy ] );
       ( "rules",
         [ Alcotest.test_case "warm-up and baselines" `Quick warmup_and_baseline;
           Alcotest.test_case "preauth run" `Quick preauth_run_rule;

@@ -1,6 +1,7 @@
 (* The experiment framework's own guarantees: the matrix matches the
    paper's expected shape, the sweeps have the shapes the paper argues,
-   and the table renderer behaves. *)
+   the operator view the attacks leave behind is pinned, and the table
+   renderer behaves. *)
 
 let matrix_matches_paper () =
   let rows = Expframework.Matrix.run_all () in
@@ -99,6 +100,52 @@ let table_renders () =
   Alcotest.(check bool) "pads columns" true
     (Astring.String.is_infix ~affix:"333  4" s)
 
+(* --- the operator view, pinned ---------------------------------------- *)
+
+(* The console `attacklab run <id> --profile <p> --opsview` prints under
+   "Operator view", for every matrix attack under every profile, then the
+   five scenarios of `experiments opsview`. Each runs on a fresh default
+   collector, as both commands do, so a report covers exactly its run. *)
+let operator_view run =
+  let tel = Telemetry.Collector.fresh_default () in
+  run ();
+  Telemetry.Rates.report ~addr:Sim.Addr.to_string (Telemetry.Collector.rates tel)
+    (Telemetry.Collector.metrics tel)
+
+let opsview_scenarios () =
+  let harvest ?rate_limit profile () =
+    ignore
+      (Attacks.Ticket_harvest.run ~n_users:10 ~dictionary_head:250 ?rate_limit
+         ~profile ())
+  in
+  let v4_cached =
+    { Kerberos.Profile.v4 with
+      Kerberos.Profile.name = "v4+cache";
+      ap_auth = Kerberos.Profile.Timestamp { skew = 300.0; replay_cache = true } }
+  in
+  let replay profile () = ignore (Attacks.Replay_auth.run ~profile ()) in
+  List.map operator_view
+    [ harvest Kerberos.Profile.v4; harvest ~rate_limit:5 Kerberos.Profile.v4;
+      harvest Kerberos.Profile.hardened; replay Kerberos.Profile.v4;
+      replay v4_cached ]
+
+let opsview_pinned () =
+  let attacks =
+    List.concat_map
+      (fun (a : Expframework.Matrix.attack) ->
+        List.map
+          (fun p -> operator_view (fun () -> ignore (a.run p)))
+          Expframework.Matrix.profiles)
+      Expframework.Matrix.attacks
+  in
+  let views = attacks @ opsview_scenarios () in
+  ignore (Telemetry.Collector.fresh_default ());
+  Alcotest.(check int) "one view a run"
+    ((3 * List.length Expframework.Matrix.attacks) + 5)
+    (List.length views);
+  Alcotest.(check string) "digest of every view" "666fedcd71b048f33874039fe9d52901"
+    (Digest.to_hex (Digest.string (String.concat "" views)))
+
 let () =
   Alcotest.run "expframework"
     [ ( "matrix",
@@ -108,6 +155,7 @@ let () =
           Alcotest.test_case "crack yield" `Slow crack_sweep_shape;
           Alcotest.test_case "dlog growth" `Slow dlog_sweep_shape;
           Alcotest.test_case "overheads" `Slow overhead_shape ] );
+      ("opsview", [ Alcotest.test_case "pinned digest" `Slow opsview_pinned ]);
       ("hardware", [ Alcotest.test_case "E15 invariants" `Quick hardware_all_hold ]);
       ("validation", [ Alcotest.test_case "confusion matrices" `Quick confusion_matrices ]);
       ("table", [ Alcotest.test_case "renderer" `Quick table_renders ]) ]

@@ -164,6 +164,31 @@ let tgs_replay_cache () =
             (Astring.String.is_infix ~affix:"replay" e_text)
       | exception Wire.Codec.Decode_error _ -> Alcotest.fail "replayed TGS request honoured")
 
+(* The cache is keyed by authenticator ciphertext from the wire, so it is
+   capped: 32,768 fresh authenticators fill it, and each one after that
+   evicts the entry closest to expiry. One TGS request every millisecond
+   keeps every authenticator inside the skew window and distinct. *)
+let tgs_replay_cache_capped () =
+  let profile =
+    { Profile.v4 with
+      Profile.name = "v4c";
+      ap_auth = Profile.Timestamp { skew = 300.0; replay_cache = true } }
+  in
+  let b = mk ~profile () in
+  let c = client b profile in
+  let cap = 32_768 and extra = 10 in
+  let served = ref 0 in
+  Client.login c ~password:"pw" (fun x ->
+      ignore (Result.get_ok x);
+      for i = 1 to cap + extra do
+        Sim.Engine.schedule_after b.eng (0.001 *. float_of_int i) (fun () ->
+            Client.get_ticket c ~service:b.file_principal (fun r ->
+                if Result.is_ok r then incr served))
+      done);
+  run b;
+  Alcotest.(check int) "every request served" (cap + extra) !served;
+  Alcotest.(check int) "evictions past the cap" extra (Kdc.replay_evictions b.kdc)
+
 let stats_counters () =
   let b = mk () in
   let c = client b Profile.v4 in
@@ -179,6 +204,7 @@ let suite_negative =
     Alcotest.test_case "skewed client at TGS" `Quick skewed_client_at_tgs;
     Alcotest.test_case "forbidden options" `Quick forbidden_options;
     Alcotest.test_case "TGS replay cache" `Quick tgs_replay_cache;
+    Alcotest.test_case "TGS replay cache capped" `Quick tgs_replay_cache_capped;
     Alcotest.test_case "stats counters" `Quick stats_counters ]
 
 (* ------------------------------------------------------------------ *)

@@ -587,6 +587,121 @@ let deadline_clamps_the_failover_hop () =
   | Some at -> Alcotest.(check (float 1e-9)) "login fails at the deadline" 1.5 at
   | None -> Alcotest.fail "login stalled"
 
+(* ------------------------------------------------------------------ *)
+(* The KDC's per-source table                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A KDC with [rate_limit] 5 and default admission on its own collector,
+   so its one per-source table is the collector's only one. *)
+let ratelimited_kdc () =
+  let eng = Sim.Engine.create () in
+  let tel = Telemetry.Collector.create ~lightweight:true () in
+  let net = Sim.Net.create ~telemetry:tel eng in
+  let kdc_host = Sim.Host.create ~name:"kdc" ~ips:[ quad 10 0 0 1 ] () in
+  Sim.Net.attach net kdc_host;
+  let db = Kdb.create () in
+  Kdb.add_service db (Principal.tgs ~realm)
+    ~key:(Crypto.Des.random_key (Util.Rng.create 0x0eadL));
+  Kdb.add_user db (Principal.user ~realm "u0") ~password:"pw0";
+  let kdc =
+    Kdc.create ~rate_limit:5 ~admission:Kdc.default_admission ~telemetry:tel ~realm
+      ~profile:Profile.v5_draft3 ~lifetime:3600.0 db
+  in
+  Kdc.enable_durability kdc;
+  Kdc.install net kdc_host kdc ();
+  let table =
+    match Telemetry.Collector.rates tel with
+    | [ r ] -> r
+    | _ -> Alcotest.fail "one per-source table a KDC"
+  in
+  (eng, net, kdc_host, kdc, table)
+
+(* An AS_REQ for [client] sent from [src], which nobody answers to. *)
+let spoofed_as net kdc_host ~src ~client =
+  let q =
+    { Messages.q_client = Principal.user ~realm client; q_server = Principal.tgs ~realm;
+      q_nonce = Int64.of_int src; q_addr = src; q_padata = [] }
+  in
+  Sim.Net.inject net
+    { Sim.Packet.src; sport = 4000; dst = Sim.Host.primary_ip kdc_host;
+      dport = Kdc.default_port; uid = 0;
+      payload =
+        Wire.Encoding.encode Profile.v5_draft3.Profile.encoding (Messages.as_req_to_value q) }
+
+let hammer = quad 10 0 9 9
+
+(* The hammer's line of the operator view, split into its fields
+   (source, reqs, ok, preauth-, ratelim, other-, req/min, the flag). *)
+let hammer_line table =
+  Telemetry.Rates.report ~addr:Sim.Addr.to_string [ table ] (Telemetry.Metrics.create ())
+  |> String.split_on_char '\n'
+  |> List.find_opt (String.starts_with ~prefix:("  " ^ Sim.Addr.to_string hammer ^ " "))
+  |> Option.map (fun l -> List.filter (( <> ) "") (String.split_on_char ' ' l))
+
+(* [n] one-shot spoofed sources, one every 2 ms for an unknown user, with
+   a source over [rate_limit] mixed in: 200 logins as u0, one every 50 ms.
+   Returns the table's rows and words, and the hammer's line. *)
+let flood n =
+  let eng, net, kdc_host, _kdc, table = ratelimited_kdc () in
+  let rec spoof i =
+    if i < n then begin
+      spoofed_as net kdc_host ~src:(quad 11 (i lsr 16) ((i lsr 8) land 255) (i land 255))
+        ~client:"nobody";
+      Sim.Engine.schedule_after eng 0.002 (fun () -> spoof (i + 1))
+    end
+  in
+  spoof 0;
+  for j = 0 to 199 do
+    Sim.Engine.schedule eng
+      ~at:(0.001 +. (0.05 *. float_of_int j))
+      (fun () -> spoofed_as net kdc_host ~src:hammer ~client:"u0")
+  done;
+  Sim.Engine.run eng;
+  (Telemetry.Rates.size table, Obj.reachable_words (Obj.repr table), hammer_line table)
+
+(* Ten thousand spoofed sources fill the table, and ten times as many
+   leave it no bigger; the source over the limit keeps the operator-view
+   line it has without the flood. *)
+let flood_stays_bounded () =
+  let _, _, alone = flood 0 in
+  (match alone with
+  | Some [ _; reqs; ok; _; ratelim; _; _; "<--"; "suspicious" ] ->
+      Alcotest.(check (list string)) "the hammer alone (reqs, ok, ratelim)"
+        [ "200"; "5"; "195" ] [ reqs; ok; ratelim ]
+  | _ -> Alcotest.fail "the hammer alone is missing or not suspicious");
+  let bound = 32 * Telemetry.Rates.capacity in
+  List.iter
+    (fun n ->
+      let rows, words, view = flood n in
+      Alcotest.(check int) (Printf.sprintf "%d sources: table at capacity" n)
+        Telemetry.Rates.capacity rows;
+      Alcotest.(check bool)
+        (Printf.sprintf "%d sources: %d words under %d" n words bound)
+        true (words < bound);
+      Alcotest.(check (option (list string)))
+        (Printf.sprintf "%d sources: the hammer's line" n)
+        alone view)
+    [ 10_000; 100_000 ]
+
+(* A crash empties the rules' windows and keeps the operator's counts:
+   the source the limiter refused is admitted again after the restart. *)
+let crash_forgets_windows () =
+  let eng, net, kdc_host, kdc, table = ratelimited_kdc () in
+  let login at =
+    Sim.Engine.schedule eng ~at (fun () -> spoofed_as net kdc_host ~src:hammer ~client:"u0")
+  in
+  List.iter login [ 0.0; 0.1; 0.2; 0.3; 0.4; 0.5 ];
+  Sim.Engine.schedule eng ~at:1.0 (fun () -> Kdc.crash kdc);
+  Sim.Engine.schedule eng ~at:2.0 (fun () -> Kdc.restart kdc);
+  login 3.0;
+  Sim.Engine.run eng;
+  (match hammer_line table with
+  | Some [ _; reqs; ok; _; ratelim; _; _; _; _ ] ->
+      Alcotest.(check (list string)) "(reqs, ok, ratelim) across the crash"
+        [ "7"; "6"; "1" ] [ reqs; ok; ratelim ]
+  | _ -> Alcotest.fail "the hammer's line is missing");
+  Alcotest.(check int) "one refusal" 1 (Kdc.rate_limited_requests kdc)
+
 let () =
   Alcotest.run "overload"
     [ ( "admission",
@@ -612,4 +727,7 @@ let () =
           Alcotest.test_case "deadline under every profile" `Quick
             deadline_under_every_profile;
           Alcotest.test_case "deadline clamps the failover hop" `Quick
-            deadline_clamps_the_failover_hop ] ) ]
+            deadline_clamps_the_failover_hop ] );
+      ( "per-source table",
+        [ Alcotest.test_case "a spoofed flood stays bounded" `Quick flood_stays_bounded;
+          Alcotest.test_case "a crash forgets the windows" `Quick crash_forgets_windows ] ) ]

@@ -168,26 +168,45 @@ let engine_settles_leaked_spans () =
 
 (* --- operator view --------------------------------------------------- *)
 
+(* The operator view's line for [src], split into its fields (source,
+   reqs, ok, preauth-, ratelim, other-, req/min and the flag), if any. *)
+let view_line ?(metrics = T.Metrics.create ()) tables src =
+  T.Rates.report ~addr:Sim.Addr.to_string tables metrics
+  |> String.split_on_char '\n'
+  |> List.find_opt (String.starts_with ~prefix:("  " ^ Sim.Addr.to_string src ^ " "))
+  |> Option.map (fun l -> List.filter (( <> ) "") (String.split_on_char ' ' l))
+
 let opsview_tracking () =
-  let o = T.Opsview.create () in
+  let hammer = Sim.Addr.of_quad 10 0 0 66 and quiet = Sim.Addr.of_quad 10 0 0 10 in
+  let r = T.Rates.create () in
   for i = 1 to 40 do
-    T.Opsview.record_as_req o ~src:"10.0.0.66" ~time:(float_of_int i)
+    T.Rates.record_as r hammer ~time:(float_of_int i)
       ~outcome:(if i mod 2 = 0 then "ok" else "preauth-reject")
   done;
-  T.Opsview.record_as_req o ~src:"10.0.0.10" ~time:5.0 ~outcome:"ok";
-  Alcotest.(check int) "per-source count" 40 (T.Opsview.as_req_count o ~src:"10.0.0.66");
-  Alcotest.(check bool) "hammering source flagged" true
-    (T.Opsview.suspicious o ~src:"10.0.0.66");
-  Alcotest.(check bool) "quiet source not flagged" false
-    (T.Opsview.suspicious o ~src:"10.0.0.10");
-  T.Opsview.record_replay o ~component:"ap.mail";
-  T.Opsview.record_replay o ~component:"ap.mail";
-  Alcotest.(check int) "replay hits" 2 (T.Opsview.replay_hits o ~component:"ap.mail");
-  let report = T.Opsview.report o in
-  Alcotest.(check bool) "report flags the source" true
-    (Astring.String.is_infix ~affix:"suspicious" report);
+  T.Rates.record_as r quiet ~time:5.0 ~outcome:"ok";
+  let line = Alcotest.(check (option (list string))) in
+  line "hammering source flagged"
+    (Some [ "10.0.0.66"; "40"; "20"; "20"; "0"; "0"; "60.0"; "<--"; "suspicious" ])
+    (view_line [ r ] hammer);
+  line "quiet source not flagged" (Some [ "10.0.0.10"; "1"; "1"; "0"; "0"; "0"; "1.0" ])
+    (view_line [ r ] quiet);
+  line "an unseen source has no line" None (view_line [ r ] (Sim.Addr.of_quad 10 0 0 99));
+  (* A second KDC saw the hammer once more: the console merges by source. *)
+  let r2 = T.Rates.create () in
+  T.Rates.record_as r2 hammer ~time:41.0 ~outcome:"rate-limited";
+  line "merged across KDCs"
+    (Some [ "10.0.0.66"; "41"; "20"; "20"; "1"; "0"; "60.0"; "<--"; "suspicious" ])
+    (view_line [ r; r2 ] hammer);
+  (* Replay hits come from the servers' registry counters, a second
+     server of one name folded into the first. *)
+  let m = T.Metrics.create () in
+  T.Metrics.incr (T.Metrics.counter m "ap.mail.replay_hits");
+  T.Metrics.incr (T.Metrics.counter m (T.Metrics.fresh_name m "ap.mail.replay_hits"));
+  T.Metrics.incr (T.Metrics.counter m "ap.mail.ap_rejects");
+  ignore (T.Metrics.counter m "kdc.ATHENA.replay_hits");
   Alcotest.(check bool) "report lists replay hits" true
-    (Astring.String.is_infix ~affix:"ap.mail" report)
+    (Astring.String.is_suffix ~affix:"replay-cache hits: 2 total\n  ap.mail            2\n"
+       (T.Rates.report ~addr:Sim.Addr.to_string [ r ] m))
 
 (* --- a short KDC exchange: spans, schema, determinism, regressions --- *)
 
@@ -370,12 +389,13 @@ let kdc_counter_regression () =
   Alcotest.(check int) "two logins served" 2 (Kdc.as_requests_served w.kdc);
   Alcotest.(check int) "two rate-limited" 2 (Kdc.rate_limited_requests w.kdc);
   Alcotest.(check int) "all four answered" 4 (List.length !outcomes);
-  (* The operator view saw the same story. *)
-  let o = T.Collector.ops w.tel in
-  Alcotest.(check int) "opsview counted the source" 4
-    (T.Opsview.as_req_count o ~src:"10.0.0.10");
-  Alcotest.(check bool) "rate-limited source is suspicious" true
-    (T.Opsview.suspicious o ~src:"10.0.0.10")
+  (* The operator view saw the same story, in the KDC's one table. *)
+  Alcotest.(check int) "one per-source table a KDC" 1 (List.length (T.Collector.rates w.tel));
+  match view_line (T.Collector.rates w.tel) (Sim.Host.primary_ip w.ws) with
+  | Some [ _; reqs; ok; _; ratelim; _; _; "<--"; "suspicious" ] ->
+      Alcotest.(check (list string)) "view counted the source (reqs, ok, ratelim)"
+        [ "4"; "2"; "2" ] [ reqs; ok; ratelim ]
+  | _ -> Alcotest.fail "the rate-limited source is missing or not suspicious"
 
 let replay_cache_stats () =
   let c = Replay_cache.create ~horizon:600.0 () in
